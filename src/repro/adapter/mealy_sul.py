@@ -26,6 +26,13 @@ class MealySUL(SUL):
     def _reset_impl(self) -> None:
         self._state = self.machine.initial_state
 
+    def snapshot(self) -> tuple:
+        # Wrapped so that a machine state of None is not read as "cannot".
+        return (self._state,)
+
+    def restore(self, state: tuple, consume: bool = False) -> None:
+        (self._state,) = state
+
     def _step_impl(
         self, symbol: AbstractSymbol
     ) -> tuple[AbstractSymbol, Mapping[str, int], Mapping[str, int]]:

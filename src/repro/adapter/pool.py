@@ -54,10 +54,16 @@ def _run_shard_in_child(sul: SUL, words: Sequence[Word]) -> tuple[list, dict]:
     identical accounting.
     """
     before = sul.stats.snapshot()
-    outcomes = [(sul.query(word), sul.oracle_table.lookup(word)) for word in words]
+    outcomes = _run_shard(sul, words)
     after = sul.stats.snapshot()
     delta = {key: after[key] - before[key] for key in after}
     return outcomes, delta
+
+
+def _run_shard(sul: SUL, words: Sequence[Word]) -> list[tuple[Word, OracleEntry | None]]:
+    """One shard as one batch (a trie walk where the SUL can snapshot)."""
+    answers = sul.query_batch(words)
+    return [(outputs, sul.oracle_table.lookup(word)) for outputs, word in zip(answers, words)]
 
 
 class SULPool(SUL):
@@ -122,21 +128,14 @@ class SULPool(SUL):
                 _run_shard_in_child, [words[index::shards] for index in range(shards)]
             )
             for index, (shard, delta) in enumerate(payloads):
-                stats = self._worker_stats[index]
-                stats.queries += delta["queries"]
-                stats.steps += delta["steps"]
-                stats.resets += delta["resets"]
+                self._worker_stats[index].add(delta)
                 for position, outcome in zip(
                     range(index, len(words), shards), shard
                 ):
                     results[position] = outcome
         else:
             def run_shard(index: int) -> list[tuple[Word, OracleEntry | None]]:
-                sul = self._suls[index]
-                return [
-                    (sul.query(word), sul.oracle_table.lookup(word))
-                    for word in words[index::shards]
-                ]
+                return _run_shard(self._suls[index], words[index::shards])
 
             for index, shard in enumerate(
                 self._executor.map(run_shard, list(range(shards)))
@@ -184,20 +183,14 @@ class SULPool(SUL):
         instance did through the single-SUL interface.
         """
         if self.backend == "process":
-            parent = self._suls[0].stats
-            self.stats.queries = parent.queries + sum(
-                s.queries for s in self._worker_stats
-            )
-            self.stats.steps = parent.steps + sum(
-                s.steps for s in self._worker_stats
-            )
-            self.stats.resets = parent.resets + sum(
-                s.resets for s in self._worker_stats
-            )
+            parts = [self._suls[0].stats, *self._worker_stats]
         else:
-            self.stats.queries = sum(sul.stats.queries for sul in self._suls)
-            self.stats.steps = sum(sul.stats.steps for sul in self._suls)
-            self.stats.resets = sum(sul.stats.resets for sul in self._suls)
+            parts = [sul.stats for sul in self._suls]
+        total = SULStats()
+        for part in parts:
+            total.add(part.snapshot())
+        for key, value in total.snapshot().items():
+            setattr(self.stats, key, value)
 
     def per_worker_queries(self) -> list[int]:
         """Query count per worker (load-balance visibility for benchmarks)."""

@@ -11,6 +11,7 @@ argues is "close to impossible" to hand-write for QUIC).
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 from ..core.alphabet import (
@@ -75,6 +76,59 @@ class QUICAdapterSUL(SUL):
     def _reset_impl(self) -> None:
         self.server.reset()
         self.client.reset()
+
+    def snapshot(self) -> tuple | None:
+        """Per-connection state only: the server's connection and datagram
+        count, the client's connection fields, the network's counters and
+        clock, and the server, client and network RNG states.
+
+        None (replay instead) on a lossy or delayed link, for a
+        stateless-reset probability strictly between 0 and 1 (mvfst), with
+        an ambiguous STREAM abstraction or the retry-port bug, and while
+        the network is not quiescent.
+        """
+        config = self.client.config
+        if (
+            self.network.config != PERFECT_LINK
+            or self.server.profile.stateless_reset_probability not in (0.0, 1.0)
+            or config.ambiguous_stream_abstraction
+            or config.retry_port_bug
+        ):
+            return None
+        network = self.network.snapshot()
+        if network is None:
+            return None
+        live = (self.server.connection, self.client.connection_state())
+        return (
+            self._copy(live),
+            self.server.datagrams_received,
+            self.server.rng.getstate(),
+            self.client.rng.getstate(),
+            network,
+        )
+
+    def restore(self, state: tuple, consume: bool = False) -> None:
+        live, received, server_rng, client_rng, network = state
+        if not consume:
+            live = self._copy(live)
+        self.server.connection, client_fields = live
+        self.client.adopt_connection_state(client_fields)
+        self.server.datagrams_received = received
+        self.server.rng.setstate(server_rng)
+        self.client.rng.setstate(client_rng)
+        self.network.restore(network)
+
+    def _copy(self, live: tuple):
+        """Deep-copy connection state, sharing everything it does not own:
+        behaviour tables, profiles, the tracker config, endpoints, the
+        network and the RNGs (whose states are captured separately).  Keys
+        are immutable and copy as themselves."""
+        connection = live[0]
+        shared = self.client.shared_state()
+        if connection is not None:
+            shared += connection.shared_state()
+        memo = {id(obj): obj for obj in shared + (self.server.rng, self.client.rng)}
+        return copy.deepcopy(live, memo)
 
     def _step_impl(self, symbol):
         if not isinstance(symbol, QUICSymbol):

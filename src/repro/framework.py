@@ -74,6 +74,14 @@ class LearningReport:
     #: Per-equivalence-oracle accounting: words submitted and
     #: counterexamples found, keyed by oracle name.
     eq_attribution: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: Steps and resets that reached the implementation.  ``sul_steps`` and
+    #: ``sul_resets`` stay logical (what per-word replay would cost); a
+    #: batch run as a trie walk costs fewer physical ones.
+    physical_steps: int = 0
+    physical_resets: int = 0
+    #: State snapshots taken and restored by trie walks.
+    snapshots: int = 0
+    restores: int = 0
 
     @property
     def num_states(self) -> int:
@@ -120,6 +128,10 @@ class LearningReport:
             "corpus_hits": self.corpus_hits,
             "corpus_hit_rate": self.corpus_hit_rate,
             "corpus_skipped": self.corpus_skipped,
+            "physical_steps": self.physical_steps,
+            "physical_resets": self.physical_resets,
+            "snapshots": self.snapshots,
+            "restores": self.restores,
             "eq_attribution": {
                 name: dict(stats) for name, stats in self.eq_attribution.items()
             },
@@ -336,6 +348,10 @@ class Prognosis:
             corpus_hit_rate=getattr(self.cache_oracle, "corpus_hit_rate", 0.0),
             corpus_skipped=getattr(self.cache_oracle, "corpus_skipped", 0),
             eq_attribution=self.equivalence_oracle.attribution(),
+            physical_steps=self.sul.stats.physical_steps,
+            physical_resets=self.sul.stats.physical_resets,
+            snapshots=self.sul.stats.snapshots,
+            restores=self.sul.stats.restores,
         )
 
     # ------------------------------------------------------------------

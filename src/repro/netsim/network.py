@@ -258,3 +258,33 @@ class SimulatedNetwork:
     def pending(self) -> int:
         """Datagrams scheduled but not yet delivered."""
         return len(self._queue)
+
+    # ------------------------------------------------------------------
+    # Snapshots (SUL trie walks)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> tuple | None:
+        """The network's mutable state, or None unless it is quiescent.
+
+        Quiescent means nothing is scheduled and no inbox holds a datagram,
+        so sequence numbers, counters, the drop budget, the clock and the
+        RNG are all the state there is.  Bindings are not captured.
+        """
+        if self._queue or any(e.inbox for e in self._endpoints.values()):
+            return None
+        return (
+            self._sequence,
+            dict(self.stats),
+            self._drop_next,
+            self.clock.now,
+            self._rng.getstate(),
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Return to a quiescent :meth:`snapshot`."""
+        self._queue.clear()
+        for endpoint in self._endpoints.values():
+            endpoint.inbox.clear()
+        self._sequence, stats, self._drop_next, now, rng_state = state
+        self.stats.update(stats)
+        self.clock._now = now  # the one place time may move backwards
+        self._rng.setstate(rng_state)

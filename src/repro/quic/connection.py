@@ -118,6 +118,12 @@ class QUICServerConnection:
         self._request_bytes = 0
         self._hello_processed = False
 
+    def shared_state(self) -> tuple:
+        """Objects the connection shares rather than owns: its profile, its
+        behaviour table and the server's RNG.  Copies of the connection (SUL
+        snapshots) must share them too."""
+        return (self.profile, self.core.table, self.rng)
+
     # ------------------------------------------------------------------
     # Keys
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 INITIAL_SALT = b"prognosis-repro-initial-salt-v1"
 TAG_LENGTH = 16
@@ -38,36 +38,59 @@ def hkdf_extract(salt: bytes, input_key_material: bytes) -> bytes:
 
 def hkdf_expand_label(secret: bytes, label: bytes, length: int = 32) -> bytes:
     """Simplified HKDF-Expand-Label: iterated HMAC blocks."""
+    return _expand(hmac.new(secret, digestmod=hashlib.sha256), label, length)
+
+
+def _expand(mac: "hmac.HMAC", label: bytes, length: int) -> bytes:
+    """The blocks of :func:`hkdf_expand_label`, from a keyed HMAC state."""
     output = b""
     block = b""
     counter = 1
     while len(output) < length:
-        block = hmac.new(
-            secret, block + label + bytes([counter]), hashlib.sha256
-        ).digest()
+        block = _digest(mac, block + label + bytes([counter]))
         output += block
         counter += 1
     return output[:length]
 
 
+def _digest(mac: "hmac.HMAC", data: bytes) -> bytes:
+    step = mac.copy()
+    step.update(data)
+    return step.digest()
+
+
 @dataclass(frozen=True)
 class DirectionalKey:
-    """Key material protecting one direction at one encryption level."""
+    """Key material protecting one direction at one encryption level.
+
+    The keyed HMAC-SHA256 state is built once per key and copied for each
+    keystream block and tag.  Keys are immutable, so deep copies (SUL
+    snapshots) share them.
+    """
 
     key: bytes
     label: str
+    _mac: "hmac.HMAC" = field(init=False, repr=False, compare=False)
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        return hkdf_expand_label(self.key, b"ks" + nonce, length)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_mac", hmac.new(self.key, digestmod=hashlib.sha256))
+
+    def __reduce__(self):
+        return (DirectionalKey, (self.key, self.label))
+
+    def __deepcopy__(self, memo) -> "DirectionalKey":
+        return self
+
+    def _xor(self, nonce: bytes, data: bytes) -> bytes:
+        stream = _expand(self._mac, b"ks" + nonce, len(data))
+        mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+        return mixed.to_bytes(len(data), "big")
 
     def seal(self, packet_number: int, header: bytes, plaintext: bytes) -> bytes:
         """Encrypt and authenticate ``plaintext`` bound to ``header``."""
         nonce = packet_number.to_bytes(8, "big")
-        stream = self._keystream(nonce, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-        tag = hmac.new(
-            self.key, b"tag" + nonce + header + ciphertext, hashlib.sha256
-        ).digest()[:TAG_LENGTH]
+        ciphertext = self._xor(nonce, plaintext)
+        tag = _digest(self._mac, b"tag" + nonce + header + ciphertext)[:TAG_LENGTH]
         return ciphertext + tag
 
     def open(self, packet_number: int, header: bytes, sealed: bytes) -> bytes:
@@ -76,13 +99,10 @@ class DirectionalKey:
             raise CryptoError("sealed payload shorter than tag")
         ciphertext, tag = sealed[:-TAG_LENGTH], sealed[-TAG_LENGTH:]
         nonce = packet_number.to_bytes(8, "big")
-        expected = hmac.new(
-            self.key, b"tag" + nonce + header + ciphertext, hashlib.sha256
-        ).digest()[:TAG_LENGTH]
+        expected = _digest(self._mac, b"tag" + nonce + header + ciphertext)[:TAG_LENGTH]
         if not hmac.compare_digest(tag, expected):
             raise CryptoError(f"authentication failed for {self.label}")
-        stream = self._keystream(nonce, len(ciphertext))
-        return bytes(c ^ s for c, s in zip(ciphertext, stream))
+        return self._xor(nonce, ciphertext)
 
 
 @dataclass(frozen=True)
@@ -91,6 +111,9 @@ class KeyPair:
 
     client: DirectionalKey
     server: DirectionalKey
+
+    def __deepcopy__(self, memo) -> "KeyPair":
+        return self
 
 
 def initial_keys(destination_cid: bytes) -> KeyPair:

@@ -61,6 +61,29 @@ from ..transport_params import TransportParameters
 
 REQUEST_CHUNK = 100
 
+#: The per-connection fields :meth:`TrackerClient.reset` rebuilds: what a
+#: SUL snapshot of the client copies (with the client RNG's state).
+CONNECTION_FIELDS = (
+    "dcid",
+    "scid",
+    "client_random",
+    "initial_keys",
+    "handshake_keys",
+    "application_keys",
+    "server_random",
+    "server_scid",
+    "server_params",
+    "spaces",
+    "retry_token",
+    "request_offset",
+    "response_received",
+    "max_stream_data_limit",
+    "max_data_limit",
+    "closed",
+    "saw_stateless_reset",
+    "handshake_complete",
+)
+
 
 @dataclass(frozen=True)
 class ConcretePacket:
@@ -162,6 +185,19 @@ class TrackerClient:
         for endpoint in self._extra_endpoints:
             endpoint.close()
         self._main_endpoint.close()
+
+    def connection_state(self) -> dict:
+        """The live (uncopied) values of :data:`CONNECTION_FIELDS`."""
+        return {name: getattr(self, name) for name in CONNECTION_FIELDS}
+
+    def adopt_connection_state(self, state: dict) -> None:
+        """Install values taken by :meth:`connection_state` (or copies)."""
+        for name, value in state.items():
+            setattr(self, name, value)
+
+    def shared_state(self) -> tuple:
+        """Objects copies of the connection state share rather than own."""
+        return (self.config, self.network, self._main_endpoint, self._active_endpoint)
 
     # ------------------------------------------------------------------
     # Concretization: abstract request -> concrete packet

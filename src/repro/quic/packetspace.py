@@ -29,6 +29,15 @@ class PacketNumberSpace:
     largest_received: int = -1
     largest_acked_by_peer: int = -1
 
+    def __deepcopy__(self, memo) -> "PacketNumberSpace":
+        # Every field is an int or a set of ints: no generic recursion.
+        return PacketNumberSpace(
+            self.next_packet_number,
+            set(self.received),
+            self.largest_received,
+            self.largest_acked_by_peer,
+        )
+
     def take_packet_number(self) -> int:
         number = self.next_packet_number
         self.next_packet_number += 1

@@ -34,6 +34,9 @@ class FlakySUL(MealySUL):
         self._period = period
         self._count = 0
 
+    def snapshot(self):
+        return None  # the flip counter lives outside the machine state
+
     def _step_impl(self, symbol):
         output, i, o = super()._step_impl(symbol)
         if symbol == self._flip_symbol:
@@ -53,6 +56,9 @@ class VolatileSUL(MealySUL):
         self._flip_symbol = flip_symbol
         self._alt_output = alt_output
         self._stable_queries = stable_queries
+
+    def snapshot(self):
+        return None  # behaviour depends on the query count, not the state
 
     def _step_impl(self, symbol):
         output, i, o = super()._step_impl(symbol)

@@ -188,3 +188,40 @@ class TestImpairments:
         network.run()
         payloads = [d.payload for d in b.receive_all()]
         assert payloads != sorted(payloads)
+
+
+class TestSnapshots:
+    def _pair(self):
+        network = SimulatedNetwork(seed=4, config=LinkConfig(jitter=0.01))
+        return network, network.bind("h", 1), network.bind("h", 2)
+
+    def test_restore_rewinds_counters_clock_and_rng(self):
+        network, a, b = self._pair()
+        a.send(b"one", b.address)
+        network.run()
+        b.receive_all()
+        state = network.snapshot()
+        before = (dict(network.stats), network.clock.now, network._sequence)
+        network.drop_next()
+        for payload in (b"lost", b"two", b"three"):
+            a.send(payload, b.address)
+        network.run()
+        later = ([d.payload for d in b.receive_all()], network.clock.now)
+        network.restore(state)
+        assert (dict(network.stats), network.clock.now, network._sequence) == before
+        assert network._drop_next == 0
+        network.drop_next()
+        for payload in (b"lost", b"two", b"three"):
+            a.send(payload, b.address)
+        network.run()
+        # Same jitter draws: same delivery order and the same final clock.
+        assert ([d.payload for d in b.receive_all()], network.clock.now) == later
+
+    def test_busy_network_cannot_snapshot(self):
+        network, a, b = self._pair()
+        a.send(b"in flight", b.address)
+        assert network.snapshot() is None
+        network.run()
+        assert network.snapshot() is None  # undrained inbox
+        b.receive_all()
+        assert network.snapshot() is not None
