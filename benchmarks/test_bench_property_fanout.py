@@ -4,7 +4,7 @@ Property evaluation over a campaign's models is the analysis-side
 counterpart of the learning fan-out: every (model, suite) pair is an
 independent job, so :func:`~repro.analysis.property_api
 .check_properties_batch` maps them over the shared
-:class:`~repro.adapter.pool.BatchExecutor`.  This benchmark evaluates
+:class:`~repro.adapter.executor.ThreadExecutor`.  This benchmark evaluates
 the toy suite plus ad-hoc LTLf formulas at depth 9 (2^10-trace
 exhaustive exploration per property) across a fleet of toy-variant
 models, serially and at ``workers=4``.  Verdicts must be identical;

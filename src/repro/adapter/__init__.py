@@ -1,7 +1,6 @@
 """Adapter layer: SUL interface, pooling, packet queue, protocol adapters."""
 
 from .executor import (
-    BatchExecutor,
     ExecutorBackend,
     ExecutorError,
     ProcessExecutor,
@@ -46,7 +45,6 @@ from .tcp_adapter import TCPAdapterSUL, abstract_segment, segment_params
 
 __all__ = [
     "AppLayer",
-    "BatchExecutor",
     "ExecutorBackend",
     "ExecutorError",
     "H3AppLayer",

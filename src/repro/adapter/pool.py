@@ -15,16 +15,17 @@ The pool runs on a pluggable :class:`~repro.adapter.executor
   boundary); pure-Python simulators stay correct but gain little, because
   the GIL serializes them.
 * ``process`` -- N worker *processes*, each building its own SUL from the
-  (picklable) ``sul_factory`` in the child.  Shard results -- outputs,
-  Oracle-Table entries and an :class:`~repro.adapter.sul.SULStats` delta
-  -- are shipped back per batch and merged, so the accounting is identical
-  to a serial run while the work truly runs on all cores.
+  (picklable) ``sul_factory`` in the child, so the work truly runs on all
+  cores.
 * ``serial`` -- a plain loop over the same sharding; the debugging
   reference.
 
-Results are always returned in submission order, worker Oracle Tables are
-merged into the pool's table after every batch, and the pool's stats are
-the sum over all workers -- so the accounting the paper tables report
+Every backend runs the same shard function: it returns the shard's
+outputs, Oracle-Table entries and :class:`~repro.adapter.sul.SULStats`
+delta, which the pool merges.  Results are always returned in submission
+order, worker Oracle Tables are merged into the pool's table after every
+batch, and the pool's stats are the sum of the workers' deltas and the
+parent-side instance's -- so the accounting the paper tables report
 (queries, steps, resets) is identical whether a run was serial, threaded
 or process-parallel, and so is the learned model.
 """
@@ -36,34 +37,32 @@ from typing import Callable, Mapping, Sequence
 from ..core.alphabet import AbstractSymbol
 from ..core.oracle_table import OracleEntry
 from ..core.trace import Word
-from .executor import (  # noqa: F401  (BatchExecutor re-exported for compat)
-    BatchExecutor,
-    ExecutorError,
-    ProcessExecutor,
-    build_executor,
-)
+from .executor import ProcessExecutor, build_executor
 from .sul import SUL, SULStats
 
 
-def _run_shard_in_child(sul: SUL, words: Sequence[Word]) -> tuple[list, dict]:
-    """Run one shard on a worker process's private SUL.
-
-    Module-level (hence picklable) task function for the ``process``
-    backend: returns the per-word ``(outputs, oracle entry)`` pairs plus
-    the stats delta this shard cost, so the parent can keep serial-
-    identical accounting.
-    """
+def _measured(sul: SUL, fn: Callable, *args) -> tuple[object, dict[str, int]]:
+    """``fn(*args)`` and the :class:`SULStats` delta it cost ``sul``."""
     before = sul.stats.snapshot()
-    outcomes = _run_shard(sul, words)
+    result = fn(*args)
     after = sul.stats.snapshot()
-    delta = {key: after[key] - before[key] for key in after}
+    return result, {key: after[key] - before[key] for key in after}
+
+
+def _run_shard(
+    sul: SUL, shard: tuple[int, Sequence[Word]]
+) -> tuple[list[tuple[Word, OracleEntry | None]], dict[str, int]]:
+    """Run shard ``(index, words)`` as one batch on a worker's SUL.
+
+    A trie walk where the SUL can snapshot.  Returns the per-word
+    ``(outputs, oracle entry)`` pairs plus the stats delta the shard cost,
+    which the pool adds to that worker's account.  Module-level, hence
+    picklable: a worker process runs it on its private SUL.
+    """
+    _, words = shard
+    answers, delta = _measured(sul, sul.query_batch, words)
+    outcomes = [(outputs, sul.oracle_table.lookup(word)) for outputs, word in zip(answers, words)]
     return outcomes, delta
-
-
-def _run_shard(sul: SUL, words: Sequence[Word]) -> list[tuple[Word, OracleEntry | None]]:
-    """One shard as one batch (a trie walk where the SUL can snapshot)."""
-    answers = sul.query_batch(words)
-    return [(outputs, sul.oracle_table.lookup(word)) for outputs, word in zip(answers, words)]
 
 
 class SULPool(SUL):
@@ -108,12 +107,18 @@ class SULPool(SUL):
             self._executor = ProcessExecutor(
                 workers, initializer=sul_factory, timeout_s=timeout_s
             )
+            self._run_shard = _run_shard
         else:
             suls = [sul_factory() for _ in range(workers)]
             self._executor = build_executor(backend, workers)
+            self._run_shard = lambda shard: _run_shard(self._suls[shard[0]], shard)
         super().__init__(suls[0].input_alphabet, name=name or f"{suls[0].name}-pool")
         self._suls = suls
+        #: What each worker's shards cost, and what the single-SUL
+        #: interface cost the parent-side instance; their sum is the pool's
+        #: stats on every backend.
         self._worker_stats = [SULStats() for _ in range(workers)]
+        self._parent_stats = SULStats()
 
     # -- batched execution -------------------------------------------------
     def query_batch(self, words: Sequence[Sequence[AbstractSymbol]]) -> list[Word]:
@@ -121,32 +126,16 @@ class SULPool(SUL):
         if not words:
             return []
         shards = min(self.workers, len(words))
-        results: list[tuple[Word, OracleEntry | None] | None] = [None] * len(words)
-
-        if self.backend == "process":
-            payloads = self._executor.map(
-                _run_shard_in_child, [words[index::shards] for index in range(shards)]
-            )
-            for index, (shard, delta) in enumerate(payloads):
-                self._worker_stats[index].add(delta)
-                for position, outcome in zip(
-                    range(index, len(words), shards), shard
-                ):
-                    results[position] = outcome
-        else:
-            def run_shard(index: int) -> list[tuple[Word, OracleEntry | None]]:
-                return _run_shard(self._suls[index], words[index::shards])
-
-            for index, shard in enumerate(
-                self._executor.map(run_shard, list(range(shards)))
-            ):
-                for position, outcome in zip(
-                    range(index, len(words), shards), shard
-                ):
-                    results[position] = outcome
+        results: list[tuple[Word, OracleEntry | None]] = [None] * len(words)  # type: ignore[list-item]
+        payloads = self._executor.map(
+            self._run_shard, [(index, words[index::shards]) for index in range(shards)]
+        )
+        for index, (outcomes, delta) in enumerate(payloads):
+            self._worker_stats[index].add(delta)
+            results[index::shards] = outcomes
 
         answers: list[Word] = []
-        for outputs, entry in results:  # type: ignore[misc]
+        for outputs, entry in results:
             if entry is not None:
                 self.oracle_table.merge(entry)
             answers.append(outputs)
@@ -157,14 +146,17 @@ class SULPool(SUL):
         return self.query_batch([word])[0]
 
     # -- single-instance interface (random walks, distribution sampling) --
-    def reset(self) -> None:
-        self._suls[0].reset()
+    def _on_parent(self, fn: Callable, *args):
+        result, delta = _measured(self._suls[0], fn, *args)
+        self._parent_stats.add(delta)
         self._refresh_stats()
+        return result
+
+    def reset(self) -> None:
+        self._on_parent(self._suls[0].reset)
 
     def step(self, symbol: AbstractSymbol) -> AbstractSymbol:
-        output = self._suls[0].step(symbol)
-        self._refresh_stats()
-        return output
+        return self._on_parent(self._suls[0].step, symbol)
 
     def _reset_impl(self) -> None:  # pragma: no cover - routed via reset()
         self._suls[0]._reset_impl()
@@ -176,27 +168,16 @@ class SULPool(SUL):
 
     # -- accounting --------------------------------------------------------
     def _refresh_stats(self) -> None:
-        """The pool's stats are the sum over its workers.
-
-        On the ``process`` backend, worker stats are the accumulated
-        deltas shipped back with each batch plus whatever the parent-side
-        instance did through the single-SUL interface.
-        """
-        if self.backend == "process":
-            parts = [self._suls[0].stats, *self._worker_stats]
-        else:
-            parts = [sul.stats for sul in self._suls]
+        """The pool's stats: the parent-side cost plus every worker's."""
         total = SULStats()
-        for part in parts:
+        for part in (self._parent_stats, *self._worker_stats):
             total.add(part.snapshot())
         for key, value in total.snapshot().items():
             setattr(self.stats, key, value)
 
     def per_worker_queries(self) -> list[int]:
         """Query count per worker (load-balance visibility for benchmarks)."""
-        if self.backend == "process":
-            return [stats.queries for stats in self._worker_stats]
-        return [sul.stats.queries for sul in self._suls]
+        return [stats.queries for stats in self._worker_stats]
 
     def close(self) -> None:
         self._executor.close()

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .adapter.pool import BatchExecutor
+from .adapter.executor import ThreadExecutor
 from .analysis.diff import ModelDiff, diff_models
 from .analysis.difftest import (
     VERDICT_AGREE,
@@ -223,7 +223,7 @@ class Campaign:
     def run(self) -> list[RunResult]:
         """Execute every spec; results are in spec order."""
         load_builtins()
-        executor = BatchExecutor(self.workers)
+        executor = ThreadExecutor(self.workers)
         try:
             return executor.map(self._run_one, list(enumerate(self.specs)))
         finally:
@@ -260,9 +260,7 @@ class Campaign:
         try:
             spec.validate()
             shared = None
-            if self.share_cache and any(
-                m.kind in ("cache", "store", "passive") for m in spec.middleware
-            ):
+            if self.share_cache and any(m.kind == "cache" for m in spec.middleware):
                 shared = self._warm_cache(spec.sul_fingerprint())
             properties_report = None
             attack_report = None
@@ -528,7 +526,7 @@ class DiffCampaign:
         }
 
         pairs = [(i, j) for i in range(len(names)) for j in range(len(names))]
-        executor = BatchExecutor(self.workers)
+        executor = ThreadExecutor(self.workers)
         try:
             cells = executor.map(
                 lambda pair: self._replay_pair(pair, runs, suites, campaign), pairs
@@ -588,11 +586,9 @@ class DiffCampaign:
         """A cached oracle over a fresh SUL, pre-warmed with everything the
         learning phase observed for this fingerprint (replays that hit the
         warm trie never touch the SUL)."""
-        sul = build_sul(spec)
-        return CachedMembershipOracle(
-            SULMembershipOracle(sul),
-            cache=campaign._warm_cache(spec.sul_fingerprint()),
-        )
+        oracle = CachedMembershipOracle(SULMembershipOracle(build_sul(spec)))
+        oracle.seed("shared", campaign._warm_cache(spec.sul_fingerprint()).dump())
+        return oracle
 
     @staticmethod
     def _close_oracle(oracle: CachedMembershipOracle | None) -> None:

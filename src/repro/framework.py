@@ -59,16 +59,10 @@ class LearningReport:
     batch_deduped: int = 0
     #: SUL instances the run executed on (1 = serial).
     workers: int = 1
-    #: Membership queries answered by observations already in the
-    #: persistent query store when the run began (0 without a store).
-    store_hits: int = 0
-    #: ``store_hits`` over all membership queries.
-    store_hit_rate: float = 0.0
-    #: Membership queries answered by bulk-corpus observations
-    #: (0 without a ``corpus`` section; see :mod:`repro.learn.bulk`).
-    corpus_hits: int = 0
-    #: ``corpus_hits`` over all membership queries.
-    corpus_hit_rate: float = 0.0
+    #: Membership queries answered by each seed source of the cache
+    #: layer (``"shared"``, ``"store"``, ``"corpus"``): a hit counts for a
+    #: source when the whole word lies inside that source's observations.
+    hits_by_source: dict[str, int] = field(default_factory=dict)
     #: Nondeterministic corpus traces skipped during seeding.
     corpus_skipped: int = 0
     #: Per-equivalence-oracle accounting: words submitted and
@@ -90,6 +84,32 @@ class LearningReport:
     @property
     def num_transitions(self) -> int:
         return self.model.num_transitions
+
+    def _source_hit_rate(self, source: str) -> float:
+        hits = self.hits_by_source.get(source, 0)
+        return hits / self.oracle_queries if self.oracle_queries else 0.0
+
+    @property
+    def store_hits(self) -> int:
+        """Membership queries answered by observations already in the
+        persistent query store when the run began (0 without a store)."""
+        return self.hits_by_source.get("store", 0)
+
+    @property
+    def store_hit_rate(self) -> float:
+        """``store_hits`` over all membership queries."""
+        return self._source_hit_rate("store")
+
+    @property
+    def corpus_hits(self) -> int:
+        """Membership queries answered by bulk-corpus observations
+        (0 without a ``corpus`` section; see :mod:`repro.learn.bulk`)."""
+        return self.hits_by_source.get("corpus", 0)
+
+    @property
+    def corpus_hit_rate(self) -> float:
+        """``corpus_hits`` over all membership queries."""
+        return self._source_hit_rate("corpus")
 
     def summary(self) -> str:
         return (
@@ -128,6 +148,7 @@ class LearningReport:
             "corpus_hits": self.corpus_hits,
             "corpus_hit_rate": self.corpus_hit_rate,
             "corpus_skipped": self.corpus_skipped,
+            "hits_by_source": dict(self.hits_by_source),
             "physical_steps": self.physical_steps,
             "physical_resets": self.physical_resets,
             "snapshots": self.snapshots,
@@ -243,6 +264,7 @@ class Prognosis:
         )
         self.equivalence_oracle = pipeline.equivalence_oracle
         self.learner = pipeline.learner
+        self.corpus_stats = pipeline.corpus_stats
 
     @staticmethod
     def _legacy_spec(
@@ -342,11 +364,14 @@ class Prognosis:
                 else 0
             ),
             workers=self.workers,
-            store_hits=getattr(self.cache_oracle, "store_hits", 0),
-            store_hit_rate=getattr(self.cache_oracle, "store_hit_rate", 0.0),
-            corpus_hits=getattr(self.cache_oracle, "corpus_hits", 0),
-            corpus_hit_rate=getattr(self.cache_oracle, "corpus_hit_rate", 0.0),
-            corpus_skipped=getattr(self.cache_oracle, "corpus_skipped", 0),
+            hits_by_source=(
+                dict(self.cache_oracle.hits_by_source)
+                if self.cache_oracle is not None
+                else {}
+            ),
+            corpus_skipped=(
+                len(self.corpus_stats.skipped) if self.corpus_stats is not None else 0
+            ),
             eq_attribution=self.equivalence_oracle.attribution(),
             physical_steps=self.sul.stats.physical_steps,
             physical_resets=self.sul.stats.physical_resets,
@@ -359,7 +384,7 @@ class Prognosis:
         """Release the SUL's resources (pool threads, simulated sockets).
 
         Safe to call on any SUL; a no-op when the SUL has no ``close``.
-        Middleware layers close too -- the store-backed cache flushes its
+        Middleware layers close too -- a store-seeded cache flushes its
         append buffer and records usage here.  Long-running sweeps
         constructing many pooled ``Prognosis`` objects should use the
         context-manager protocol (or call this) after each run.

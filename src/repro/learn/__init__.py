@@ -4,15 +4,14 @@ from .bulk import (
     BulkLearnResult,
     CorpusConflict,
     CorpusFormatError,
-    CorpusSeededCache,
     CorpusStats,
+    accept_traces,
     bulk_passive_learn,
     generate_corpus,
     load_corpus_cache,
     log_sessions,
     read_jsonl_corpus,
     record_full_corpus,
-    seed_oracle_from_corpus,
     write_jsonl_corpus,
 )
 from .cache import CacheInconsistencyError, CachedMembershipOracle, QueryCache
@@ -58,7 +57,6 @@ __all__ = [
     "ChainedEquivalenceOracle",
     "CorpusConflict",
     "CorpusFormatError",
-    "CorpusSeededCache",
     "CorpusStats",
     "CountingOracle",
     "Decomposition",
@@ -81,6 +79,7 @@ __all__ = [
     "TTTLearner",
     "TraceConflictError",
     "WMethodEquivalenceOracle",
+    "accept_traces",
     "bulk_passive_learn",
     "estimate_response_distribution",
     "fold_prefix_tree",
@@ -95,6 +94,5 @@ __all__ = [
     "rivest_schapire",
     "rpni_mealy",
     "seed_cache_from_traces",
-    "seed_oracle_from_corpus",
     "write_jsonl_corpus",
 ]

@@ -10,12 +10,15 @@ means traces arrive in bulk, not one active query at a time"):
   target to produce session logs.  :func:`record_full_corpus` dumps one
   active run's entire observation set -- a *covering* corpus, the bulk
   analogue of a warm persistent store.
-* **The ``passive`` middleware** -- :class:`CorpusSeededCache` is the
-  prefix-tree cache layer pre-seeded from a corpus file; conflicting
-  (nondeterministic) traces are skipped and counted, never fatal, and
-  hit accounting attributes corpus-served answers.
-* **The pipeline** -- :func:`bulk_passive_learn` folds the corpus trie
-  into a :class:`~repro.learn.passive.PartialMealyMachine` (hardened
+* **Corpus seeding** -- :func:`accept_traces` streams the traces of a
+  corpus that agree with everything seeded before them (the one
+  corpus-conflict rule: a contradicting trace is skipped and counted, or
+  raises :class:`~repro.learn.passive.TraceConflictError` without
+  ``skip_conflicts``).  :func:`repro.spec.assemble` feeds it to the
+  ``cache`` layer as its ``"corpus"`` seed source, after the shared trie
+  and the store rows; with a store, the accepted traces persist.
+* **The pipeline** -- :func:`bulk_passive_learn` folds the cache's corpus
+  seed into a :class:`~repro.learn.passive.PartialMealyMachine` (hardened
   RPNI), turns its undetermined ``(state, symbol)`` cells into targeted
   membership queries through the spec's oracle/executor stack, then runs
   the spec's active learner over the warmed cache.  Behaviour the corpus
@@ -24,9 +27,7 @@ means traces arrive in bulk, not one active query at a time"):
   because cache warmth never changes a deterministic SUL's answers.
 
 Specs opt in declaratively via their ``corpus`` section
-(:class:`~repro.spec.CorpusSpec`); with *both* a ``store`` and a
-``corpus``, :func:`seed_oracle_from_corpus` streams the corpus through
-the store-backed cache's record hook, persisting the observations.
+(:class:`~repro.spec.CorpusSpec`).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from typing import Iterable, Iterator
 
 from ..core.alphabet import SymbolError, deserialize_symbol, serialize_symbol
 from ..core.trace import IOTrace, Word, render_word
-from ..registry import MIDDLEWARE_REGISTRY, SUL_REGISTRY, load_builtins
-from .cache import CachedMembershipOracle, CacheInconsistencyError, QueryCache
+from ..registry import SUL_REGISTRY, load_builtins
+from .cache import CacheInconsistencyError, QueryCache
 from .passive import (
     PartialMealyMachine,
     TraceConflictError,
@@ -169,28 +170,28 @@ def stream_corpus(source, max_traces: int | None = None) -> Iterator[IOTrace]:
         yield trace
 
 
-def load_corpus_cache(
+def accept_traces(
     source,
+    against: QueryCache,
+    stats: CorpusStats,
     skip_conflicts: bool = True,
     max_traces: int | None = None,
-) -> tuple[QueryCache, CorpusStats]:
-    """One streaming pass: corpus -> prefix-tree trie + accounting.
+) -> Iterator[tuple[Word, Word]]:
+    """Stream the corpus traces that agree with ``against``, as observations.
 
-    The returned :class:`~repro.learn.cache.QueryCache` both seeds the
-    active learner's cache and *is* the passive learner's prefix tree
-    (:func:`~repro.learn.passive.prefix_tree_from_cache`).  Traces that
-    contradict the corpus read so far are skipped and counted when
-    ``skip_conflicts`` (nondeterministic logs are a finding, not a
-    crash), or raise :class:`~repro.learn.passive.TraceConflictError`
-    otherwise.
+    The caller inserts every yielded observation into ``against`` before
+    asking for the next, so each trace is checked against everything
+    seeded before it -- earlier traces included.  A contradicting trace
+    is skipped and recorded in ``stats`` when ``skip_conflicts``
+    (nondeterministic logs are a finding, not a crash), or raises
+    :class:`~repro.learn.passive.TraceConflictError` otherwise.
+    ``max_traces`` bounds the accepted traces.
     """
-    cache = QueryCache()
-    stats = CorpusStats()
     for index, trace in enumerate(iter_corpus(source)):
         if max_traces is not None and stats.traces >= max_traces:
             break
         try:
-            cache.check_consistent(trace.inputs, trace.outputs)
+            against.check_consistent(trace.inputs, trace.outputs)
         except CacheInconsistencyError as error:
             if not skip_conflicts:
                 raise TraceConflictError(
@@ -200,9 +201,27 @@ def load_corpus_cache(
                 CorpusConflict(index, error.word, error.cached, error.fresh)
             )
             continue
-        cache.insert(trace.inputs, trace.outputs)
         stats.traces += 1
         stats.tokens += len(trace)
+        yield trace.inputs, trace.outputs
+
+
+def load_corpus_cache(
+    source,
+    skip_conflicts: bool = True,
+    max_traces: int | None = None,
+) -> tuple[QueryCache, CorpusStats]:
+    """One streaming pass: corpus -> prefix-tree trie + accounting.
+
+    The returned :class:`~repro.learn.cache.QueryCache` *is* the passive
+    learner's prefix tree (:func:`~repro.learn.passive
+    .prefix_tree_from_cache`); conflicts follow :func:`accept_traces`.
+    """
+    cache, stats = QueryCache(), CorpusStats()
+    for word, outputs in accept_traces(
+        source, cache, stats, skip_conflicts=skip_conflicts, max_traces=max_traces
+    ):
+        cache.insert(word, outputs)
     stats.words = cache.entries
     return cache, stats
 
@@ -269,99 +288,6 @@ def record_full_corpus(spec, path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The "passive" middleware layer
-# ---------------------------------------------------------------------------
-
-@MIDDLEWARE_REGISTRY.register("passive")
-class CorpusSeededCache(CachedMembershipOracle):
-    """The prefix-tree cache layer pre-seeded from a bulk trace corpus.
-
-    :func:`repro.spec.assemble` upgrades a spec's plain ``cache`` layer
-    to this when the spec carries a ``corpus`` section (and no store; a
-    store-backed stack is instead seeded through its record hook so the
-    corpus persists).  Hit accounting mirrors the store middleware:
-    ``corpus_hits`` counts membership queries answered by observations
-    that came from the corpus file rather than this run.
-    """
-
-    def __init__(
-        self,
-        inner,
-        path,
-        skip_conflicts: bool = True,
-        max_traces: int | None = None,
-        collapse_prefixes: bool = True,
-        cache: QueryCache | None = None,
-    ) -> None:
-        super().__init__(inner, collapse_prefixes=collapse_prefixes, cache=cache)
-        self.corpus_path = str(path)
-        self.corpus_cache, self.corpus_stats = load_corpus_cache(
-            path, skip_conflicts=skip_conflicts, max_traces=max_traces
-        )
-        # A conflict between the corpus and a pre-warmed shared cache is
-        # a caller bug (or genuine nondeterminism): raise, like the store.
-        self.cache.merge_from(self.corpus_cache)
-        self.corpus_hits = 0
-
-    def _note_hits(self, word: Word, count: int = 1) -> None:
-        super()._note_hits(word, count)
-        if self.corpus_cache.lookup(word) is not None:
-            self.corpus_hits += count
-
-    @property
-    def corpus_hit_rate(self) -> float:
-        """Share of membership queries served from the corpus."""
-        total = self.hits + self.misses
-        return self.corpus_hits / total if total else 0.0
-
-    @property
-    def corpus_words(self) -> int:
-        return self.corpus_cache.entries
-
-    @property
-    def corpus_skipped(self) -> int:
-        return len(self.corpus_stats.skipped)
-
-
-def seed_oracle_from_corpus(layer: CachedMembershipOracle, corpus_spec) -> CorpusStats:
-    """Stream a corpus into an existing cache layer via its record hook.
-
-    :func:`~repro.learn.passive.seed_cache_from_traces` at bulk scale:
-    used when a spec carries *both* a store and a corpus -- recording
-    through a :class:`~repro.store.middleware.StoreBackedCache` persists
-    the corpus observations into the store.  Observations conflicting
-    with what the layer already knows (store rows beat corpus lines) are
-    skipped and counted.  The corpus trie and stats are attached to the
-    layer as ``corpus_cache`` / ``corpus_stats`` so the bulk pipeline
-    and the learning report can account for them.
-    """
-    cache, stats = load_corpus_cache(
-        corpus_spec.path,
-        skip_conflicts=corpus_spec.skip_conflicts,
-        max_traces=corpus_spec.max_traces,
-    )
-    for word, outputs in cache.dump():
-        if layer.cache.lookup(word) is not None:
-            continue
-        try:
-            layer.cache.check_consistent(word, outputs)
-        except CacheInconsistencyError as error:
-            if not corpus_spec.skip_conflicts:
-                raise TraceConflictError(
-                    error.word, error.cached, error.fresh
-                ) from None
-            stats.skipped.append(
-                CorpusConflict(None, error.word, error.cached, error.fresh)
-            )
-            continue
-        layer._record(word, outputs)
-    layer.corpus_cache = cache
-    layer.corpus_stats = stats
-    layer.corpus_skipped = len(stats.skipped)
-    return stats
-
-
-# ---------------------------------------------------------------------------
 # The passive -> active pipeline
 # ---------------------------------------------------------------------------
 
@@ -416,9 +342,9 @@ class BulkLearnResult:
 def bulk_passive_learn(spec, *, refine: bool = True, shared_cache=None) -> BulkLearnResult:
     """The full pipeline: stream corpus -> fold -> targeted refinement.
 
-    Requires a spec with a ``corpus`` section.  The corpus is read once
-    (by the ``passive``/store middleware the spec assembles); its trie
-    seeds the active learner's cache *and* folds into the passive
+    Requires a spec with a ``corpus`` section.  The corpus is read once,
+    as the cache layer's ``"corpus"`` seed; that seed's trie warms the
+    active learner's cache *and* folds into the passive
     :class:`~repro.learn.passive.PartialMealyMachine`.  With ``refine``,
     each undetermined ``(state, symbol)`` cell becomes one targeted
     membership query (access word + missing symbol) batched through the
@@ -435,22 +361,8 @@ def bulk_passive_learn(spec, *, refine: bool = True, shared_cache=None) -> BulkL
         raise SpecError("bulk_passive_learn needs a spec with a corpus section")
     spec.validate()
     with Prognosis.from_spec(spec, shared_cache=shared_cache) as prognosis:
-        layer = next(
-            (m for m in prognosis.middleware if isinstance(m, CorpusSeededCache)),
-            None,
-        )
-        if layer is not None:
-            corpus_cache, stats = layer.corpus_cache, layer.corpus_stats
-        else:
-            # Store-backed stack: seed_oracle_from_corpus attached the trie.
-            corpus_cache = getattr(prognosis.cache_oracle, "corpus_cache", None)
-            stats = getattr(prognosis.cache_oracle, "corpus_stats", None)
-            if corpus_cache is None:
-                corpus_cache, stats = load_corpus_cache(
-                    spec.corpus.path,
-                    skip_conflicts=spec.corpus.skip_conflicts,
-                    max_traces=spec.corpus.max_traces,
-                )
+        corpus_cache = prognosis.cache_oracle.seeds["corpus"]
+        stats = prognosis.corpus_stats
         passive_model = fold_prefix_tree(
             prefix_tree_from_cache(corpus_cache), prognosis.oracle.input_alphabet
         )

@@ -13,12 +13,20 @@ without touching the SUL, and collapses words that are prefixes of other
 batch members -- prefix-closure means a single SUL run of the longer word
 answers both.  Only the surviving words are forwarded to the inner oracle
 (majority vote, SUL pool, ...) in one batch.
+
+The layer is the framework's only query cache.  Observations from outside
+the run -- a campaign's shared trie, a persistent store's rows, a bulk
+trace corpus -- are *seed sources* of the same layer, each with its own
+hit count; a store also receives the run's fresh observations.  This
+module only sees the store through its ``observations``/``append``/
+``record_usage``/``close`` methods, so it stays importable by
+:mod:`repro.store`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..core.alphabet import AbstractSymbol, Alphabet
 from ..core.trace import Word
@@ -68,28 +76,6 @@ class QueryCache:
             output, node = slot
             outputs.append(output)
         return tuple(outputs)
-
-    def longest_cached_prefix(
-        self, word: Sequence[AbstractSymbol]
-    ) -> tuple[Word, Word]:
-        """The longest prefix of ``word`` held in the trie, with its outputs.
-
-        Returns ``(prefix, outputs)``; both are empty when not even the
-        first symbol is cached.  The batch planner uses this to see how much
-        of a word an execution would re-traverse, and callers can use it to
-        warm-start adapters that support checkpointing.
-        """
-        node = self._root
-        outputs: list[AbstractSymbol] = []
-        matched = 0
-        for symbol in word:
-            slot = node.children.get(symbol)
-            if slot is None:
-                break
-            output, node = slot
-            outputs.append(output)
-            matched += 1
-        return tuple(word[:matched]), tuple(outputs)
 
     def insert(self, word: Sequence[AbstractSymbol], outputs: Sequence[AbstractSymbol]) -> None:
         """Store an observation; raises on conflicts with cached outputs."""
@@ -193,46 +179,84 @@ class CachedMembershipOracle:
 
     ``collapse_prefixes`` toggles the within-batch prefix collapse (kept
     switchable for the ablation benchmark); dedup and trie answering are
-    always on.  Passing ``cache`` substitutes a pre-warmed
-    :class:`QueryCache` (campaigns share per-SUL-fingerprint caches across
-    runs this way).
+    always on.
+
+    Observations from outside this run arrive as named *seed sources*
+    (:meth:`seed`).  :func:`repro.spec.assemble` seeds the campaign's
+    shared trie (``"shared"``), then the spec's store rows (``"store"``,
+    :meth:`seed_from_store`), then the spec's corpus (``"corpus"``).  Each
+    source keeps its own trie in :attr:`seeds`, and :attr:`hits_by_source`
+    counts a hit for a source only when the whole word lies inside that
+    source's observations.
+
+    With a store, every observation its rows lack -- fresh SUL answers and
+    sources seeded after it -- is appended to it, and :meth:`close` flushes
+    and records this session's usage.
     """
 
-    def __init__(
-        self,
-        inner: MembershipOracle,
-        collapse_prefixes: bool = True,
-        cache: QueryCache | None = None,
-    ) -> None:
+    def __init__(self, inner: MembershipOracle, collapse_prefixes: bool = True) -> None:
         self.inner = inner
         self.input_alphabet: Alphabet = inner.input_alphabet
-        self.cache = cache if cache is not None else QueryCache()
+        self.cache = QueryCache()
         self.stats = OracleStats()
         self.collapse_prefixes = collapse_prefixes
         self.hits = 0
         self.misses = 0
         self.batch_deduped = 0
         self.prefix_collapsed = 0
+        self.seeds: dict[str, QueryCache] = {}
+        self.hits_by_source: dict[str, int] = {}
+        #: The durable backing (a :class:`~repro.store.query_store.QueryStore`)
+        #: and the SUL fingerprint keying its rows, once seeded from a store.
+        self.store = None
+        self.fingerprint = ""
 
-    def _note_hits(self, word: Word, count: int = 1) -> None:
-        """Hit accounting hook (:class:`~repro.store.middleware
-        .StoreBackedCache` overrides it to attribute store-served hits)."""
-        self.hits += count
+    # -- seed sources --------------------------------------------------------
+    def seed(self, name: str, observations: Iterable[tuple[Word, Word]]) -> None:
+        """Answer from ``observations`` too, counting their hits as ``name``'s.
 
-    def _record(self, word: Word, outputs: Word) -> None:
-        """Fresh-observation hook; the store middleware also persists."""
+        Seed before the first query.  An observation that contradicts an
+        earlier seed raises :class:`CacheInconsistencyError`; a source whose
+        conflicts are findings rather than errors filters them out before
+        they get here (see :func:`repro.learn.bulk.accept_traces`).
+        """
+        trie = QueryCache()
+        for word, outputs in observations:
+            self._keep(word, outputs)
+            trie.insert(word, outputs)
+        self.seeds[name] = trie
+        self.hits_by_source[name] = 0
+
+    def seed_from_store(self, store, fingerprint: str) -> None:
+        """Seed from ``store``'s rows for ``fingerprint`` and keep it as
+        this layer's durable backing (the ``"store"`` source)."""
+        self.store, self.fingerprint = store, fingerprint
+        self.seed("store", store.observations(fingerprint))
+
+    def _keep(self, word: Word, outputs: Word) -> None:
+        """Insert an observation; with a store, append it if the rows lack it."""
         self.cache.insert(word, outputs)
+        stored = self.seeds.get("store")
+        if stored is not None and self.store is not None and stored.lookup(word) is None:
+            self.store.append(self.fingerprint, word, outputs)
 
+    def _count_hits(self, word: Word, count: int = 1) -> None:
+        self.hits += count
+        for name, trie in self.seeds.items():
+            if trie.lookup(word) is not None:
+                self.hits_by_source[name] += count
+
+    # -- querying ------------------------------------------------------------
     def query(self, word: Sequence[AbstractSymbol]) -> Word:
         word = tuple(word)
         self.stats.note(word)
         cached = self.cache.lookup(word)
         if cached is not None:
-            self._note_hits(word)
+            self._count_hits(word)
             return cached
         self.misses += 1
-        outputs = self.inner.query(word)
-        self._record(word, tuple(outputs))
+        outputs = tuple(self.inner.query(word))
+        self._keep(word, outputs)
         return outputs
 
     def query_batch(self, words: Sequence[Sequence[AbstractSymbol]]) -> list[Word]:
@@ -246,7 +270,7 @@ class CachedMembershipOracle:
         for index, word in enumerate(words):
             cached = self.cache.lookup(word)
             if cached is not None:
-                self._note_hits(word)
+                self._count_hits(word)
                 results[index] = cached
             else:
                 pending.setdefault(word, []).append(index)
@@ -269,21 +293,44 @@ class CachedMembershipOracle:
         #    from the trie the survivors just populated.
         answers = self.inner.query_batch(survivors)
         for word, outputs in zip(survivors, answers):
-            self._record(word, tuple(outputs))
+            self._keep(word, tuple(outputs))
         executed = set(survivors)
         for word, indices in pending.items():
             outputs = self.cache.lookup(word)
             assert outputs is not None  # survivors cover every pending word
             if word in executed:
                 self.misses += 1
-                self._note_hits(word, len(indices) - 1)
+                self._count_hits(word, len(indices) - 1)
             else:
-                self._note_hits(word, len(indices))
+                self._count_hits(word, len(indices))
             for index in indices:
                 results[index] = outputs
         return results  # type: ignore[return-value]
 
+    # -- accounting ----------------------------------------------------------
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+    def source_hit_rate(self, name: str) -> float:
+        """Share of membership queries the seed source ``name`` answered."""
+        total = self.hits + self.misses
+        return self.hits_by_source.get(name, 0) / total if total else 0.0
+
+    # -- lifecycle -----------------------------------------------------------
+    def close(self) -> None:
+        """Flush the store's appends and record this session's usage.
+
+        Idempotent; does nothing without a store.
+        """
+        store, self.store = self.store, None
+        if store is None:
+            return
+        if self.hits or self.misses:
+            store.record_usage(
+                self.fingerprint,
+                hits=self.hits_by_source.get("store", 0),
+                misses=self.misses,
+            )
+        store.close()

@@ -316,7 +316,6 @@ def load_builtins() -> None:
         toy_properties,
     )
     from .attack import automata as attack_automata  # noqa: F401
-    from .learn import bulk, cache, equivalence, lstar, nondeterminism, ttt  # noqa: F401
-    from .store import middleware as store_middleware  # noqa: F401
+    from .learn import cache, equivalence, lstar, nondeterminism, ttt  # noqa: F401
 
     _BUILTINS_LOADED = True

@@ -24,6 +24,8 @@ from typing import Mapping
 from .adapter.executor import EXECUTOR_KINDS
 from .adapter.pool import SULPool
 from .adapter.sul import SUL
+from .learn.bulk import CorpusStats, accept_traces
+from .learn.cache import CachedMembershipOracle, QueryCache
 from .learn.equivalence import ChainedEquivalenceOracle
 from .learn.teacher import EquivalenceOracle, MembershipOracle, SULMembershipOracle
 from .registry import (
@@ -195,13 +197,13 @@ class StoreSpec:
     """The declarative ``store`` section of an experiment spec.
 
     ``path`` locates the sqlite :class:`~repro.store.query_store
-    .QueryStore` file; when set, :func:`assemble` swaps the spec's
-    ``cache`` middleware layer for a :class:`~repro.store.middleware
-    .StoreBackedCache` keyed by the spec's
-    :meth:`~ExperimentSpec.sul_fingerprint`, so observations warm-start
-    across processes and days.  ``flush_every`` batches appended rows
-    per transaction.  In dict/JSON form a bare string is shorthand for
-    a path with default knobs.
+    .QueryStore` file; when set, :func:`assemble` seeds the spec's
+    ``cache`` middleware layer from the store's rows for the spec's
+    :meth:`~ExperimentSpec.sul_fingerprint` and appends the run's new
+    observations back, so observations warm-start across processes and
+    days.  ``flush_every`` batches appended rows per transaction.  In
+    dict/JSON form a bare string is shorthand for a path with default
+    knobs.
 
     Like the executor, the store deliberately does not contribute to
     the SUL fingerprint: it changes where answers come *from*, never
@@ -248,15 +250,14 @@ class CorpusSpec:
     """The declarative ``corpus`` section of an experiment spec.
 
     ``path`` locates a JSONL trace corpus (see
-    :mod:`repro.learn.bulk`); when set, :func:`assemble` upgrades the
-    spec's plain ``cache`` middleware layer to the corpus-seeded
-    ``passive`` layer, so membership queries the corpus already answers
-    never reach the live SUL -- and when the spec *also* carries a
-    ``store`` section, the corpus is streamed through the store-backed
-    cache instead, persisting its observations.  ``skip_conflicts``
-    makes nondeterministic traces a counted finding rather than an
-    error; ``max_traces`` bounds the streaming read.  In dict/JSON form
-    a bare string is shorthand for a path with default knobs.
+    :mod:`repro.learn.bulk`); when set, :func:`assemble` seeds the
+    spec's ``cache`` middleware layer from it (after any store rows), so
+    membership queries the corpus already answers never reach the live
+    SUL -- and with a ``store`` section the accepted traces persist.
+    ``skip_conflicts`` makes a trace that contradicts anything seeded
+    before it a counted finding rather than an error; ``max_traces``
+    bounds the accepted traces.  In dict/JSON form a bare string is
+    shorthand for a path with default knobs.
 
     Like the executor and the store, the corpus deliberately does not
     contribute to the SUL fingerprint: it changes where answers come
@@ -629,24 +630,15 @@ class ExperimentSpec:
             )
         if self.properties is not None:
             self.properties.validate()
+        has_cache = any(m.kind == "cache" for m in self.middleware)
         if self.store is not None:
             self.store.validate()
-            if not any(
-                m.kind in ("cache", "store") for m in self.middleware
-            ):
-                raise SpecError(
-                    "a store section needs a 'cache' (or 'store') "
-                    "middleware layer to back"
-                )
+            if not has_cache:
+                raise SpecError("a store section needs a 'cache' middleware layer to seed")
         if self.corpus is not None:
             self.corpus.validate()
-            if not any(
-                m.kind in ("cache", "store", "passive") for m in self.middleware
-            ):
-                raise SpecError(
-                    "a corpus section needs a 'cache' (or 'store'/'passive') "
-                    "middleware layer to seed"
-                )
+            if not has_cache:
+                raise SpecError("a corpus section needs a 'cache' middleware layer to seed")
         if self.attack is not None:
             self.attack.validate()
         for registry, keys in (
@@ -674,6 +666,8 @@ class AssembledPipeline:
     oracle: MembershipOracle  # top of the middleware stack
     equivalence_oracle: EquivalenceOracle
     learner: object
+    #: The corpus seeding pass (None without a ``corpus`` section).
+    corpus_stats: CorpusStats | None = None
 
 
 def build_sul(spec: ExperimentSpec) -> SUL:
@@ -729,80 +723,57 @@ def build_equivalence_chain(
 def assemble(
     spec: ExperimentSpec,
     sul: SUL | None = None,
-    shared_cache=None,
+    shared_cache: QueryCache | None = None,
 ) -> AssembledPipeline:
     """Build the full pipeline a spec describes.
 
     ``sul`` substitutes a ready instance (the facade's legacy path);
-    otherwise the target registry builds it.  ``shared_cache`` pre-warms
-    the first ``cache`` middleware layer with an existing
-    :class:`~repro.learn.cache.QueryCache` (campaign cross-run sharing).
+    otherwise the target registry builds it.  The first ``cache``
+    middleware layer is seeded from its sources in a fixed order: the
+    ``shared_cache`` trie (campaign cross-run sharing), the spec's
+    ``store`` rows, then its ``corpus``.
     """
     load_builtins()
     owns_sul = sul is None
     if sul is None:
         sul = build_sul(spec)
     layers = []
+    corpus_stats = None
     try:
         base_oracle = SULMembershipOracle(sul)
         oracle: MembershipOracle = base_oracle
-        cache_warmed = False
-        store_attached = False
-        corpus_attached = False
         for component in spec.middleware:
-            kind = component.kind
-            params = dict(component.params)
-            # The store section upgrades the first plain cache layer to
-            # the store-backed one; an explicit "store" layer just gets
-            # the spec's identity defaults filled in.  A corpus section
-            # (without a store) likewise upgrades the cache layer to the
-            # corpus-seeded "passive" one; with both, the store wins the
-            # layer and the corpus is streamed through it below.
-            if kind == "cache" and spec.store is not None and not store_attached:
-                kind = "store"
-            if (
-                kind == "cache"
-                and spec.corpus is not None
-                and not corpus_attached
-            ):
-                kind = "passive"
-            if kind == "store" and not store_attached:
-                if spec.store is not None:
-                    params.setdefault("path", spec.store.path)
-                    params.setdefault("flush_every", spec.store.flush_every)
-                params.setdefault("fingerprint", spec.sul_fingerprint())
-                store_attached = True
-            if kind == "passive" and not corpus_attached:
-                if spec.corpus is not None:
-                    params.setdefault("path", spec.corpus.path)
-                    params.setdefault("skip_conflicts", spec.corpus.skip_conflicts)
-                    params.setdefault("max_traces", spec.corpus.max_traces)
-                corpus_attached = True
-            factory = MIDDLEWARE_REGISTRY.get(kind)
-            if (
-                kind in ("cache", "store", "passive")
-                and shared_cache is not None
-                and not cache_warmed
-            ):
-                params.setdefault("cache", shared_cache)
-                cache_warmed = True
-            layer = factory(oracle, **params)
-            layers.append(layer)
-            oracle = layer
+            factory = MIDDLEWARE_REGISTRY.get(component.kind)
+            oracle = factory(oracle, **component.params)
+            layers.append(oracle)
 
-        if spec.corpus is not None and not corpus_attached:
-            # Store-backed (or custom) stacks keep their cache layer;
-            # stream the corpus through its record hook instead -- with
-            # a store this persists the corpus observations
-            # (seed_cache_from_traces at bulk scale).
-            from .learn.bulk import seed_oracle_from_corpus
-            from .learn.cache import CachedMembershipOracle
+        cache = next(
+            (layer for layer in layers if isinstance(layer, CachedMembershipOracle)),
+            None,
+        )
+        if cache is not None:
+            if shared_cache is not None:
+                cache.seed("shared", shared_cache.dump())
+            if spec.store is not None:
+                from .store.query_store import QueryStore
 
-            for layer in layers:
-                if isinstance(layer, CachedMembershipOracle):
-                    seed_oracle_from_corpus(layer, spec.corpus)
-                    corpus_attached = True
-                    break
+                cache.seed_from_store(
+                    QueryStore(spec.store.path, flush_every=spec.store.flush_every),
+                    spec.sul_fingerprint(),
+                )
+            if spec.corpus is not None:
+                corpus_stats = CorpusStats()
+                cache.seed(
+                    "corpus",
+                    accept_traces(
+                        spec.corpus.path,
+                        cache.cache,
+                        corpus_stats,
+                        skip_conflicts=spec.corpus.skip_conflicts,
+                        max_traces=spec.corpus.max_traces,
+                    ),
+                )
+                corpus_stats.words = cache.seeds["corpus"].entries
 
         equivalence_oracle = build_equivalence_chain(spec, oracle)
 
@@ -832,4 +803,5 @@ def assemble(
         oracle=oracle,
         equivalence_oracle=equivalence_oracle,
         learner=learner,
+        corpus_stats=corpus_stats,
     )

@@ -1,9 +1,9 @@
 """Persistent query/model store: learning results that outlive a process.
 
 * :class:`~repro.store.query_store.QueryStore` -- durable sqlite-backed
-  membership observations keyed by SUL fingerprint (WAL, append-only);
-* :class:`~repro.store.middleware.StoreBackedCache` -- the ``store``
-  oracle middleware wiring that store under the prefix-tree cache;
+  membership observations keyed by SUL fingerprint (WAL, append-only).
+  When a spec carries a ``store`` section, the ``cache`` middleware layer
+  seeds from it and appends the run's new observations back;
 * :class:`~repro.store.model_store.ModelStore` -- versioned learned-model
   lineage in the same sqlite file;
 * :func:`~repro.store.incremental.incremental_learn` -- re-learning that
@@ -17,7 +17,6 @@ from .incremental import (
     IncrementalResult,
     incremental_learn,
 )
-from .middleware import StoreBackedCache
 from .model_store import ModelRecord, ModelStore
 from .query_store import (
     FingerprintStats,
@@ -36,7 +35,6 @@ __all__ = [
     "ModelRecord",
     "ModelStore",
     "QueryStore",
-    "StoreBackedCache",
     "StoreError",
     "decode_word",
     "encode_word",

@@ -4,7 +4,7 @@ A spec that has been learned before does not need a cold L*/TTT run to
 find out whether its SUL still behaves the same.  :func:`incremental_learn`
 seeds from the last :class:`~repro.store.model_store.ModelStore` record,
 replays the stored model's own W-method suite (``extra_states=0``) as
-membership queries through the store-backed cache -- cheap when nothing
+membership queries through the store-seeded cache -- cheap when nothing
 changed, because every answer comes from the :class:`~repro.store
 .query_store.QueryStore` -- and only falls back to a full learning run
 when an answer diverges.  The result carries a :class:`~repro.analysis
@@ -207,8 +207,8 @@ def incremental_learn(
                     )
 
             cache = prognosis.cache_oracle
-            result.store_hits = getattr(cache, "store_hits", 0)
-            result.store_hit_rate = getattr(cache, "store_hit_rate", 0.0)
+            result.store_hits = cache.hits_by_source["store"]
+            result.store_hit_rate = cache.source_hit_rate("store")
 
         if save and result.mode != MODE_REVALIDATED:
             result.saved_version = models.save(

@@ -7,7 +7,6 @@ import pytest
 
 from repro.adapter.executor import (
     EXECUTOR_KINDS,
-    BatchExecutor,
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
@@ -123,10 +122,6 @@ class TestBuildExecutor:
 
 
 class TestThreadExecutor:
-    def test_batch_executor_is_the_thread_backend(self):
-        assert issubclass(BatchExecutor, ThreadExecutor)
-        assert BatchExecutor(workers=2).kind == "thread"
-
     def test_single_worker_runs_without_threads(self):
         executor = ThreadExecutor(workers=1)
         assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.adapter.mealy_sul import MealySUL
-from repro.adapter.pool import BatchExecutor, SULPool
+from repro.adapter.executor import ThreadExecutor
+from repro.adapter.pool import SULPool
 from repro.learn.teacher import SULMembershipOracle
 
 
@@ -18,7 +19,7 @@ def any_backend(request):
 
 class TestBatchExecutor:
     def test_preserves_order(self):
-        executor = BatchExecutor(workers=4)
+        executor = ThreadExecutor(workers=4)
         try:
             assert executor.map(lambda x: x * x, list(range(20))) == [
                 x * x for x in range(20)
@@ -27,13 +28,13 @@ class TestBatchExecutor:
             executor.close()
 
     def test_single_worker_runs_without_threads(self):
-        executor = BatchExecutor(workers=1)
+        executor = ThreadExecutor(workers=1)
         assert executor.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
         assert executor._pool is None
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            BatchExecutor(workers=0)
+            ThreadExecutor(workers=0)
 
 
 class TestSULPool:

@@ -1,10 +1,9 @@
 """Tests for the batch-first query pipeline: planner, voting, consistency.
 
 Covers the ``query_batch`` implementations of every oracle layer, the
-cache-layer batch planner (dedup, trie hits, prefix collapse), the new
-``QueryCache.longest_cached_prefix`` helper, the stored-word ``entries``
-counter, and the nondeterminism-detection paths in both serial and batched
-form.
+cache-layer batch planner (dedup, trie hits, prefix collapse), the
+stored-word ``entries`` counter, and the nondeterminism-detection paths in
+both serial and batched form.
 """
 
 import pytest
@@ -21,32 +20,6 @@ from repro.learn.nondeterminism import (
     NondeterminismPolicy,
 )
 from repro.learn.teacher import CountingOracle, SULMembershipOracle, mq_suffix_batch
-
-
-class TestLongestCachedPrefix:
-    def test_full_match(self, toy_machine, ab_alphabet):
-        syn, ack = ab_alphabet.symbols
-        cache = QueryCache()
-        cache.insert((syn, ack), toy_machine.run((syn, ack)))
-        prefix, outputs = cache.longest_cached_prefix((syn, ack))
-        assert prefix == (syn, ack)
-        assert outputs == toy_machine.run((syn, ack))
-
-    def test_partial_match(self, toy_machine, ab_alphabet):
-        syn, ack = ab_alphabet.symbols
-        cache = QueryCache()
-        cache.insert((syn, ack), toy_machine.run((syn, ack)))
-        prefix, outputs = cache.longest_cached_prefix((syn, ack, ack, syn))
-        assert prefix == (syn, ack)
-        assert outputs == toy_machine.run((syn, ack))
-
-    def test_no_match(self, toy_machine, ab_alphabet):
-        syn, ack = ab_alphabet.symbols
-        cache = QueryCache()
-        cache.insert((syn,), toy_machine.run((syn,)))
-        prefix, outputs = cache.longest_cached_prefix((ack, syn))
-        assert prefix == ()
-        assert outputs == ()
 
 
 class TestEntriesCounter:

@@ -9,21 +9,20 @@ from repro.core.trace import IOTrace
 from repro.framework import Prognosis
 from repro.learn.bulk import (
     CorpusFormatError,
-    CorpusSeededCache,
+    CorpusStats,
+    accept_traces,
     bulk_passive_learn,
     generate_corpus,
     load_corpus_cache,
     read_jsonl_corpus,
     record_full_corpus,
-    seed_oracle_from_corpus,
     stream_corpus,
     write_jsonl_corpus,
 )
-from repro.learn.cache import QueryCache
+from repro.learn.cache import CachedMembershipOracle, QueryCache
 from repro.learn.passive import TraceConflictError
 from repro.spec import ExperimentSpec, SpecError, assemble
 from repro.store import QueryStore
-from repro.store.middleware import StoreBackedCache
 
 from repro.core.alphabet import TCPSymbol, parse_tcp_symbol
 
@@ -133,40 +132,62 @@ class TestIndexedCorpusOrdering:
         assert list(stream_corpus(session_traces())) == session_traces()
 
 
+def _close(pipeline):
+    for layer in pipeline.middleware:
+        layer.close()
+    close = getattr(pipeline.sul, "close", None)
+    if callable(close):
+        close()
+
+
 class TestCorpusSeededCache:
-    def test_registered_as_passive_middleware(self):
-        from repro.registry import MIDDLEWARE_REGISTRY, load_builtins
-
-        load_builtins()
-        assert "passive" in MIDDLEWARE_REGISTRY
-
     def test_corpus_hits_counted(self, tmp_path, cached_oracle_for, toy_machine):
         path = tmp_path / "corpus.jsonl"
         write_jsonl_corpus(path, session_traces())
-        inner = cached_oracle_for(toy_machine).inner
-        layer = CorpusSeededCache(inner, path)
-        assert layer.corpus_words == 3
-        assert layer.corpus_skipped == 0
+        layer = cached_oracle_for(toy_machine)
+        stats = CorpusStats()
+        layer.seed("corpus", accept_traces(path, layer.cache, stats))
+        assert layer.seeds["corpus"].entries == 3
+        assert stats.skipped == []
         assert layer.query((SYN, ACK)) == (SYNACK, NIL)  # corpus answers
-        assert layer.corpus_hits == 1
+        assert layer.hits_by_source["corpus"] == 1
         assert layer.query((ACK, SYN)) is not None  # live SUL answers
-        assert layer.corpus_hits == 1
-        assert 0.0 < layer.corpus_hit_rate < 1.0
+        assert layer.hits_by_source["corpus"] == 1
+        assert 0.0 < layer.source_hit_rate("corpus") < 1.0
 
-    def test_conflicting_shared_cache_raises(self, tmp_path, cached_oracle_for, toy_machine):
-        from repro.learn.cache import CacheInconsistencyError
-
+    def test_line_contradicting_the_shared_trie_is_skipped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        write_jsonl_corpus(path, [IOTrace((SYN,), (NIL,))])  # wrong answer
+        write_jsonl_corpus(  # line 0 contradicts the shared trie
+            path, [IOTrace((SYN,), (NIL,)), IOTrace((ACK,), (NIL,))]
+        )
         shared = QueryCache()
         shared.insert((SYN,), (SYNACK,))
-        inner = cached_oracle_for(toy_machine).inner
-        with pytest.raises(CacheInconsistencyError):
-            CorpusSeededCache(inner, path, cache=shared)
+        spec = ExperimentSpec(target="toy", corpus=str(path))
+        with Prognosis.from_spec(spec, shared_cache=shared) as prognosis:
+            layer = prognosis.cache_oracle
+            skipped = prognosis.corpus_stats.skipped
+            assert [conflict.trace_index for conflict in skipped] == [0]
+            assert prognosis.corpus_stats.traces == 1
+            assert layer.cache.lookup((SYN,)) == (SYNACK,)  # shared answer wins
+            assert layer.seeds["corpus"].lookup((SYN,)) is None
+            assert layer.seeds["corpus"].lookup((ACK,)) == (NIL,)
+            assert prognosis.learn().corpus_skipped == 1
+
+    def test_line_contradicting_the_shared_trie_raises_when_strict(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl_corpus(path, [IOTrace((SYN,), (NIL,))])
+        shared = QueryCache()
+        shared.insert((SYN,), (SYNACK,))
+        spec = ExperimentSpec(
+            target="toy", corpus={"path": str(path), "skip_conflicts": False}
+        )
+        with pytest.raises(TraceConflictError) as excinfo:
+            Prognosis.from_spec(spec, shared_cache=shared)
+        assert excinfo.value.trace_index == 0
 
 
 class TestSpecWiring:
-    def test_corpus_section_upgrades_cache_to_passive(self, tmp_path):
+    def test_corpus_section_seeds_the_cache(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl_corpus(path, [])
         spec = ExperimentSpec(
@@ -174,11 +195,12 @@ class TestSpecWiring:
         )
         pipeline = assemble(spec)
         try:
-            assert isinstance(pipeline.middleware[0], CorpusSeededCache)
+            layer = pipeline.middleware[0]
+            assert isinstance(layer, CachedMembershipOracle)
+            assert list(layer.seeds) == ["corpus"]
+            assert pipeline.corpus_stats.traces == 0
         finally:
-            close = getattr(pipeline.sul, "close", None)
-            if callable(close):
-                close()
+            _close(pipeline)
 
     def test_corpus_requires_a_seedable_layer(self, tmp_path):
         spec = ExperimentSpec(
@@ -217,52 +239,48 @@ class TestSpecWiring:
         pipeline = assemble(spec)
         try:
             layer = pipeline.middleware[0]
-            assert isinstance(layer, StoreBackedCache)  # store wins the layer
-            assert layer.corpus_stats.traces == 3
-            assert layer.corpus_skipped == 0
+            assert list(layer.seeds) == ["store", "corpus"]
+            assert pipeline.corpus_stats.traces == 3
+            assert pipeline.corpus_stats.skipped == []
         finally:
-            for m in pipeline.middleware:
-                close = getattr(m, "close", None)
-                if callable(close):
-                    close()
-            close = getattr(pipeline.sul, "close", None)
-            if callable(close):
-                close()
+            _close(pipeline)
         with QueryStore(store) as persisted:
             assert persisted.word_count(spec.sul_fingerprint()) >= 3
 
-    def test_seed_oracle_skips_conflicts_with_existing_answers(
-        self, cached_oracle_for, toy_machine, tmp_path
-    ):
-        from repro.spec import CorpusSpec
-
+    def _store_plus_corpus(self, tmp_path, skip_conflicts=True):
+        """A store answering SYN, and a corpus whose first line contradicts it."""
         corpus = tmp_path / "corpus.jsonl"
         write_jsonl_corpus(
             corpus, [IOTrace((SYN, ACK), (NIL, NIL)), IOTrace((ACK,), (NIL,))]
         )
-        layer = cached_oracle_for(toy_machine)
-        layer.cache.insert((SYN,), (SYNACK,))  # contradicts corpus line 1
-        stats = seed_oracle_from_corpus(layer, CorpusSpec(path=str(corpus)))
-        assert len(stats.skipped) == 1
-        assert layer.cache.lookup((SYN,)) == (SYNACK,)  # existing answer wins
-        assert layer.cache.lookup((SYN, ACK)) is None
-        assert layer.cache.lookup((ACK,)) == (NIL,)
-        assert layer.corpus_skipped == 1
+        spec = ExperimentSpec(
+            target="toy",
+            store=str(tmp_path / "store.sqlite"),
+            corpus={"path": str(corpus), "skip_conflicts": skip_conflicts},
+        )
+        with QueryStore(spec.store.path) as store:
+            store.append(spec.sul_fingerprint(), (SYN,), (SYNACK,))
+        return spec
 
+    def test_seed_oracle_skips_conflicts_with_existing_answers(self, tmp_path):
+        spec = self._store_plus_corpus(tmp_path)
+        pipeline = assemble(spec)
+        try:
+            layer = pipeline.middleware[0]
+            assert len(pipeline.corpus_stats.skipped) == 1
+            assert layer.cache.lookup((SYN,)) == (SYNACK,)  # existing answer wins
+            assert layer.cache.lookup((SYN, ACK)) is None
+            assert layer.cache.lookup((ACK,)) == (NIL,)
+            assert layer.seeds["corpus"].lookup((SYN, ACK)) is None
+        finally:
+            _close(pipeline)
+        with QueryStore(spec.store.path) as store:  # the skipped line never persists
+            assert store.word_count(spec.sul_fingerprint()) == 2
 
-    def test_seed_oracle_strict_mode_raises(
-        self, cached_oracle_for, toy_machine, tmp_path
-    ):
-        from repro.spec import CorpusSpec
-
-        corpus = tmp_path / "corpus.jsonl"
-        write_jsonl_corpus(corpus, [IOTrace((SYN, ACK), (NIL, NIL))])
-        layer = cached_oracle_for(toy_machine)
-        layer.cache.insert((SYN,), (SYNACK,))
+    def test_seed_oracle_strict_mode_raises(self, tmp_path):
+        spec = self._store_plus_corpus(tmp_path, skip_conflicts=False)
         with pytest.raises(TraceConflictError):
-            seed_oracle_from_corpus(
-                layer, CorpusSpec(path=str(corpus), skip_conflicts=False)
-            )
+            assemble(spec)
 
     def test_bulk_learn_through_a_store_backed_stack(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"

@@ -1,6 +1,6 @@
 """Tests for the persistent query/model store subsystem.
 
-Covers the sqlite round-trips, the ``store`` middleware's hit attribution
+Covers the sqlite round-trips, the store-seeded cache's hit attribution
 and -- the headline guarantee -- warm-start identity: a re-learn through a
 populated store yields a byte-identical model with >= 90% of membership
 queries served from the store and zero SUL resets, on every executor
@@ -13,13 +13,13 @@ import sqlite3
 import pytest
 
 from repro.campaign import Campaign, run_spec
-from repro.learn.cache import CacheInconsistencyError
+from repro.learn.cache import CacheInconsistencyError, CachedMembershipOracle, QueryCache
+from repro.registry import RegistryError
 from repro.spec import ExecutorSpec, ExperimentSpec, SpecError, StoreSpec, assemble
 from repro.store import (
     FingerprintStats,
     ModelStore,
     QueryStore,
-    StoreBackedCache,
     StoreError,
     decode_word,
     encode_word,
@@ -235,17 +235,51 @@ class TestStoreSpecSection:
         stored = ExperimentSpec(target="toy", store=StoreSpec(path="s.sqlite"))
         assert bare.sul_fingerprint() == stored.sul_fingerprint()
 
-    def test_assemble_swaps_cache_for_store(self, tmp_path):
+    def test_assemble_seeds_cache_from_store(self, tmp_path):
         spec = ExperimentSpec(
             target="toy", store=StoreSpec(path=str(tmp_path / "s.sqlite"))
         )
         pipeline = assemble(spec)
         try:
-            assert isinstance(pipeline.middleware[0], StoreBackedCache)
-            assert pipeline.middleware[0].fingerprint == spec.sul_fingerprint()
+            layer = pipeline.middleware[0]
+            assert isinstance(layer, CachedMembershipOracle)
+            assert list(layer.seeds) == ["store"]
+            assert layer.fingerprint == spec.sul_fingerprint()
         finally:
             for layer in pipeline.middleware:
                 layer.close()
+
+    @pytest.mark.parametrize("kind", ["store", "passive"])
+    def test_validate_rejects_removed_middleware_kinds(self, kind):
+        spec = ExperimentSpec(target="toy", middleware=[kind])
+        with pytest.raises(RegistryError, match="registered: cache, majority-vote"):
+            spec.validate()
+
+    def test_store_row_contradicting_shared_cache_raises(
+        self, tmp_path, monkeypatch, ab_alphabet, out_symbols
+    ):
+        syn, _ = ab_alphabet.symbols
+        synack, nil = out_symbols
+        spec = ExperimentSpec(
+            target="toy", store=StoreSpec(path=str(tmp_path / "s.sqlite"))
+        )
+        with QueryStore(spec.store.path) as store:
+            store.append(spec.sul_fingerprint(), (syn,), (synack,))
+        shared = QueryCache()
+        shared.insert((syn,), (nil,))
+        opened = []
+        original_init = QueryStore.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            opened.append(self)
+
+        monkeypatch.setattr(QueryStore, "__init__", recording_init)
+        with pytest.raises(CacheInconsistencyError):
+            assemble(spec, shared_cache=shared)
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0]._conn.execute("SELECT 1")
 
 
 class TestStoreBackedCache:
