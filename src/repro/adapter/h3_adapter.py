@@ -103,6 +103,14 @@ class H3AppLayer(AppLayer):
         out_params = {"err": self.server.last_error}
         return output, in_params, out_params
 
+    def snapshot(self) -> tuple:
+        return self.server.snapshot(), self.client.snapshot()
+
+    def restore(self, state: tuple) -> None:
+        server, client = state
+        self.server.restore(server)
+        self.client.restore(client)
+
     # -- abstraction -----------------------------------------------------
     def abstract_events(self, events: list[StreamEvent]) -> H3Output:
         """Render transport events as the per-stream frame multiset."""

@@ -183,6 +183,14 @@ class HTTP2AppLayer(AppLayer):
             out_params.update(frame_params(frame))
         return abstract_frames(responses), in_params, out_params
 
+    def snapshot(self) -> tuple:
+        return self.server.snapshot(), self.client.snapshot()
+
+    def restore(self, state: tuple) -> None:
+        server, client = state
+        self.server.restore(server)
+        self.client.restore(client)
+
     def close(self) -> None:
         self.client.close()
         self.server.close()

@@ -128,6 +128,18 @@ class Transport(ABC):
     def migrate(self) -> None:
         raise TransportError(f"{type(self).__name__} cannot migrate")
 
+    def snapshot(self) -> tuple | None:
+        """The connection state for a SUL snapshot, or ``None`` ("replay").
+
+        A transport that snapshots keeps its network in ``self.network``;
+        :class:`LayeredSUL` snapshots the network itself.
+        """
+        return None
+
+    def restore(self, state: tuple) -> None:
+        """Return to a state :meth:`snapshot` returned."""
+        raise NotImplementedError(f"{type(self).__name__} cannot restore snapshots")
+
     def close(self) -> None:  # pragma: no cover - overridden where needed
         """Release network resources."""
 
@@ -183,6 +195,24 @@ class _ArqEnd:
             out.extend(segment)
             self.delivered += len(segment)
         return bytes(out)
+
+    def snapshot(self) -> tuple:
+        return (
+            self.send_offset,
+            tuple(self.unacked.items()),
+            tuple(self.pending),
+            tuple(self.recv_segments.items()),
+            self.delivered,
+        )
+
+    @classmethod
+    def restored(cls, state: tuple) -> "_ArqEnd":
+        end = cls()
+        end.send_offset, unacked, pending, recv_segments, end.delivered = state
+        end.unacked = dict(unacked)
+        end.pending = list(pending)
+        end.recv_segments = dict(recv_segments)
+        return end
 
 
 def _encode_segment(ack: int, segments: Sequence[tuple[int, bytes]]) -> bytes:
@@ -279,6 +309,17 @@ class ReliableByteTransport(Transport):
             return []
         return [StreamEvent(stream_id=0, kind="data", data=bytes(collected))]
 
+    def snapshot(self) -> tuple | None:
+        """Both ARQ ends; None on a lossy or delayed link."""
+        if self.network.config != PERFECT_LINK:
+            return None
+        return self._client_arq.snapshot(), self._server_arq.snapshot()
+
+    def restore(self, state: tuple) -> None:
+        client, server = state
+        self._client_arq = _ArqEnd.restored(client)
+        self._server_arq = _ArqEnd.restored(server)
+
     def close(self) -> None:
         self._endpoint.close()
         self._server_endpoint.close()
@@ -362,6 +403,31 @@ class _QuicConnState:
             for pn, frames in self.unacked.items()
             if not ack.acknowledges(pn)
         }
+
+    def snapshot(self) -> tuple:
+        return (
+            self.cid,
+            self.next_pn,
+            frozenset(self.received_pns),
+            tuple(self.unacked.items()),
+            tuple((sid, stream.snapshot()) for sid, stream in self.recv.items()),
+            tuple((sid, stream.snapshot()) for sid, stream in self.send.items()),
+            frozenset(self.fin_reported),
+            self.handshaken,
+        )
+
+    @classmethod
+    def restored(cls, state: tuple) -> "_QuicConnState":
+        cid, next_pn, received_pns, unacked, recv, send, fin_reported, handshaken = state
+        conn = cls(cid)
+        conn.next_pn = next_pn
+        conn.received_pns = set(received_pns)
+        conn.unacked = dict(unacked)
+        conn.recv = {sid: ReceiveStream.restored(stream) for sid, stream in recv}
+        conn.send = {sid: SendStream.restored(stream) for sid, stream in send}
+        conn.fin_reported = set(fin_reported)
+        conn.handshaken = handshaken
+        return conn
 
 
 def _encode_packet(conn: _QuicConnState, frames: Sequence[Frame]) -> bytes:
@@ -488,6 +554,47 @@ class QuicStreamTransport(Transport):
         self._endpoint.close()
         self._endpoint = self.network.bind(self._client_host, None)
         self.stats["migrations"] += 1
+
+    def snapshot(self) -> tuple | None:
+        """Both connections, the pending queues and the CID RNG state.
+
+        None on a lossy or delayed link, with resumption (the ticket a
+        connection earns changes what the next reset does) and once the
+        client edge has migrated.
+        """
+        if (
+            self.resumption
+            or self.stats["migrations"]
+            or self.network.config != PERFECT_LINK
+        ):
+            return None
+        return (
+            self._conn.snapshot(),
+            tuple((cid, conn.snapshot()) for cid, conn in self._server_conns.items()),
+            self._pending_token,
+            tuple(self._reset_queue),
+            tuple(self._pending_resets),
+            self.last_connection_rounds,
+            self._rng.getstate(),
+        )
+
+    def restore(self, state: tuple) -> None:
+        (
+            conn,
+            server_conns,
+            self._pending_token,
+            reset_queue,
+            pending_resets,
+            self.last_connection_rounds,
+            rng_state,
+        ) = state
+        self._conn = _QuicConnState.restored(conn)
+        self._server_conns = {
+            cid: _QuicConnState.restored(server) for cid, server in server_conns
+        }
+        self._reset_queue = list(reset_queue)
+        self._pending_resets = list(pending_resets)
+        self._rng.setstate(rng_state)
 
     def exchange(self, max_rounds: int = 8) -> list[StreamEvent]:
         conn = self._conn
@@ -696,9 +803,7 @@ class QuicStreamTransport(Transport):
         if packets:
             if ack is not None:
                 # Piggyback the ack on the first response packet.
-                first = _decode_packet(packets[0])
                 packets[0] = self._repack_with_ack(conn, packets[0], ack)
-                del first
         elif ack is not None:
             packets.append(_encode_packet(conn, [ack]))
         for packet in packets:
@@ -771,6 +876,15 @@ class AppLayer(ABC):
     ) -> tuple[AbstractSymbol, Mapping[str, int], Mapping[str, int]]:
         """Send one abstract symbol through the stack; see ``SUL._step_impl``."""
 
+    def snapshot(self) -> tuple | None:
+        """Client and server protocol state for a SUL snapshot, or ``None``
+        ("replay")."""
+        return None
+
+    def restore(self, state: tuple) -> None:
+        """Return to a state :meth:`snapshot` returned."""
+        raise NotImplementedError(f"{type(self).__name__} cannot restore snapshots")
+
     def close(self) -> None:
         """Release app resources (most apps hold none)."""
 
@@ -796,6 +910,26 @@ class LayeredSUL(SUL):
 
     def _step_impl(self, symbol):
         return self.app.step(symbol)
+
+    def snapshot(self) -> tuple | None:
+        """The network, transport and app states; None when any is None."""
+        transport = self.transport.snapshot()
+        if transport is None:
+            return None
+        app = self.app.snapshot()
+        if app is None:
+            return None
+        network = self.transport.network.snapshot()
+        if network is None:
+            return None
+        return network, transport, app
+
+    def restore(self, state: tuple, consume: bool = False) -> None:
+        # The parts are immutable tuples, so ``consume`` changes nothing.
+        network, transport, app = state
+        self.transport.network.restore(network)
+        self.transport.restore(transport)
+        self.app.restore(app)
 
     def close(self) -> None:
         self.app.close()

@@ -10,6 +10,17 @@ A SUL that can :meth:`~SUL.snapshot` and :meth:`~SUL.restore` its state
 answers a query batch as one depth-first walk over the batch's prefix
 trie instead of resetting and replaying every word; the answers, the
 Oracle Table and the logical counters are those of per-word replay.
+
+Every simulated target snapshots: ``MealySUL``, the QUIC SULs, ``tcp``,
+and the layered ``http2`` and ``http3`` (network, transport and app state
+together).  A snapshot is refused -- and the batch replays -- on any link
+but the perfect one, while datagrams are in flight, for mvfst-style
+probabilistic stateless resets, the tracker's ambiguous-abstraction and
+retry-port flags, a resuming or migrated QUIC-stream transport, and
+``tcp`` with absolute sequence numbers.  Learning with the default spec
+at seed 11, tcp runs 1,181 of 2,897 logical steps (26 of 654 resets),
+http2 1,368 of 3,152 (28 of 777), http3 4,699 of 11,286 (100 of 2,166)
+and quic-google 6,082 of 17,321 (136 of 3,124).
 """
 
 from __future__ import annotations

@@ -9,13 +9,11 @@ versus the 2,700-line hand-written mapper of prior work.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from ..core.alphabet import Alphabet, TCP_NIL, TCPSymbol, tcp_alphabet, tcp_handshake_alphabet
 from ..netsim import LinkConfig, PERFECT_LINK, SimulatedNetwork
 from ..registry import SUL_REGISTRY
 from ..tcp.client import TCPClient
-from ..tcp.segment import TCPSegment
+from ..tcp.segment import SEQ_MODULUS, TCPSegment
 from ..tcp.server import TCPServer, TCPServerConfig
 from .sul import SUL
 
@@ -70,29 +68,60 @@ class TCPAdapterSUL(SUL):
         self._base = self.client.iss
         self._server_base = None
 
+    def snapshot(self) -> tuple | None:
+        """Server and client connection state, the rebasing bases and the
+        network.
+
+        None (replay instead) on a lossy or delayed link, while the network
+        is not quiescent, and with absolute numbers: a walk shares one ISS
+        across its batch, so only numbers rebased to the ISS stay those of
+        per-word replay.
+        """
+        if not self.relative_numbers or self.network.config != PERFECT_LINK:
+            return None
+        network = self.network.snapshot()
+        if network is None:
+            return None
+        return (
+            self.server.snapshot(),
+            self.client.snapshot(),
+            self._base,
+            self._server_base,
+            network,
+        )
+
+    def restore(self, state: tuple, consume: bool = False) -> None:
+        server, client, self._base, self._server_base, network = state
+        self.server.restore(server)
+        self.client.restore(client)
+        self.network.restore(network)
+
     def _step_impl(self, symbol):
         if not isinstance(symbol, TCPSymbol):
             raise TypeError(f"TCP adapter got non-TCP symbol: {symbol}")
         sent, responses = self.client.exchange(symbol.flags, symbol.payload_len)
-        in_params = self._rebase(segment_params(sent), is_client=True)
+        in_params = self._rebase(sent, is_client=True)
         if not responses:
             return TCP_NIL, in_params, {}
         first = responses[0]
         if self._server_base is None and "SYN" in first.flags:
             self._server_base = first.seq_number
-        out_params = self._rebase(segment_params(first), is_client=False)
+        out_params = self._rebase(first, is_client=False)
         return abstract_segment(first), in_params, out_params
 
-    def _rebase(self, params: Mapping[str, int], is_client: bool) -> dict[str, int]:
+    def _rebase(self, segment: TCPSegment, is_client: bool) -> dict[str, int]:
+        """:func:`segment_params` with ``sn`` taken relative to the sender's
+        ISS and ``an`` (where the ACK flag makes it meaningful) relative to
+        the receiver's, both modulo the sequence space."""
+        params = segment_params(segment)
         if not self.relative_numbers:
-            return dict(params)
-        rebased = dict(params)
+            return params
         seq_base = self._base if is_client else (self._server_base or 0)
         ack_base = (self._server_base or 0) if is_client else self._base
-        rebased["sn"] = params["sn"] - seq_base
-        if params["an"]:
-            rebased["an"] = params["an"] - ack_base
-        return rebased
+        params["sn"] = (params["sn"] - seq_base) % SEQ_MODULUS
+        if "ACK" in segment.flags:
+            params["an"] = (params["an"] - ack_base) % SEQ_MODULUS
+        return params
 
     def close(self) -> None:
         self.client.close()

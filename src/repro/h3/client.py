@@ -70,6 +70,36 @@ class H3Client:
         self._uni_type_buffers: dict[int, bytearray] = {}
         self._uni_type_seen: set[int] = set()
 
+    def snapshot(self) -> tuple:
+        """The connection state :meth:`reset` starts afresh, as immutable
+        values (SUL snapshots); the QPACK codecs keep no state and
+        ``stats`` counts what was processed."""
+        return (
+            self.next_request_stream,
+            self.open_stream,
+            self._control_open,
+            tuple((sid, decoder.snapshot()) for sid, decoder in self._decoders.items()),
+            tuple((sid, bytes(buffer)) for sid, buffer in self._uni_type_buffers.items()),
+            frozenset(self._uni_type_seen),
+        )
+
+    def restore(self, state: tuple) -> None:
+        (
+            self.next_request_stream,
+            self.open_stream,
+            self._control_open,
+            decoders,
+            uni_type_buffers,
+            uni_type_seen,
+        ) = state
+        self._decoders = {
+            sid: H3FrameDecoder.restored(buffered) for sid, buffered in decoders
+        }
+        self._uni_type_buffers = {
+            sid: bytearray(buffer) for sid, buffer in uni_type_buffers
+        }
+        self._uni_type_seen = set(uni_type_seen)
+
     # -- concretization --------------------------------------------------
     def build(self, kind: str, fin: bool = False) -> tuple[list[H3Action], dict]:
         """Concretize one abstract symbol into stream actions.

@@ -115,6 +115,16 @@ class H3FrameDecoder:
         """Bytes held back waiting for the rest of a frame."""
         return len(self._buffer)
 
+    def snapshot(self) -> bytes:
+        """The bytes held back, for a SUL snapshot."""
+        return bytes(self._buffer)
+
+    @classmethod
+    def restored(cls, buffered: bytes) -> "H3FrameDecoder":
+        decoder = cls()
+        decoder._buffer.extend(buffered)
+        return decoder
+
 
 # ---------------------------------------------------------------------------
 # Typed constructors and payload parsers

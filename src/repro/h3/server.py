@@ -102,6 +102,52 @@ class H3Server:
         self._decoders: dict[int, H3FrameDecoder] = {}
         self._requests: dict[int, _RequestState] = {}
 
+    def snapshot(self) -> tuple:
+        """The connection state :meth:`reset` starts afresh, as immutable
+        values (SUL snapshots).  The QPACK codecs keep no state (static
+        table only) and ``stats`` counts what was processed, so both stay
+        out."""
+        return (
+            self.state,
+            self.settings_received,
+            tuple(self.peer_settings.items()),
+            self.control_sent,
+            self.last_error,
+            self.max_request_stream,
+            self.drain_boundary,
+            bytes(self._control_type_buffer),
+            self._control_type_seen,
+            tuple((sid, decoder.snapshot()) for sid, decoder in self._decoders.items()),
+            tuple(
+                (sid, r.headers_seen, r.trailers_seen, tuple(r.headers), bytes(r.body))
+                for sid, r in self._requests.items()
+            ),
+        )
+
+    def restore(self, state: tuple) -> None:
+        (
+            self.state,
+            self.settings_received,
+            peer_settings,
+            self.control_sent,
+            self.last_error,
+            self.max_request_stream,
+            self.drain_boundary,
+            control_type_buffer,
+            self._control_type_seen,
+            decoders,
+            requests,
+        ) = state
+        self.peer_settings = dict(peer_settings)
+        self._control_type_buffer = bytearray(control_type_buffer)
+        self._decoders = {
+            sid: H3FrameDecoder.restored(buffered) for sid, buffered in decoders
+        }
+        self._requests = {
+            sid: _RequestState(headers_seen, trailers_seen, list(headers), bytearray(body))
+            for sid, headers_seen, trailers_seen, headers, body in requests
+        }
+
     # -- inbound events --------------------------------------------------
     def handle_data(self, stream_id: int, data: bytes, fin: bool) -> list[H3Action]:
         """Process reassembled stream bytes; returns response actions."""

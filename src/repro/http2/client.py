@@ -101,6 +101,30 @@ class HTTP2Client:
         if self.endpoint is not None:
             self.endpoint.close()
 
+    def snapshot(self) -> tuple:
+        """The connection state :meth:`reset` starts afresh, as immutable
+        values (SUL snapshots); the HPACK codecs keep no state."""
+        return (
+            self.preface_sent,
+            self.next_stream_id,
+            self.open_stream,
+            self.last_stream_id,
+            self._frames.snapshot(),
+            tuple(self.last_response_headers),
+        )
+
+    def restore(self, state: tuple) -> None:
+        (
+            self.preface_sent,
+            self.next_stream_id,
+            self.open_stream,
+            self.last_stream_id,
+            frames,
+            last_response_headers,
+        ) = state
+        self._frames = FrameDecoder.restored(frames)
+        self.last_response_headers = list(last_response_headers)
+
     # ------------------------------------------------------------------
     # Concretization: abstract frame kind + flags -> valid concrete frame
     # ------------------------------------------------------------------

@@ -185,6 +185,16 @@ class FrameDecoder:
         """Octets held back waiting for the rest of a frame."""
         return len(self._buffer)
 
+    def snapshot(self) -> bytes:
+        """The bytes held back, for a SUL snapshot."""
+        return bytes(self._buffer)
+
+    @classmethod
+    def restored(cls, buffered: bytes) -> "FrameDecoder":
+        decoder = cls()
+        decoder._buffer.extend(buffered)
+        return decoder
+
 
 # ---------------------------------------------------------------------------
 # Typed constructors

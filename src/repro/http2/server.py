@@ -121,6 +121,34 @@ class HTTP2Server:
         if self.endpoint is not None:
             self.endpoint.close()
 
+    def snapshot(self) -> tuple:
+        """The connection state :meth:`reset` starts afresh, as immutable
+        values (SUL snapshots).  The HPACK codecs keep no state (static
+        table only) and ``stats`` counts what was processed, so both stay
+        out."""
+        return (
+            self.state,
+            bytes(self._preface_buffer),
+            self._frames.snapshot(),
+            tuple(stream.snapshot() for stream in self.streams.values()),
+            self.max_client_stream,
+            tuple(self.last_request_headers),
+        )
+
+    def restore(self, state: tuple) -> None:
+        (
+            self.state,
+            preface_buffer,
+            frames,
+            streams,
+            self.max_client_stream,
+            last_request_headers,
+        ) = state
+        self._preface_buffer = bytearray(preface_buffer)
+        self._frames = FrameDecoder.restored(frames)
+        self.streams = {stream[0]: H2Stream.restored(stream) for stream in streams}
+        self.last_request_headers = list(last_request_headers)
+
     # ------------------------------------------------------------------
     # Byte-stream processing
     # ------------------------------------------------------------------

@@ -156,6 +156,18 @@ class H2Stream:
             else StreamState.HALF_CLOSED_LOCAL
         )
 
+    def snapshot(self) -> tuple:
+        """The stream's state as immutable values (SUL snapshots)."""
+        return (self.stream_id, self.state, bytes(self.received_data), self.trailers_received)
+
+    @classmethod
+    def restored(cls, state: tuple) -> "H2Stream":
+        stream_id, stream_state, received_data, trailers_received = state
+        stream = cls(stream_id, stream_state)
+        stream.received_data.extend(received_data)
+        stream.trailers_received = trailers_received
+        return stream
+
     @property
     def closed(self) -> bool:
         return self.state is StreamState.CLOSED

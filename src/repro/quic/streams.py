@@ -67,6 +67,24 @@ class ReceiveStream:
         self._delivered = cursor
         return data
 
+    def snapshot(self) -> tuple:
+        """The stream's state as immutable values (SUL snapshots)."""
+        flow = self.flow
+        return (
+            flow.limit,
+            flow.received,
+            tuple(self._segments.items()),
+            self._delivered,
+            self.final_size,
+        )
+
+    @classmethod
+    def restored(cls, state: tuple) -> "ReceiveStream":
+        limit, received, segments, delivered, final_size = state
+        return cls(
+            ReceiveFlowController(limit, received), dict(segments), delivered, final_size
+        )
+
     @property
     def bytes_received(self) -> int:
         return self.flow.received
@@ -115,6 +133,30 @@ class SendStream:
         if fin:
             self.fin_sent = True
         return offset, data, fin
+
+    def snapshot(self) -> tuple:
+        """The stream's state as immutable values (SUL snapshots)."""
+        flow = self.flow
+        return (
+            flow.limit,
+            flow.sent,
+            flow.blocked_at,
+            bytes(self._pending),
+            self.offset,
+            self.fin_queued,
+            self.fin_sent,
+        )
+
+    @classmethod
+    def restored(cls, state: tuple) -> "SendStream":
+        limit, sent, blocked_at, pending, offset, fin_queued, fin_sent = state
+        return cls(
+            SendFlowController(limit, sent, blocked_at),
+            bytearray(pending),
+            offset,
+            fin_queued,
+            fin_sent,
+        )
 
     @property
     def has_pending(self) -> bool:

@@ -60,6 +60,13 @@ class TCPClient:
     def close(self) -> None:
         self.endpoint.close()
 
+    def snapshot(self) -> tuple:
+        """The connection state a SUL snapshot captures."""
+        return (self.iss, self.snd_nxt, self.rcv_nxt)
+
+    def restore(self, state: tuple) -> None:
+        self.iss, self.snd_nxt, self.rcv_nxt = state
+
     # ------------------------------------------------------------------
     # Concretization: abstract flag set -> valid concrete segment
     # ------------------------------------------------------------------

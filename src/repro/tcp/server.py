@@ -86,6 +86,14 @@ class TCPServer:
     def close(self) -> None:
         self.endpoint.close()
 
+    def snapshot(self) -> tuple:
+        """The connection state a SUL snapshot captures (the RNG is only
+        drawn at :meth:`reset`, so it stays out)."""
+        return (self.state, self._iss, self.snd_nxt, self.rcv_nxt, self.segments_received)
+
+    def restore(self, state: tuple) -> None:
+        self.state, self._iss, self.snd_nxt, self.rcv_nxt, self.segments_received = state
+
     # ------------------------------------------------------------------
     # Packet processing
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the adapter layer: SUL interface, queue, TCP/QUIC adapters."""
 
+import random
+
 import pytest
 
 from repro.adapter.mealy_sul import MealySUL
@@ -12,7 +14,7 @@ from repro.core.alphabet import (
     tcp_handshake_alphabet,
 )
 from repro.quic.impls.quiche import quiche_server
-from repro.tcp.segment import TCPSegment
+from repro.tcp.segment import SEQ_MODULUS, TCPSegment
 
 SYN = parse_tcp_symbol("SYN(?,?,0)")
 ACK = parse_tcp_symbol("ACK(?,?,0)")
@@ -41,6 +43,13 @@ class TestPacketQueue:
         queue.push("a", 1)
         queue.clear()
         assert len(queue) == 0
+
+
+class _LastISS(random.Random):
+    """Draws every initial sequence number as 2**32 - 1."""
+
+    def randrange(self, *args):
+        return SEQ_MODULUS - 1
 
 
 class TestAbstraction:
@@ -76,6 +85,22 @@ class TestTCPAdapterSUL:
         first = sul.query((SYN, ACK, SYN))
         second = sul.query((SYN, ACK, SYN))
         assert first == second
+
+    def test_relative_numbers_wrap_around_the_sequence_space(self):
+        word = tuple(
+            parse_tcp_symbol(text)
+            for text in ("SYN(?,?,0)", "ACK+PSH(?,?,1)", "FIN+ACK(?,?,0)", "ACK(?,?,0)")
+        )
+        wrapped, unwrapped = TCPAdapterSUL(), TCPAdapterSUL()
+        wrapped.server._rng = wrapped.client._rng = _LastISS()
+        wrapped.query(word)
+        unwrapped.query(word)
+        steps = wrapped.oracle_table.lookup(word).steps
+        assert steps == unwrapped.oracle_table.lookup(word).steps
+        assert wrapped.client.iss == SEQ_MODULUS - 1
+        # The SYN-ACK acks ISS + 1 = 0 on the wire: relative 1, not 0.
+        assert (steps[0].output_params["sn"], steps[0].output_params["an"]) == (0, 1)
+        assert (steps[1].input_params["sn"], steps[1].input_params["an"]) == (1, 1)
 
     def test_foreign_symbol_rejected(self):
         sul = TCPAdapterSUL()

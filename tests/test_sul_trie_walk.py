@@ -7,6 +7,7 @@ prefixes of other words, the empty word -- the answers, the Oracle Table
 resetting and replaying every word; only the physical counters may drop.
 """
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -14,15 +15,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.adapter.h3_adapter import build_http3_sul
+from repro.adapter.http2_adapter import build_http2_sul
 from repro.adapter.mealy_sul import MealySUL
 from repro.adapter.pool import SULPool
 from repro.adapter.quic_adapter import QUICAdapterSUL, build_quic_sul
+from repro.adapter.tcp_adapter import TCPAdapterSUL, build_tcp_sul
 from repro.core.alphabet import Alphabet, parse_tcp_symbol
 from repro.core.mealy import mealy_from_table
 from repro.framework import Prognosis
 from repro.netsim import LinkConfig
 from repro.quic.impls.quiche import quiche_server
 from repro.quic.impls.tracker import CONNECTION_FIELDS
+from repro.registry import SUL_REGISTRY
 from repro.spec import ExperimentSpec
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -241,13 +246,200 @@ class TestQUICSnapshotFallbacks:
         assert walked.stats.snapshot() == replayed.stats.snapshot()
 
 
+STREAM_TARGETS = ["tcp", "tcp-no-challenge-ack", "http2", "http2-buggy", "http3", "http3-buggy"]
+LOSSY = LinkConfig(loss_rate=0.1)
+
+
+class TestStreamWalk:
+    @pytest.mark.parametrize("target", STREAM_TARGETS)
+    def test_walk_equals_replay(self, target):
+        walked = SUL_REGISTRY.create(target, seed=11)
+        replayed = SUL_REGISTRY.create(target, seed=11)
+        # Every word of length 3, shuffled: each prefix of length 0-2 is a
+        # branch point, restored after siblings run in a random order.
+        every_word = list(itertools.product(walked.input_alphabet.symbols, repeat=3))
+        random.Random(len(target)).shuffle(every_word)
+        for batch in [*_random_batches(walked, seed=len(target)), every_word]:
+            assert walked.query_batch(batch) == _replay(replayed, batch)
+            assert _entries(walked) == _entries(replayed)
+        assert _logical(walked) == _logical(replayed)
+        assert walked.stats.snapshots > 0
+        assert walked.stats.physical_steps < walked.stats.steps
+
+    @pytest.mark.parametrize("target", ["tcp", "http2", "http3"])
+    def test_restore_returns_every_snapshotted_field(self, target):
+        sul = SUL_REGISTRY.create(target, seed=11)
+        symbols = list(sul.input_alphabet.symbols)
+        sul.reset()
+        for symbol in symbols[:3]:
+            sul.step(symbol)
+        state = sul.snapshot()
+        for symbol in reversed(symbols):
+            sul.step(symbol)
+        sul.restore(state)
+        assert sul.snapshot() == state
+
+
+class TestStreamSnapshotFallbacks:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_tcp_sul(relative_numbers=False),
+            lambda: TCPAdapterSUL(link=LOSSY),
+            lambda: build_http2_sul(link=LOSSY),
+            lambda: build_http3_sul(link=LOSSY),
+            lambda: build_http3_sul(resumption=True),
+        ],
+        ids=["tcp-absolute-numbers", "tcp-lossy", "http2-lossy", "http3-lossy", "http3-resumption"],
+    )
+    def test_refusals_replay(self, build):
+        walked, replayed = build(), build()
+        batch = next(_random_batches(walked, seed=5, count=1))
+        assert walked.query_batch(batch) == _replay(replayed, batch)
+        assert _entries(walked) == _entries(replayed)
+        assert walked.stats.snapshot() == replayed.stats.snapshot()
+        assert walked.snapshot() is None
+
+    def test_migrated_transport_replays(self):
+        sul = build_http3_sul()
+        sul.reset()
+        assert sul.snapshot() is not None
+        sul.transport.migrate()
+        assert sul.snapshot() is None
+
+    @pytest.mark.parametrize("target", ["tcp", "http2", "http3"])
+    def test_busy_network_replays(self, target):
+        sul = SUL_REGISTRY.create(target)
+        sul.reset()
+        network = sul.network if target == "tcp" else sul.transport.network
+        network.send(("client", 1), ("nowhere", 1), b"in flight")
+        assert sul.snapshot() is None
+
+    def test_transport_and_app_defaults_replay(self):
+        sul = build_http2_sul()
+        sul.transport.snapshot = lambda: None
+        assert sul.snapshot() is None
+        sul = build_http2_sul()
+        sul.app.snapshot = lambda: None
+        assert sul.snapshot() is None
+
+
+#: Per-class attributes a snapshot captures, and the long-lived rest
+#: (configuration, endpoints, stateless codecs, RNGs drawn only at reset,
+#: and cumulative ``stats`` counters).  A new attribute must join one side.
+STREAM_FIELDS = [
+    (
+        lambda sul: sul,
+        "tcp",
+        {"_base", "_server_base"},
+        {"input_alphabet", "name", "oracle_table", "stats", "network", "server",
+         "client", "relative_numbers"},
+    ),
+    (
+        lambda sul: sul.server,
+        "tcp",
+        {"state", "_iss", "snd_nxt", "rcv_nxt", "segments_received"},
+        {"config", "_network", "_rng", "endpoint"},
+    ),
+    (
+        lambda sul: sul.client,
+        "tcp",
+        {"iss", "snd_nxt", "rcv_nxt"},
+        {"config", "_network", "server_address", "_rng", "endpoint"},
+    ),
+    (
+        lambda sul: sul.server,
+        "http2",
+        {"state", "_preface_buffer", "_frames", "streams", "max_client_stream",
+         "last_request_headers"},
+        {"config", "_network", "_seed", "endpoint", "_encoder", "_decoder", "stats"},
+    ),
+    (
+        lambda sul: sul.client,
+        "http2",
+        {"preface_sent", "next_stream_id", "open_stream", "last_stream_id", "_frames",
+         "last_response_headers"},
+        {"_transport", "config", "_network", "_seed", "server_address", "endpoint",
+         "_encoder", "_decoder"},
+    ),
+    (
+        lambda sul: sul.transport,
+        "http2",
+        {"_client_arq", "_server_arq"},
+        {"_server_handler", "network", "_server_endpoint", "_endpoint"},
+    ),
+    (
+        lambda sul: sul.transport._client_arq,
+        "http2",
+        {"send_offset", "unacked", "pending", "recv_segments", "delivered"},
+        set(),
+    ),
+    (
+        lambda sul: sul.server,
+        "http3",
+        {"state", "settings_received", "peer_settings", "control_sent", "last_error",
+         "max_request_stream", "drain_boundary", "_control_type_buffer",
+         "_control_type_seen", "_decoders", "_requests"},
+        {"config", "seed", "_encoder", "_qpack_decoder", "stats"},
+    ),
+    (
+        lambda sul: sul.client,
+        "http3",
+        {"next_request_stream", "open_stream", "_control_open", "_decoders",
+         "_uni_type_buffers", "_uni_type_seen"},
+        {"config", "seed", "_encoder", "decoder", "stats"},
+    ),
+    (
+        lambda sul: sul.transport,
+        "http3",
+        {"_conn", "_server_conns", "_pending_token", "_reset_queue", "_pending_resets",
+         "last_connection_rounds", "_rng"},
+        # The ticket is only read with resumption, which never snapshots.
+        {"_server_handler", "network", "_server_endpoint", "_client_host", "_endpoint",
+         "resumption", "_ticket", "_server_ticket", "stats"},
+    ),
+    (
+        lambda sul: sul.transport._conn,
+        "http3",
+        {"cid", "next_pn", "received_pns", "unacked", "recv", "send", "fin_reported",
+         "handshaken"},
+        set(),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "part, target, snapshotted, long_lived",
+    STREAM_FIELDS,
+    ids=[
+        "tcp-adapter", "tcp-server", "tcp-client", "http2-server", "http2-client",
+        "byte-transport", "arq-end", "h3-server", "h3-client", "quic-transport",
+        "quic-connection",
+    ],
+)
+def test_stream_fields_are_classified(part, target, snapshotted, long_lived):
+    assert not snapshotted & long_lived
+    assert set(vars(part(SUL_REGISTRY.create(target)))) == snapshotted | long_lived
+
+
+POOL_FACTORIES = {
+    "quiche": lambda: build_quic_sul("quiche", seed=11),
+    "http3": lambda: build_http3_sul(seed=11),
+}
+POOL_CASES = [
+    pytest.param(factory, backend, id=backend if target == "quiche" else f"{target}-{backend}")
+    for target, factory in POOL_FACTORIES.items()
+    for backend in ("serial", "thread", "process")
+]
+
+
 class TestPooledWalk:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pool_shards_walk_and_sum_counters(self, backend):
-        serial = build_quic_sul("quiche", seed=11)
+    @pytest.mark.parametrize("factory, backend", POOL_CASES)
+    def test_pool_shards_walk_and_sum_counters(self, factory, backend):
+        serial = factory()
         batch = [word for words in _random_batches(serial, seed=9, count=2) for word in words]
         expected = _replay(serial, batch)
-        pool = SULPool(lambda: build_quic_sul("quiche", seed=11), workers=2, backend=backend)
+        pool = SULPool(factory, workers=2, backend=backend)
         try:
             assert pool.query_batch(batch) == expected
             assert _logical(pool) == _logical(serial)
