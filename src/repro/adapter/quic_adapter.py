@@ -11,7 +11,6 @@ argues is "close to impossible" to hand-write for QUIC).
 
 from __future__ import annotations
 
-import copy
 from typing import Callable
 
 from ..core.alphabet import (
@@ -22,7 +21,7 @@ from ..core.alphabet import (
     quic_alphabet,
 )
 from ..netsim import LinkConfig, PERFECT_LINK, SimulatedNetwork
-from ..quic.connection import QUICServer
+from ..quic.connection import QUICServer, QUICServerConnection
 from ..quic.impls.google import google_server
 from ..quic.impls.mvfst import mvfst_server
 from ..quic.impls.quiche import quiche_server
@@ -78,9 +77,10 @@ class QUICAdapterSUL(SUL):
         self.client.reset()
 
     def snapshot(self) -> tuple | None:
-        """Per-connection state only: the server's connection and datagram
-        count, the client's connection fields, the network's counters and
-        clock, and the server, client and network RNG states.
+        """Per-connection state only, as immutable values: the server's
+        connection and datagram count, the client's connection fields, the
+        network's counters and clock, and the server, client and network
+        RNG states.
 
         None (replay instead) on a lossy or delayed link, for a
         stateless-reset probability strictly between 0 and 1 (mvfst), with
@@ -98,9 +98,10 @@ class QUICAdapterSUL(SUL):
         network = self.network.snapshot()
         if network is None:
             return None
-        live = (self.server.connection, self.client.connection_state())
+        connection = self.server.connection
         return (
-            self._copy(live),
+            None if connection is None else connection.snapshot(),
+            self.client.snapshot(),
             self.server.datagrams_received,
             self.server.rng.getstate(),
             self.client.rng.getstate(),
@@ -108,27 +109,16 @@ class QUICAdapterSUL(SUL):
         )
 
     def restore(self, state: tuple, consume: bool = False) -> None:
-        live, received, server_rng, client_rng, network = state
-        if not consume:
-            live = self._copy(live)
-        self.server.connection, client_fields = live
-        self.client.adopt_connection_state(client_fields)
-        self.server.datagrams_received = received
-        self.server.rng.setstate(server_rng)
+        connection, client, received, server_rng, client_rng, network = state
+        server = self.server
+        if connection is not None:
+            connection = QUICServerConnection.restored(connection, server.profile, server.rng)
+        server.connection = connection
+        self.client.restore(client)
+        server.datagrams_received = received
+        server.rng.setstate(server_rng)
         self.client.rng.setstate(client_rng)
         self.network.restore(network)
-
-    def _copy(self, live: tuple):
-        """Deep-copy connection state, sharing everything it does not own:
-        behaviour tables, profiles, the tracker config, endpoints, the
-        network and the RNGs (whose states are captured separately).  Keys
-        are immutable and copy as themselves."""
-        connection = live[0]
-        shared = self.client.shared_state()
-        if connection is not None:
-            shared += connection.shared_state()
-        memo = {id(obj): obj for obj in shared + (self.server.rng, self.client.rng)}
-        return copy.deepcopy(live, memo)
 
     def _step_impl(self, symbol):
         if not isinstance(symbol, QUICSymbol):

@@ -11,9 +11,9 @@ answers a query batch as one depth-first walk over the batch's prefix
 trie instead of resetting and replaying every word; the answers, the
 Oracle Table and the logical counters are those of per-word replay.
 
-Every simulated target snapshots: ``MealySUL``, the QUIC SULs, ``tcp``,
-and the layered ``http2`` and ``http3`` (network, transport and app state
-together).  A snapshot is refused -- and the batch replays -- on any link
+Every simulated target snapshots, into hand-written immutable tuples:
+``MealySUL``, the QUIC SULs, ``tcp``, and the layered ``http2`` and
+``http3`` (network, transport and app state together).  A snapshot is refused -- and the batch replays -- on any link
 but the perfect one, while datagrams are in flight, for mvfst-style
 probabilistic stateless resets, the tracker's ambiguous-abstraction and
 retry-port flags, a resuming or migrated QUIC-stream transport, and

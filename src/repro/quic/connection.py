@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..netsim import Datagram, SimulatedNetwork
 from . import crypto
@@ -78,6 +79,16 @@ class ServerProfile:
     response_size: int = 3 * RESPONSE_CHUNK
 
 
+#: The :class:`QUICServerConnection` fields whose values are immutable
+#: (bytes, keys, transport parameters, ints): snapshots carry them as they are.
+CONNECTION_VALUES = (
+    "scid", "client_cid", "original_dcid", "initial_keys", "handshake_keys",
+    "application_keys", "client_random", "server_random", "client_params",
+    "_request_bytes", "_hello_processed",
+)
+_connection_values = attrgetter(*CONNECTION_VALUES)
+
+
 def _space_for(packet_type: PacketType) -> Space:
     if packet_type is PacketType.INITIAL:
         return Space.INITIAL
@@ -118,11 +129,38 @@ class QUICServerConnection:
         self._request_bytes = 0
         self._hello_processed = False
 
-    def shared_state(self) -> tuple:
-        """Objects the connection shares rather than owns: its profile, its
-        behaviour table and the server's RNG.  Copies of the connection (SUL
-        snapshots) must share them too."""
-        return (self.profile, self.core.table, self.rng)
+    def snapshot(self) -> tuple:
+        """The connection's state as immutable values (SUL snapshots).
+
+        The behaviour table is carried by reference; :meth:`restored` takes
+        the shared profile and server RNG.
+        """
+        return (
+            self.core.table,
+            self.core.state,
+            _connection_values(self),
+            tuple(space.snapshot() for space in self.spaces.values()),
+            tuple(map(tuple, self._crypto_queues.values())),
+            tuple(self._crypto_offsets.values()),
+            self.recv_stream.snapshot(),
+            self.send_stream.snapshot(),
+        )
+
+    @classmethod
+    def restored(
+        cls, state: tuple, profile: ServerProfile, rng: random.Random
+    ) -> "QUICServerConnection":
+        table, core_state, values, spaces, queues, offsets, recv, send = state
+        connection = cls.__new__(cls)
+        connection.__dict__.update(zip(CONNECTION_VALUES, values))
+        connection.profile, connection.rng = profile, rng
+        connection.core = BehaviorCore(table, core_state)
+        connection.spaces = dict(zip(Space, map(PacketNumberSpace.restored, spaces)))
+        connection._crypto_queues = dict(zip(Space, map(list, queues)))
+        connection._crypto_offsets = dict(zip(Space, offsets))
+        connection.recv_stream = ReceiveStream.restored(recv)
+        connection.send_stream = SendStream.restored(send)
+        return connection
 
     # ------------------------------------------------------------------
     # Keys

@@ -64,8 +64,8 @@ class DirectionalKey:
     """Key material protecting one direction at one encryption level.
 
     The keyed HMAC-SHA256 state is built once per key and copied for each
-    keystream block and tag.  Keys are immutable, so deep copies (SUL
-    snapshots) share them.
+    keystream block and tag.  Keys are immutable, so SUL snapshots
+    share them.
     """
 
     key: bytes
@@ -77,9 +77,6 @@ class DirectionalKey:
 
     def __reduce__(self):
         return (DirectionalKey, (self.key, self.label))
-
-    def __deepcopy__(self, memo) -> "DirectionalKey":
-        return self
 
     def _xor(self, nonce: bytes, data: bytes) -> bytes:
         stream = _expand(self._mac, b"ks" + nonce, len(data))
@@ -111,9 +108,6 @@ class KeyPair:
 
     client: DirectionalKey
     server: DirectionalKey
-
-    def __deepcopy__(self, memo) -> "KeyPair":
-        return self
 
 
 def initial_keys(destination_cid: bytes) -> KeyPair:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ...netsim import Address, Endpoint, SimulatedNetwork
 from .. import crypto
@@ -61,8 +62,9 @@ from ..transport_params import TransportParameters
 
 REQUEST_CHUNK = 100
 
-#: The per-connection fields :meth:`TrackerClient.reset` rebuilds: what a
-#: SUL snapshot of the client copies (with the client RNG's state).
+#: The per-connection fields :meth:`TrackerClient.reset` rebuilds besides
+#: the packet spaces.  Their values are immutable (ints, bytes, keys,
+#: transport parameters), so a SUL snapshot carries them as they are.
 CONNECTION_FIELDS = (
     "dcid",
     "scid",
@@ -73,7 +75,6 @@ CONNECTION_FIELDS = (
     "server_random",
     "server_scid",
     "server_params",
-    "spaces",
     "retry_token",
     "request_offset",
     "response_received",
@@ -83,6 +84,7 @@ CONNECTION_FIELDS = (
     "saw_stateless_reset",
     "handshake_complete",
 )
+_connection_values = attrgetter(*CONNECTION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -186,18 +188,19 @@ class TrackerClient:
             endpoint.close()
         self._main_endpoint.close()
 
-    def connection_state(self) -> dict:
-        """The live (uncopied) values of :data:`CONNECTION_FIELDS`."""
-        return {name: getattr(self, name) for name in CONNECTION_FIELDS}
+    def snapshot(self) -> tuple:
+        """The connection's state for a SUL snapshot: the packet spaces'
+        snapshots and the values of :data:`CONNECTION_FIELDS` (the RNG
+        state is captured by the SUL)."""
+        return (
+            tuple(space.snapshot() for space in self.spaces.values()),
+            _connection_values(self),
+        )
 
-    def adopt_connection_state(self, state: dict) -> None:
-        """Install values taken by :meth:`connection_state` (or copies)."""
-        for name, value in state.items():
-            setattr(self, name, value)
-
-    def shared_state(self) -> tuple:
-        """Objects copies of the connection state share rather than own."""
-        return (self.config, self.network, self._main_endpoint, self._active_endpoint)
+    def restore(self, state: tuple) -> None:
+        spaces, values = state
+        self.spaces = dict(zip(Space, map(PacketNumberSpace.restored, spaces)))
+        self.__dict__.update(zip(CONNECTION_FIELDS, values))
 
     # ------------------------------------------------------------------
     # Concretization: abstract request -> concrete packet

@@ -29,14 +29,19 @@ class PacketNumberSpace:
     largest_received: int = -1
     largest_acked_by_peer: int = -1
 
-    def __deepcopy__(self, memo) -> "PacketNumberSpace":
-        # Every field is an int or a set of ints: no generic recursion.
-        return PacketNumberSpace(
+    def snapshot(self) -> tuple:
+        """The space's state as immutable values (SUL snapshots)."""
+        return (
             self.next_packet_number,
-            set(self.received),
+            frozenset(self.received),
             self.largest_received,
             self.largest_acked_by_peer,
         )
+
+    @classmethod
+    def restored(cls, state: tuple) -> "PacketNumberSpace":
+        next_packet_number, received, largest_received, largest_acked = state
+        return cls(next_packet_number, set(received), largest_received, largest_acked)
 
     def take_packet_number(self) -> int:
         number = self.next_packet_number

@@ -20,14 +20,30 @@ PARAM_INITIAL_MAX_STREAMS_BIDI = 0x08
 PARAM_ORIGINAL_DCID = 0x00
 PARAM_RETRY_SOURCE_CID = 0x10
 
+#: The field each parameter decodes into, in encoding order.
+_VARINT_FIELDS = {
+    PARAM_MAX_IDLE_TIMEOUT: "max_idle_timeout",
+    PARAM_INITIAL_MAX_DATA: "initial_max_data",
+    PARAM_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL: "initial_max_stream_data_bidi_local",
+    PARAM_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE: "initial_max_stream_data_bidi_remote",
+    PARAM_INITIAL_MAX_STREAMS_BIDI: "initial_max_streams_bidi",
+}
+_BYTES_FIELDS = {
+    PARAM_ORIGINAL_DCID: "original_dcid",
+    PARAM_RETRY_SOURCE_CID: "retry_source_cid",
+}
+
 
 class TransportParameterError(ValueError):
     """Raised on malformed transport-parameter encodings."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransportParameters:
-    """The negotiated limits one endpoint advertises to its peer."""
+    """The negotiated limits one endpoint advertises to its peer.
+
+    Frozen: connections and their SUL snapshots share instances.
+    """
 
     max_idle_timeout: int = 30_000
     initial_max_data: int = 10_000
@@ -41,29 +57,14 @@ class TransportParameters:
     def encode(self) -> bytes:
         buf = Buffer()
 
-        def put_varint_param(param_id: int, value: int) -> None:
-            buf.push_varint(param_id)
-            inner = Buffer()
-            inner.push_varint(value)
-            buf.push_varint_bytes(inner.getvalue())
-
         def put_bytes_param(param_id: int, value: bytes) -> None:
             buf.push_varint(param_id)
             buf.push_varint_bytes(value)
 
-        put_varint_param(PARAM_MAX_IDLE_TIMEOUT, self.max_idle_timeout)
-        put_varint_param(PARAM_INITIAL_MAX_DATA, self.initial_max_data)
-        put_varint_param(
-            PARAM_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL,
-            self.initial_max_stream_data_bidi_local,
-        )
-        put_varint_param(
-            PARAM_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE,
-            self.initial_max_stream_data_bidi_remote,
-        )
-        put_varint_param(
-            PARAM_INITIAL_MAX_STREAMS_BIDI, self.initial_max_streams_bidi
-        )
+        for param_id, name in _VARINT_FIELDS.items():
+            inner = Buffer()
+            inner.push_varint(getattr(self, name))
+            put_bytes_param(param_id, inner.getvalue())
         if self.original_dcid:
             put_bytes_param(PARAM_ORIGINAL_DCID, self.original_dcid)
         if self.retry_source_cid is not None:
@@ -74,40 +75,28 @@ class TransportParameters:
 
     @classmethod
     def decode(cls, data: bytes) -> "TransportParameters":
-        params = cls()
+        """Collect the field values first, then build the (frozen) object."""
+        fields: dict[str, object] = {}
+        unknown: dict[int, bytes] = {}
         buf = Buffer(data)
         try:
             while not buf.eof:
                 param_id = buf.pull_varint()
                 value = buf.pull_varint_bytes()
-                params._apply(param_id, value)
+                if param_id in _VARINT_FIELDS:
+                    fields[_VARINT_FIELDS[param_id]] = _as_varint(param_id, value)
+                elif param_id in _BYTES_FIELDS:
+                    fields[_BYTES_FIELDS[param_id]] = value
+                else:
+                    unknown[param_id] = value
         except VarintError as exc:
             raise TransportParameterError(f"truncated parameters: {exc}") from exc
-        return params
+        return cls(**fields, unknown=unknown)
 
-    def _apply(self, param_id: int, value: bytes) -> None:
-        def as_varint() -> int:
-            inner = Buffer(value)
-            result = inner.pull_varint()
-            if not inner.eof:
-                raise TransportParameterError(
-                    f"trailing bytes in parameter {param_id:#x}"
-                )
-            return result
 
-        if param_id == PARAM_MAX_IDLE_TIMEOUT:
-            self.max_idle_timeout = as_varint()
-        elif param_id == PARAM_INITIAL_MAX_DATA:
-            self.initial_max_data = as_varint()
-        elif param_id == PARAM_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL:
-            self.initial_max_stream_data_bidi_local = as_varint()
-        elif param_id == PARAM_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE:
-            self.initial_max_stream_data_bidi_remote = as_varint()
-        elif param_id == PARAM_INITIAL_MAX_STREAMS_BIDI:
-            self.initial_max_streams_bidi = as_varint()
-        elif param_id == PARAM_ORIGINAL_DCID:
-            self.original_dcid = value
-        elif param_id == PARAM_RETRY_SOURCE_CID:
-            self.retry_source_cid = value
-        else:
-            self.unknown[param_id] = value
+def _as_varint(param_id: int, value: bytes) -> int:
+    inner = Buffer(value)
+    result = inner.pull_varint()
+    if not inner.eof:
+        raise TransportParameterError(f"trailing bytes in parameter {param_id:#x}")
+    return result

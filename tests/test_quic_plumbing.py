@@ -1,5 +1,7 @@
 """Unit tests: transport params, flow control, streams, packet spaces."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +48,15 @@ class TestTransportParameters:
         params = TransportParameters(retry_source_cid=b"retry-id")
         decoded = TransportParameters.decode(params.encode())
         assert decoded.retry_source_cid == b"retry-id"
+
+    def test_frozen_and_decoded_whole(self):
+        # Connections and their SUL snapshots share instances.
+        params = TransportParameters.decode(
+            TransportParameters(initial_max_data=77, unknown={0x7F: b"x"}).encode()
+        )
+        assert params == TransportParameters(initial_max_data=77, unknown={0x7F: b"x"})
+        with pytest.raises(FrozenInstanceError):
+            params.initial_max_data = 1
 
 
 class TestSendFlowController:

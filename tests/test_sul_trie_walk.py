@@ -21,12 +21,14 @@ from repro.adapter.mealy_sul import MealySUL
 from repro.adapter.pool import SULPool
 from repro.adapter.quic_adapter import QUICAdapterSUL, build_quic_sul
 from repro.adapter.tcp_adapter import TCPAdapterSUL, build_tcp_sul
-from repro.core.alphabet import Alphabet, parse_tcp_symbol
+from repro.core.alphabet import Alphabet, parse_tcp_symbol, quic_alphabet
 from repro.core.mealy import mealy_from_table
 from repro.framework import Prognosis
 from repro.netsim import LinkConfig
+from repro.quic.connection import CONNECTION_VALUES
 from repro.quic.impls.quiche import quiche_server
 from repro.quic.impls.tracker import CONNECTION_FIELDS
+from repro.quic.packetspace import Space
 from repro.registry import SUL_REGISTRY
 from repro.spec import ExperimentSpec
 
@@ -212,16 +214,6 @@ class TestQUICSnapshotFallbacks:
         assert build_quic_sul("google").snapshot() is not None
         assert build_quic_sul("google", retry_enabled=True).snapshot() is not None
 
-    def test_connection_fields_cover_the_client(self):
-        # A field added to the tracker client must be either per-connection
-        # (snapshotted) or one of these long-lived ones.
-        long_lived = {
-            "network", "server_address", "config", "rng", "_ambiguity_rng",
-            "_main_endpoint", "_active_endpoint", "_extra_endpoints",
-        }
-        client = build_quic_sul("quiche").client
-        assert set(vars(client)) == long_lived | set(CONNECTION_FIELDS)
-
     def test_mvfst_default_probability_replays(self):
         assert build_quic_sul("mvfst").snapshot() is None
 
@@ -244,6 +236,123 @@ class TestQUICSnapshotFallbacks:
         assert walked.query_batch(batch) == _replay(replayed, batch)
         assert _entries(walked) == _entries(replayed)
         assert walked.stats.snapshot() == replayed.stats.snapshot()
+
+
+def _random_word(rng, symbols, longest):
+    return tuple(rng.choice(symbols) for _ in range(rng.randrange(longest + 1)))
+
+
+class TestQUICSnapshots:
+    @pytest.mark.parametrize("implementation, options", QUIC_TARGETS)
+    def test_restore_returns_every_snapshotted_field(self, implementation, options):
+        sul = build_quic_sul(implementation, seed=11, **options)
+        symbols = list(sul.input_alphabet.symbols)
+        rng = random.Random(3)
+        for _ in range(8):
+            sul.reset()
+            for symbol in _random_word(rng, symbols, 5):
+                sul.step(symbol)
+            state = sul.snapshot()
+            for symbol in _random_word(rng, symbols, 4):
+                sul.step(symbol)
+            sul.restore(state)
+            assert sul.snapshot() == state
+
+    @pytest.mark.parametrize("implementation, options", QUIC_TARGETS)
+    def test_one_snapshot_restores_twice(self, implementation, options):
+        # A snapshot must share no list, set or bytearray with the live
+        # state.  Like a trie node, it is taken, a first suffix runs on the
+        # live state, and then it is restored twice for two more: each
+        # suffix steps (concrete parameters included) and ends like a fresh
+        # replay, and the snapshot still equals a fresh run of its prefix.
+        def stepped(word):
+            sul = build_quic_sul(implementation, seed=11, **options)
+            sul.reset()
+            return sul, [sul._step_impl(symbol) for symbol in word]
+
+        symbols = list(quic_alphabet().symbols)
+        rng = random.Random(5)
+        for _ in range(30):
+            prefix = _random_word(rng, symbols, 5)
+            walked, _ = stepped(prefix)
+            state = walked.snapshot()
+            for branch in range(3):
+                suffix = _random_word(rng, symbols, 4)
+                if branch:
+                    walked.restore(state)
+                steps = [walked._step_impl(symbol) for symbol in suffix]
+                replayed, replay_steps = stepped(prefix + suffix)
+                assert steps == replay_steps[len(prefix):]
+                assert walked.snapshot() == replayed.snapshot()
+            assert state == stepped(prefix)[0].snapshot()
+
+    def test_google_learn_is_pinned(self):
+        spec = ExperimentSpec(target="quic-google", target_params={"seed": 11}, seed=11)
+        with Prognosis.from_spec(spec) as prognosis:
+            report = prognosis.learn()
+        reference = json.loads((REFERENCE_DIR / "quic-google.json").read_text())
+        reference.pop("name")
+        body = report.model.to_dict()
+        body.pop("name")
+        assert body == reference
+        counters = (
+            report.sul_queries,
+            report.physical_steps,
+            report.physical_resets,
+            report.snapshots,
+            report.restores,
+        )
+        assert counters == (3124, 6082, 136, 1048, 2988)
+
+
+#: Per-class attributes a QUIC snapshot captures, and the long-lived rest
+#: (shared profile, endpoints, configuration, the RNG drawn only for the
+#: ambiguous abstraction).  A new attribute must join one side.
+QUIC_FIELDS = [
+    (
+        lambda sul: sul.server,
+        {"connection", "datagrams_received", "rng"},
+        {"network", "profile", "host", "port", "endpoint", "_retry_scid"},
+    ),
+    (
+        lambda sul: sul.server.connection,
+        {"core", "spaces", "_crypto_queues", "_crypto_offsets", "recv_stream",
+         "send_stream", *CONNECTION_VALUES},
+        {"profile", "rng"},
+    ),
+    (
+        lambda sul: sul.server.connection.spaces[Space.HANDSHAKE],
+        {"next_packet_number", "received", "largest_received", "largest_acked_by_peer"},
+        set(),
+    ),
+    (
+        lambda sul: sul.client,
+        {"spaces", "rng", *CONNECTION_FIELDS},
+        {"network", "server_address", "config", "_ambiguity_rng", "_main_endpoint",
+         "_active_endpoint", "_extra_endpoints"},
+    ),
+    (
+        lambda sul: sul.client.spaces[Space.APPLICATION],
+        {"next_packet_number", "received", "largest_received", "largest_acked_by_peer"},
+        set(),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "part, snapshotted, long_lived",
+    QUIC_FIELDS,
+    ids=["quic-server", "quic-server-connection", "quic-server-space", "tracker-client",
+         "tracker-space"],
+)
+def test_quic_fields_are_classified(part, snapshotted, long_lived):
+    assert not snapshotted & long_lived
+    sul = build_quic_sul("google", seed=11)
+    sul.query(tuple(sul.input_alphabet.symbols[:3]))
+    live = part(sul)
+    assert set(vars(live)) == snapshotted | long_lived
+    sul.restore(sul.snapshot())
+    assert set(vars(part(sul))) == set(vars(live))
 
 
 STREAM_TARGETS = ["tcp", "tcp-no-challenge-ack", "http2", "http2-buggy", "http3", "http3-buggy"]
