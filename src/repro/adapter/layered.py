@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from ..core.alphabet import AbstractSymbol, Alphabet
-from ..netsim import LinkConfig, PERFECT_LINK, SimulatedNetwork
+from ..netsim import LinkConfig, PERFECT_LINK, SimulatedNetwork, SnapshotRandom
 from ..quic.flowcontrol import ReceiveFlowController, SendFlowController
 from ..quic.frames import (
     AckFrame,
@@ -484,10 +484,8 @@ class QuicStreamTransport(Transport):
         resumption: bool = False,
     ) -> None:
         super().__init__()
-        import random
-
         self.network = network or SimulatedNetwork(seed=seed, config=link)
-        self._rng = random.Random(seed ^ 0x5153)  # cid source, not the link rng
+        self._rng = SnapshotRandom(seed ^ 0x5153)  # cid source, not the link rng
         self._server_endpoint = self.network.bind(server_host, port)
         self._server_endpoint.handler = self._on_server_datagram
         self._client_host = client_host
@@ -924,8 +922,7 @@ class LayeredSUL(SUL):
             return None
         return network, transport, app
 
-    def restore(self, state: tuple, consume: bool = False) -> None:
-        # The parts are immutable tuples, so ``consume`` changes nothing.
+    def restore(self, state: tuple) -> None:
         network, transport, app = state
         self.transport.network.restore(network)
         self.transport.restore(transport)

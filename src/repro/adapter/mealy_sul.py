@@ -30,7 +30,7 @@ class MealySUL(SUL):
         # Wrapped so that a machine state of None is not read as "cannot".
         return (self._state,)
 
-    def restore(self, state: tuple, consume: bool = False) -> None:
+    def restore(self, state: tuple) -> None:
         (self._state,) = state
 
     def _step_impl(

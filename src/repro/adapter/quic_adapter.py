@@ -108,7 +108,7 @@ class QUICAdapterSUL(SUL):
             network,
         )
 
-    def restore(self, state: tuple, consume: bool = False) -> None:
+    def restore(self, state: tuple) -> None:
         connection, client, received, server_rng, client_rng, network = state
         server = self.server
         if connection is not None:

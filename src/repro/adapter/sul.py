@@ -9,23 +9,27 @@ sent).
 A SUL that can :meth:`~SUL.snapshot` and :meth:`~SUL.restore` its state
 answers a query batch as one depth-first walk over the batch's prefix
 trie instead of resetting and replaying every word; the answers, the
-Oracle Table and the logical counters are those of per-word replay.
+Oracle Table and the logical counters are those of per-word replay.  The
+walk's snapshots outlive the batch: later batches resume from the saved
+post-reset root and pass through saved prefixes without stepping them.
 
 Every simulated target snapshots, into hand-written immutable tuples:
 ``MealySUL``, the QUIC SULs, ``tcp``, and the layered ``http2`` and
-``http3`` (network, transport and app state together).  A snapshot is refused -- and the batch replays -- on any link
-but the perfect one, while datagrams are in flight, for mvfst-style
-probabilistic stateless resets, the tracker's ambiguous-abstraction and
-retry-port flags, a resuming or migrated QUIC-stream transport, and
-``tcp`` with absolute sequence numbers.  Learning with the default spec
-at seed 11, tcp runs 1,181 of 2,897 logical steps (26 of 654 resets),
-http2 1,368 of 3,152 (28 of 777), http3 4,699 of 11,286 (100 of 2,166)
-and quic-google 6,082 of 17,321 (136 of 3,124).
+``http3`` (network, transport and app state together).  A snapshot is
+refused -- and the batch replays -- on any link but the perfect one,
+while datagrams are in flight, for mvfst-style probabilistic stateless
+resets, the tracker's ambiguous-abstraction and retry-port flags, a
+resuming or migrated QUIC-stream transport, and ``tcp`` with absolute
+sequence numbers.  Learning with the default spec at seed 11, tcp runs
+1,110 of 2,897 logical steps (2 of 654 resets), http2 1,240 of 3,152 (1
+of 777), http3 3,843 of 11,286 (4 of 2,166) and quic-google 4,921 of
+17,321 (2 of 3,124).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
@@ -41,7 +45,8 @@ class SULStats:
     ``queries``, ``steps`` and ``resets`` are logical: what per-word
     reset-and-replay would have cost, whatever way the batch really ran.
     The ``physical_*`` counters are what reached the implementation;
-    ``snapshots`` and ``restores`` count the trie walk's state copies.
+    ``snapshots`` and ``restores`` count the trie walk's state copies, and
+    ``skipped_steps`` the steps it passed through saved snapshots instead.
     """
 
     queries: int = 0
@@ -51,6 +56,7 @@ class SULStats:
     physical_resets: int = 0
     snapshots: int = 0
     restores: int = 0
+    skipped_steps: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return asdict(self)
@@ -65,6 +71,10 @@ class SULStats:
 #: by a physical reset and a replay of its prefix.
 _REPLAY = object()
 
+#: Trie-walk snapshots a SUL keeps across query batches, its post-reset
+#: root included; the least recently used one goes first.
+SNAPSHOT_CAPACITY = 256
+
 
 class SUL(ABC):
     """An implementation + adapter pair, queryable with abstract words."""
@@ -74,6 +84,10 @@ class SUL(ABC):
         self.name = name
         self.oracle_table = OracleTable()
         self.stats = SULStats()
+        #: Trie-walk snapshots kept across batches by prefix -- the
+        #: post-reset root under ``()`` and branch nodes -- each with the
+        #: output and parameters of the last step of its path.
+        self._saved: OrderedDict[Word, tuple] = OrderedDict()
 
     # -- subclass responsibilities ---------------------------------------
     @abstractmethod
@@ -96,12 +110,9 @@ class SUL(ABC):
         """
         return None
 
-    def restore(self, state: Any, consume: bool = False) -> None:
-        """Return to a state :meth:`snapshot` returned.
-
-        With ``consume`` the SUL may adopt ``state`` itself instead of a
-        copy; the caller then never restores it again.
-        """
+    def restore(self, state: Any) -> None:
+        """Return to a state :meth:`snapshot` returned; ``state`` itself
+        stays untouched, since it may be restored again."""
         raise NotImplementedError(f"{type(self).__name__} cannot restore snapshots")
 
     # -- public interface -------------------------------------------------
@@ -148,30 +159,60 @@ class SUL(ABC):
         The base implementation runs the words serially on this instance;
         parallel backends (:class:`repro.adapter.pool.SULPool`) override it.
         A SUL that overrides :meth:`snapshot` runs the batch as one walk
-        over its prefix trie (:meth:`_walk_trie`) when the snapshot taken
-        right after the batch's reset succeeds; otherwise every word is
-        reset and replayed, the first one on that reset.
+        over its prefix trie (:meth:`_walk_trie`).  The walk starts from
+        the saved post-reset root when there is one, and from a physical
+        reset otherwise; either way :meth:`snapshot` is called there once,
+        and if it refuses, the saved snapshots are dropped and every word
+        is reset and replayed, the first one on that reset.
         """
         words = [tuple(word) for word in words]
-        if len(words) < 2 or type(self).snapshot is SUL.snapshot:
+        if type(self).snapshot is SUL.snapshot:
             return [self.query(word) for word in words]
-        self.reset()
-        root = self.snapshot()
+        if not words:
+            return []
+        root = None
+        saved_root = self._saved.get(())
+        if saved_root is not None:
+            self._saved.move_to_end(())
+            self.stats.restores += 1
+            self.restore(saved_root[0])
+            if self.snapshot() is None:
+                self._saved.clear()
+            else:
+                root = saved_root[0]
+                self.stats.snapshots += 1
+                self.stats.resets += 1  # resumed instead of reset
         if root is None:
-            self.stats.queries += 1
-            return [self._run(words[0])] + [self.query(word) for word in words[1:]]
-        self.stats.snapshots += 1
+            self.reset()
+            root = self.snapshot()
+            if root is None:
+                self.stats.queries += 1
+                return [self._run(words[0])] + [self.query(word) for word in words[1:]]
+            self.stats.snapshots += 1
+            self._save((), (root, None, None, None))
         return self._walk_trie(words, root)
+
+    def _save(self, prefix: Word, entry: tuple) -> None:
+        """Keep ``entry`` (the snapshot after ``prefix`` and its last step's
+        output and parameters), evicting the least recently used one beyond
+        :data:`SNAPSHOT_CAPACITY`."""
+        saved = self._saved
+        saved[prefix] = entry
+        if len(saved) > SNAPSHOT_CAPACITY:
+            saved.popitem(last=False)
 
     def _walk_trie(self, words: list[Word], root_state: Any) -> list[Word]:
         """Run ``words`` depth-first over their prefix trie from the reset
         state ``root_state`` was taken in.
 
-        A node with two or more children is snapshotted once; every later
-        child restores it (the last one consumes it).  A refused snapshot
-        is made up for by a physical reset and a replay of the prefix.
-        Answers and Oracle-Table entries come out in batch order, and the
-        logical counters advance as if every word had been replayed.
+        A node with two or more children is snapshotted once and saved
+        (:meth:`_save`); every later child restores it.  A node saved by an
+        earlier batch is passed through without a step, and restored only
+        when one of its children must really be stepped.  A refused
+        snapshot is made up for by a physical reset and a replay of the
+        prefix.  Answers and Oracle-Table entries come out in batch order,
+        and the logical counters advance as if every word had been
+        replayed.
         """
         root: tuple[dict, list] = ({}, [])  # (children by symbol, word indices)
         for index, word in enumerate(words):
@@ -184,15 +225,18 @@ class SUL(ABC):
             node[1].append(index)
 
         stats = self.stats
+        saved = self._saved
         path: list[AbstractSymbol] = []
         outputs: list[AbstractSymbol] = []
         input_params: list[Mapping[str, int]] = []
         output_params: list[Mapping[str, int]] = []
         observed: list[tuple] = [()] * len(words)
         # Later children still to run: (symbol, node, parent depth, the
-        # parent's restore token, whether it is the parent's last child).
+        # parent's restore token).
         stack: list[tuple] = []
-        node, token = root, root_state
+        # ``token`` restores the current node; None means "not taken yet",
+        # which only happens while the SUL is physically at the node.
+        node, token, here = root, root_state, True
         while True:
             children, ends = node
             for index in ends:
@@ -206,29 +250,44 @@ class SUL(ABC):
                             token = _REPLAY
                         else:
                             stats.snapshots += 1
+                            last = (outputs[-1], input_params[-1], output_params[-1])
+                            self._save(tuple(path), (token, *last))
                     depth = len(path)
                     for position in range(len(items) - 1, 0, -1):
-                        last = position == len(items) - 1
-                        stack.append((*items[position], depth, token, last))
+                        stack.append((*items[position], depth, token))
                 symbol, node = items[0]
             elif stack:
-                symbol, node, depth, token, last = stack.pop()
+                symbol, node, depth, token = stack.pop()
                 del path[depth:], outputs[depth:]
                 del input_params[depth:], output_params[depth:]
+                here = False
+            else:
+                break
+            path.append(symbol)
+            prefix = tuple(path)
+            entry = saved.get(prefix)
+            if entry is not None:
+                saved.move_to_end(prefix)
+                stats.skipped_steps += 1
+                token, output, in_params, out_params = entry
+                outputs.append(output)
+                input_params.append(in_params)
+                output_params.append(out_params)
+                here = False
+                continue
+            if not here:
                 if token is _REPLAY:
                     stats.physical_resets += 1
                     self._reset_impl()
-                    for replayed in path:
+                    for replayed in path[:-1]:
                         stats.physical_steps += 1
                         self._step_impl(replayed)
                 else:
                     stats.restores += 1
-                    self.restore(token, consume=last)
-            else:
-                break
+                    self.restore(token)
+                here = True
             stats.physical_steps += 1
             output, in_params, out_params = self._step_impl(symbol)
-            path.append(symbol)
             outputs.append(output)
             input_params.append(in_params)
             output_params.append(out_params)

@@ -90,7 +90,7 @@ class TCPAdapterSUL(SUL):
             network,
         )
 
-    def restore(self, state: tuple, consume: bool = False) -> None:
+    def restore(self, state: tuple) -> None:
         server, client, self._base, self._server_base, network = state
         self.server.restore(server)
         self.client.restore(client)

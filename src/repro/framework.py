@@ -73,9 +73,11 @@ class LearningReport:
     #: batch run as a trie walk costs fewer physical ones.
     physical_steps: int = 0
     physical_resets: int = 0
-    #: State snapshots taken and restored by trie walks.
+    #: State snapshots taken and restored by trie walks, and the steps
+    #: they passed through snapshots saved by earlier batches instead.
     snapshots: int = 0
     restores: int = 0
+    skipped_steps: int = 0
 
     @property
     def num_states(self) -> int:
@@ -153,6 +155,7 @@ class LearningReport:
             "physical_resets": self.physical_resets,
             "snapshots": self.snapshots,
             "restores": self.restores,
+            "skipped_steps": self.skipped_steps,
             "eq_attribution": {
                 name: dict(stats) for name, stats in self.eq_attribution.items()
             },
@@ -377,6 +380,7 @@ class Prognosis:
             physical_resets=self.sul.stats.physical_resets,
             snapshots=self.sul.stats.snapshots,
             restores=self.sul.stats.restores,
+            skipped_steps=self.sul.stats.skipped_steps,
         )
 
     # ------------------------------------------------------------------

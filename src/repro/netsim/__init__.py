@@ -10,6 +10,7 @@ from .network import (
     PERFECT_LINK,
     SimulatedNetwork,
 )
+from .rng import SnapshotRandom
 
 __all__ = [
     "Address",
@@ -19,5 +20,6 @@ __all__ = [
     "NetworkError",
     "PERFECT_LINK",
     "SimulatedNetwork",
+    "SnapshotRandom",
     "VirtualClock",
 ]

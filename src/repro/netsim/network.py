@@ -16,11 +16,11 @@ request/response protocol exchanges without threads.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 from .clock import VirtualClock
+from .rng import SnapshotRandom
 
 Address = Tuple[str, int]
 
@@ -128,7 +128,7 @@ class SimulatedNetwork:
     ) -> None:
         self.clock = clock if clock is not None else VirtualClock()
         self.config = config
-        self._rng = random.Random(seed)
+        self._rng = SnapshotRandom(seed)
         self._endpoints: dict[Address, Endpoint] = {}
         self._queue: list[_ScheduledDelivery] = []
         self._sequence = 0
@@ -203,15 +203,21 @@ class SimulatedNetwork:
             self._drop_next -= 1
             self.stats["lost"] += 1
             return
-        if self._rng.random() < self.config.loss_rate:
+        config = self.config
+        # An unimpaired link leaves the RNG undrawn, so SUL snapshots share
+        # its state.
+        impaired = bool(config.loss_rate or config.duplicate_rate or config.jitter)
+        if impaired and self._rng.random() < config.loss_rate:
             self.stats["lost"] += 1
             return
         copies = 1
-        if self._rng.random() < self.config.duplicate_rate:
+        if impaired and self._rng.random() < config.duplicate_rate:
             copies = 2
             self.stats["duplicated"] += 1
         for _ in range(copies):
-            delay = self.config.latency + self._rng.random() * self.config.jitter
+            delay = config.latency
+            if impaired:
+                delay += self._rng.random() * config.jitter
             datagram = Datagram(
                 payload=payload,
                 source=source,

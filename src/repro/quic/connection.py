@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter
 
-from ..netsim import Datagram, SimulatedNetwork
+from ..netsim import Datagram, SimulatedNetwork, SnapshotRandom
 from . import crypto
 from .behavior import BehaviorCore, BehaviorTable, OutputSpec, input_key, spec
 
@@ -409,7 +409,7 @@ class QUICServer:
         self.profile = profile
         self.host = host
         self.port = port
-        self.rng = random.Random(seed)
+        self.rng = SnapshotRandom(seed)
         self.endpoint = network.bind(host, port)
         self.endpoint.handler = self._handle
         self.connection: QUICServerConnection | None = None

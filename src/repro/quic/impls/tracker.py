@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter
 
-from ...netsim import Address, Endpoint, SimulatedNetwork
+from ...netsim import Address, Endpoint, SimulatedNetwork, SnapshotRandom
 from .. import crypto
 from ..connection import (
     CID_LENGTH,
@@ -141,7 +141,7 @@ class TrackerClient:
         self.network = network
         self.server_address = server_address
         self.config = config or TrackerConfig()
-        self.rng = random.Random(seed)
+        self.rng = SnapshotRandom(seed)
         # Deliberately NOT reset between queries: ambiguity must persist
         # across repeats for the nondeterminism check to observe it.
         self._ambiguity_rng = random.Random(seed + 1)

@@ -37,7 +37,7 @@ def encode_varint(value: int) -> bytes:
     return bytes([encoded[0] | _PREFIX_FOR_LENGTH[length]]) + encoded[1:]
 
 
-def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
+def decode_varint(data: bytes | bytearray, offset: int = 0) -> tuple[int, int]:
     """Decode a varint at ``offset``; returns ``(value, next_offset)``."""
     if offset >= len(data):
         raise VarintError("varint truncated: empty buffer")
@@ -98,11 +98,18 @@ class Buffer:
         return int.from_bytes(self.pull_bytes(size), "big")
 
     def pull_varint(self) -> int:
-        value, self._offset = decode_varint(bytes(self._data), self._offset)
+        value, self._offset = decode_varint(self._data, self._offset)
         return value
 
     def pull_varint_bytes(self) -> bytes:
         return self.pull_bytes(self.pull_varint())
+
+    def pull_zeros(self) -> int:
+        """Skip a run of zero bytes; return its length."""
+        rest = self._data[self._offset :]
+        count = len(rest) - len(rest.lstrip(b"\x00"))
+        self._offset += count
+        return count
 
     # -- state -----------------------------------------------------------
     @property

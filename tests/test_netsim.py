@@ -1,11 +1,15 @@
 """Unit tests for the simulated network substrate."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.netsim import (
     LinkConfig,
     NetworkError,
     SimulatedNetwork,
+    SnapshotRandom,
     VirtualClock,
 )
 
@@ -225,3 +229,55 @@ class TestSnapshots:
         assert network.snapshot() is None  # undrained inbox
         b.receive_all()
         assert network.snapshot() is not None
+
+    def test_unimpaired_link_leaves_the_rng_undrawn(self):
+        network = SimulatedNetwork(seed=4)
+        a, b = network.bind("h", 1), network.bind("h", 2)
+        state = network.snapshot()
+        for i in range(5):
+            a.send(bytes([i]), b.address)
+        network.run()
+        assert len(b.receive_all()) == 5
+        assert network.snapshot()[-1] is state[-1]
+        assert network.clock.now == 0.001  # latency, no jitter
+
+
+class TestSnapshotRandom:
+    def _draw(self, rng):
+        return (rng.random(), rng.randrange(256), rng.randint(3, 9), rng.getrandbits(70),
+                rng.choice("abc"), rng.randbytes(3), rng.gauss(), rng.gauss())
+
+    def test_draws_match_random(self):
+        assert self._draw(SnapshotRandom(7)) == self._draw(random.Random(7))
+
+    def test_state_is_shared_until_drawn(self):
+        rng = SnapshotRandom(7)
+        state = rng.getstate()
+        assert rng.getstate() is state
+        first = self._draw(rng)
+        assert rng.getstate() is not state
+        rng.setstate(state)
+        assert rng.getstate() is state
+        assert self._draw(rng) == first
+        rng.seed(7)
+        assert rng.getstate() == state
+        assert self._draw(rng) == first
+
+    def test_gauss_spare_value_invalidates_the_state(self):
+        rng = SnapshotRandom(3)
+        rng.gauss()  # leaves a spare value behind
+        state = rng.getstate()
+        rng.gauss()  # consumes it without drawing
+        assert rng.getstate() != state
+        rng.setstate(state)
+        reference = random.Random()
+        reference.setstate(state)
+        assert rng.gauss() == reference.gauss()
+
+    def test_pickles(self):
+        rng = SnapshotRandom(9)
+        rng.random()
+        copy = pickle.loads(pickle.dumps(rng))
+        assert type(copy) is SnapshotRandom
+        assert copy.getstate() == rng.getstate()
+        assert copy.random() == rng.random()

@@ -73,6 +73,12 @@ class TestRoundtrip:
         frames = [f for f in ALL_EXAMPLE_FRAMES if f.kind != "PADDING"]
         assert decode_frames(encode_frames(frames)) == frames
 
+    def test_padding_runs_decode_whole(self):
+        payload = b"\0" * 1100 + encode_frames([PingFrame()]) + b"\0" * 3
+        assert decode_frames(payload) == [
+            PaddingFrame(length=1100), PingFrame(), PaddingFrame(length=3)
+        ]
+
     def test_all_twenty_kinds_constructible(self):
         from repro.quic.frames import RetireConnectionIdFrame
 

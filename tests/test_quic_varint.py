@@ -77,3 +77,17 @@ class TestBuffer:
         reader = Buffer(b"abcd")
         reader.pull_bytes(1)
         assert reader.remaining == 3
+
+    def test_pull_varint_mid_buffer(self):
+        reader = Buffer(b"x" + encode_varint(15293) + encode_varint(7))
+        reader.pull_uint8()
+        assert (reader.pull_varint(), reader.pull_varint()) == (15293, 7)
+        assert reader.eof
+        with pytest.raises(VarintError):
+            Buffer(encode_varint(15293)[:1]).pull_varint()
+
+    @pytest.mark.parametrize("data, run", [(b"", 0), (b"a", 0), (b"\0\0a\0", 2), (b"\0" * 5, 5)])
+    def test_pull_zeros(self, data, run):
+        reader = Buffer(data)
+        assert reader.pull_zeros() == run
+        assert reader.remaining == len(data) - run

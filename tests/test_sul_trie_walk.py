@@ -1,16 +1,19 @@
 """Batches run as prefix-trie walks must answer exactly like per-word replay.
 
 A SUL that can snapshot runs a query batch as one depth-first walk over
-the batch's prefix trie.  Whatever the batch -- duplicates, words that are
-prefixes of other words, the empty word -- the answers, the Oracle Table
-(entries and their order) and the logical counters must equal those of
-resetting and replaying every word; only the physical counters may drop.
+the batch's prefix trie, and keeps its branch-node snapshots for later
+batches.  Whatever the batches -- duplicates, words that are prefixes of
+other words, the empty word, snapshots evicted in between -- the answers,
+the Oracle Table (entries and their order) and the logical counters must
+equal those of resetting and replaying every word; only the physical
+counters may drop.
 """
 
 import itertools
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +21,14 @@ from hypothesis import given, settings, strategies as st
 from repro.adapter.h3_adapter import build_http3_sul
 from repro.adapter.http2_adapter import build_http2_sul
 from repro.adapter.mealy_sul import MealySUL
+from repro.adapter import sul as sul_module
 from repro.adapter.pool import SULPool
 from repro.adapter.quic_adapter import QUICAdapterSUL, build_quic_sul
 from repro.adapter.tcp_adapter import TCPAdapterSUL, build_tcp_sul
 from repro.core.alphabet import Alphabet, parse_tcp_symbol, quic_alphabet
 from repro.core.mealy import mealy_from_table
 from repro.framework import Prognosis
-from repro.netsim import LinkConfig
+from repro.netsim import PERFECT_LINK, LinkConfig
 from repro.quic.connection import CONNECTION_VALUES
 from repro.quic.impls.quiche import quiche_server
 from repro.quic.impls.tracker import CONNECTION_FIELDS
@@ -68,10 +72,7 @@ def machines(draw):
     return mealy_from_table("s0", Alphabet.of(inputs), table, name="random")
 
 
-@st.composite
-def machines_and_batches(draw):
-    machine = draw(machines())
-    symbols = list(machine.input_alphabet.symbols)
+def _draw_batch(draw, symbols):
     word = st.lists(st.sampled_from(symbols), max_size=5).map(tuple)
     words = draw(st.lists(word, min_size=1, max_size=12))
     # Force the shapes the walk must handle: duplicates, proper prefixes of
@@ -80,8 +81,20 @@ def machines_and_batches(draw):
     extras += [w[: draw(st.integers(0, len(w)))] for w in words if draw(st.booleans())]
     if draw(st.booleans()):
         extras.append(())
-    batch = draw(st.permutations(words + extras))
-    return machine, list(batch)
+    return list(draw(st.permutations(words + extras)))
+
+
+@st.composite
+def machines_and_batches(draw):
+    machine = draw(machines())
+    return machine, _draw_batch(draw, list(machine.input_alphabet.symbols))
+
+
+@st.composite
+def machines_and_batch_runs(draw):
+    machine = draw(machines())
+    symbols = list(machine.input_alphabet.symbols)
+    return machine, [_draw_batch(draw, symbols) for _ in range(draw(st.integers(2, 5)))]
 
 
 class RefusingSUL(MealySUL):
@@ -136,8 +149,58 @@ class TestMealyWalk:
         syn, _ = toy_machine.input_alphabet.symbols
         sul = MealySUL(toy_machine)
         assert sul.query_batch([]) == []
-        assert sul.query_batch([(syn,)]) == [sul.query((syn,))]
         assert sul.stats.snapshots == 0
+        # A single word walks too: its reset state is saved, and the next
+        # batch resumes from it instead of resetting.
+        expected = MealySUL(toy_machine).query((syn,))
+        assert sul.query_batch([(syn,)]) == [expected]
+        assert (sul.stats.physical_resets, sul.stats.snapshots) == (1, 1)
+        assert sul.query_batch([(syn,)]) == [expected]
+        assert (sul.stats.physical_resets, sul.stats.restores) == (1, 1)
+        assert _logical(sul) == (2, 2, 2)
+
+
+class TestSavedSnapshots:
+    """Batch after batch on one SUL: saved snapshots replace resets and
+    steps, and a tiny capacity evicts them between and within batches."""
+
+    @given(machines_and_batch_runs(), st.sampled_from([0, 1, 3, 256]))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_runs_equal_replay(self, case, capacity):
+        machine, batches = case
+        walked, replayed = MealySUL(machine), MealySUL(machine)
+        with mock.patch.object(sul_module, "SNAPSHOT_CAPACITY", capacity):
+            for batch in batches:
+                assert walked.query_batch(batch) == _replay(replayed, batch)
+        assert _entries(walked) == _entries(replayed)
+        assert _logical(walked) == _logical(replayed)
+        stats = walked.stats
+        assert len(walked._saved) <= capacity
+        assert stats.physical_steps + stats.skipped_steps <= stats.steps
+        if capacity == 256:
+            assert stats.physical_resets == 1
+
+    @given(machines_and_batch_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_refused_batch_runs_equal_replay(self, case):
+        machine, batches = case
+        walked, replayed = RefusingSUL(machine), MealySUL(machine)
+        for batch in batches:
+            assert walked.query_batch(batch) == _replay(replayed, batch)
+        assert _entries(walked) == _entries(replayed)
+        assert _logical(walked) == _logical(replayed)
+
+    def test_saved_nodes_are_passed_through(self, toy_machine):
+        syn, ack = toy_machine.input_alphabet.symbols
+        sul = MealySUL(toy_machine)
+        sul.query_batch([(syn, ack), (syn, syn)])
+        before = sul.stats.snapshot()
+        # Resumed at the saved root; ``syn`` is passed through, and only
+        # ``ack`` is stepped, from the restored ``syn`` node.
+        assert sul.query_batch([(syn, ack, ack)]) == [MealySUL(toy_machine).query((syn, ack, ack))]
+        cost = {key: value - before[key] for key, value in sul.stats.snapshot().items()}
+        assert (cost["physical_resets"], cost["physical_steps"], cost["skipped_steps"]) == (0, 2, 1)
+        assert (cost["restores"], cost["snapshots"]) == (2, 1)
 
 
 QUIC_TARGETS = [
@@ -302,7 +365,54 @@ class TestQUICSnapshots:
             report.snapshots,
             report.restores,
         )
-        assert counters == (3124, 6082, 136, 1048, 2988)
+        assert counters == (3124, 4921, 2, 739, 3258)
+        assert report.skipped_steps == 1161
+
+
+EVERY_TARGET = [
+    "tcp", "tcp-no-challenge-ack", "http2", "http2-buggy", "http3", "http3-buggy",
+    "quic-google", "quic-quiche",
+]
+
+
+def _network(sul):
+    return sul.transport.network if hasattr(sul, "transport") else sul.network
+
+
+class TestSavedSnapshotsOnTargets:
+    @pytest.mark.parametrize("target", EVERY_TARGET)
+    def test_batch_runs_equal_replay(self, target):
+        walked = SUL_REGISTRY.create(target, seed=11)
+        replayed = SUL_REGISTRY.create(target, seed=11)
+        with mock.patch.object(sul_module, "SNAPSHOT_CAPACITY", 6):
+            for batch in _random_batches(walked, seed=len(target), count=6):
+                assert walked.query_batch(batch) == _replay(replayed, batch)
+                assert len(walked._saved) <= 6
+        assert _entries(walked) == _entries(replayed)
+        assert _logical(walked) == _logical(replayed)
+        assert walked.stats.skipped_steps > 0
+        assert walked.stats.physical_resets < 6
+
+    @pytest.mark.parametrize("target", ["tcp", "http2", "http3", "quic-quiche"])
+    def test_lossy_link_between_batches_drops_the_store(self, target):
+        walked = SUL_REGISTRY.create(target, seed=11)
+        replayed = SUL_REGISTRY.create(target, seed=11)
+        first, second, third = _random_batches(walked, seed=2, count=3)
+        assert walked.query_batch(first) == _replay(replayed, first)
+        assert walked._saved
+        for sul in (walked, replayed):
+            _network(sul).config = LOSSY
+        before = walked.stats.snapshot()
+        assert walked.query_batch(second) == _replay(replayed, second)
+        cost = {key: value - before[key] for key, value in walked.stats.snapshot().items()}
+        assert not walked._saved
+        assert (cost["physical_steps"], cost["physical_resets"]) == (cost["steps"], cost["resets"])
+        for sul in (walked, replayed):
+            _network(sul).config = PERFECT_LINK
+        assert walked.query_batch(third) == _replay(replayed, third)
+        assert walked._saved
+        assert _entries(walked) == _entries(replayed)
+        assert _logical(walked) == _logical(replayed)
 
 
 #: Per-class attributes a QUIC snapshot captures, and the long-lived rest
@@ -441,8 +551,8 @@ STREAM_FIELDS = [
         lambda sul: sul,
         "tcp",
         {"_base", "_server_base"},
-        {"input_alphabet", "name", "oracle_table", "stats", "network", "server",
-         "client", "relative_numbers"},
+        {"input_alphabet", "name", "oracle_table", "stats", "_saved", "network",
+         "server", "client", "relative_numbers"},
     ),
     (
         lambda sul: sul.server,
@@ -555,5 +665,24 @@ class TestPooledWalk:
             assert pool.stats.snapshots > 0
             assert pool.stats.physical_steps < pool.stats.steps
             assert pool.stats.physical_resets == 2
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_batch_runs_match_serial_replay(self, backend):
+        serial = POOL_FACTORIES["quiche"]()
+        # Later batches share prefixes with earlier ones.
+        words = list(itertools.product(serial.input_alphabet.symbols[:4], repeat=3))
+        random.Random(4).shuffle(words)
+        batches = [words[:20], words[20:40], words[40:]]
+        expected = [_replay(serial, batch) for batch in batches]
+        pool = SULPool(POOL_FACTORIES["quiche"], workers=2, backend=backend)
+        try:
+            assert [pool.query_batch(batch) for batch in batches] == expected
+            assert _entries(pool) == _entries(serial)
+            assert _logical(pool) == _logical(serial)
+            # Each worker resets once, then resumes from its saved root.
+            assert pool.stats.physical_resets == 2
+            assert pool.stats.skipped_steps > 0
         finally:
             pool.close()
