@@ -112,7 +112,9 @@ class QUICAdapterSUL(SUL):
         connection, client, received, server_rng, client_rng, network = state
         server = self.server
         if connection is not None:
-            connection = QUICServerConnection.restored(connection, server.profile, server.rng)
+            connection = QUICServerConnection.restored(
+                connection, server.profile, server.rng, server.wire
+            )
         server.connection = connection
         self.client.restore(client)
         server.datagrams_received = received
@@ -132,6 +134,11 @@ class QUICAdapterSUL(SUL):
             # packet numbers are what the synthesizer consumes.
             out_params.update(TrackerClient.packet_params(packet))
         return abstract_response(responses), in_params, out_params
+
+    def wire_memo_info(self) -> dict[str, dict]:
+        """``cache_info()`` of each memoised wire function, per endpoint
+        (``"client"``, ``"server"``; see :mod:`repro.quic.wire`)."""
+        return {"client": self.client.wire.info(), "server": self.server.wire.info()}
 
     def close(self) -> None:
         self.client.close()

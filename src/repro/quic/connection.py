@@ -36,20 +36,13 @@ from .frames import (
     StreamDataBlockedFrame,
     StreamFrame,
     FrameError,
-    decode_frames,
-    encode_frames,
     frame_kinds,
 )
-from .packet import (
-    PacketHeader,
-    PacketType,
-    decode_packet,
-    encode_packet,
-    header_bytes_for_aead,
-)
+from .packet import PacketHeader, PacketType, header_bytes_for_aead
 from .packetspace import PacketNumberSpace, Space
 from .streams import ReceiveStream, SendStream
 from .transport_params import TransportParameters
+from .wire import WireMemo
 
 CID_LENGTH = 8
 CLIENT_HELLO_MAGIC = b"CH01"
@@ -98,7 +91,11 @@ def _space_for(packet_type: PacketType) -> Space:
 
 
 class QUICServerConnection:
-    """One server connection: crypto, spaces, streams and the behaviour core."""
+    """One server connection: crypto, spaces, streams and the behaviour core.
+
+    ``profile``, ``rng`` and the wire memo ``wire`` belong to the server
+    and are shared by every connection it hosts, restored ones included.
+    """
 
     def __init__(
         self,
@@ -107,10 +104,12 @@ class QUICServerConnection:
         original_dcid: bytes,
         client_scid: bytes,
         rng: random.Random,
+        wire: WireMemo,
     ) -> None:
         self.profile = profile
         self.core = BehaviorCore(table)
         self.rng = rng
+        self.wire = wire
         self.scid = bytes(rng.randrange(256) for _ in range(CID_LENGTH))
         self.client_cid = client_scid
         self.original_dcid = original_dcid
@@ -133,7 +132,7 @@ class QUICServerConnection:
         """The connection's state as immutable values (SUL snapshots).
 
         The behaviour table is carried by reference; :meth:`restored` takes
-        the shared profile and server RNG.
+        the shared profile, server RNG and wire memo.
         """
         return (
             self.core.table,
@@ -148,12 +147,12 @@ class QUICServerConnection:
 
     @classmethod
     def restored(
-        cls, state: tuple, profile: ServerProfile, rng: random.Random
+        cls, state: tuple, profile: ServerProfile, rng: random.Random, wire: WireMemo
     ) -> "QUICServerConnection":
         table, core_state, values, spaces, queues, offsets, recv, send = state
         connection = cls.__new__(cls)
         connection.__dict__.update(zip(CONNECTION_VALUES, values))
-        connection.profile, connection.rng = profile, rng
+        connection.profile, connection.rng, connection.wire = profile, rng, wire
         connection.core = BehaviorCore(table, core_state)
         connection.spaces = dict(zip(Space, map(PacketNumberSpace.restored, spaces)))
         connection._crypto_queues = dict(zip(Space, map(list, queues)))
@@ -182,8 +181,11 @@ class QUICServerConnection:
         if keys is None:
             return []  # no keys for this level yet: undecryptable, dropped
         try:
-            plaintext = keys.client.open(
-                header.packet_number, header_bytes_for_aead(header), header.payload
+            plaintext = self.wire.open(
+                keys.client,
+                header.packet_number,
+                header_bytes_for_aead(header),
+                header.payload,
             )
         except CryptoError:
             return []
@@ -191,7 +193,7 @@ class QUICServerConnection:
         if not pn_space.on_received(header.packet_number):
             return []  # duplicate packet number: already processed
         try:
-            frames = decode_frames(plaintext)
+            frames = self.wire.decode_frames(plaintext)
         except FrameError:
             return []
         kinds = tuple(k for k in frame_kinds(frames) if k != "PADDING")
@@ -227,7 +229,7 @@ class QUICServerConnection:
     # ------------------------------------------------------------------
     # Frame-content side effects (real protocol state)
     # ------------------------------------------------------------------
-    def _process_frame_contents(self, space: Space, frames: list[Frame]) -> None:
+    def _process_frame_contents(self, space: Space, frames: tuple[Frame, ...]) -> None:
         for frame in frames:
             if isinstance(frame, CryptoFrame):
                 self._on_crypto(space, frame)
@@ -367,8 +369,11 @@ class QUICServerConnection:
             source_cid=self.scid if ptype is not PacketType.SHORT else b"",
             packet_number=pn,
         )
-        sealed = keys.server.seal(
-            pn, header_bytes_for_aead(header), encode_frames(frames)
+        sealed = self.wire.seal(
+            keys.server,
+            pn,
+            header_bytes_for_aead(header),
+            self.wire.encode_frames(tuple(frames)),
         )
         return PacketHeader(
             packet_type=ptype,
@@ -410,6 +415,9 @@ class QUICServer:
         self.host = host
         self.port = port
         self.rng = SnapshotRandom(seed)
+        #: Memoised wire functions, shared by every connection this server
+        #: hosts and kept across :meth:`reset` (see :mod:`repro.quic.wire`).
+        self.wire = WireMemo()
         self.endpoint = network.bind(host, port)
         self.endpoint.handler = self._handle
         self.connection: QUICServerConnection | None = None
@@ -428,12 +436,12 @@ class QUICServer:
     def _handle(self, datagram: Datagram) -> None:
         self.datagrams_received += 1
         try:
-            header = decode_packet(datagram.payload, short_cid_length=CID_LENGTH)
+            header = self.wire.decode_packet(datagram.payload, CID_LENGTH)
         except Exception:
             return
         responses = self._dispatch(header, datagram.source)
         for response in responses:
-            self.endpoint.send(encode_packet(response), datagram.source)
+            self.endpoint.send(self.wire.encode_packet(response), datagram.source)
 
     def _dispatch(self, header: PacketHeader, source) -> list[PacketHeader]:
         if header.packet_type is PacketType.INITIAL and self.connection is None:
@@ -471,6 +479,7 @@ class QUICServer:
             original_dcid=header.destination_cid,
             client_scid=header.source_cid,
             rng=self.rng,
+            wire=self.wire,
         )
         if self.profile.retry_enabled and header.packet_number < min_pn:
             # The client reset its packet-number space after the RETRY.

@@ -46,19 +46,12 @@ from ..frames import (
     MaxStreamDataFrame,
     StreamDataBlockedFrame,
     StreamFrame,
-    decode_frames,
-    encode_frames,
     frame_kinds,
 )
-from ..packet import (
-    PacketHeader,
-    PacketType,
-    decode_packet,
-    encode_packet,
-    header_bytes_for_aead,
-)
+from ..packet import PacketHeader, PacketType, header_bytes_for_aead
 from ..packetspace import PacketNumberSpace, Space
 from ..transport_params import TransportParameters
+from ..wire import WireMemo
 
 REQUEST_CHUNK = 100
 
@@ -145,6 +138,9 @@ class TrackerClient:
         # Deliberately NOT reset between queries: ambiguity must persist
         # across repeats for the nondeterminism check to observe it.
         self._ambiguity_rng = random.Random(seed + 1)
+        #: Memoised wire functions, kept across :meth:`reset` and
+        #: :meth:`restore` (see :mod:`repro.quic.wire`).
+        self.wire = WireMemo()
         self._main_endpoint = network.bind(self.config.host, self.config.port)
         self._active_endpoint: Endpoint = self._main_endpoint
         self._extra_endpoints: list[Endpoint] = []
@@ -287,8 +283,11 @@ class TrackerClient:
             packet_number=pn,
             token=self.retry_token or b"" if ptype is PacketType.INITIAL else b"",
         )
-        sealed = self._keys_for(space).client.seal(
-            pn, header_bytes_for_aead(header), encode_frames(list(frames))
+        sealed = self.wire.seal(
+            self._keys_for(space).client,
+            pn,
+            header_bytes_for_aead(header),
+            self.wire.encode_frames(frames),
         )
         return PacketHeader(
             packet_type=header.packet_type,
@@ -309,7 +308,7 @@ class TrackerClient:
         response packets (following RETRYs automatically)."""
         header, frames = self.build_packet(packet_type, kinds)
         sent = ConcretePacket(header=header, frames=frames)
-        self._active_endpoint.send(encode_packet(header), self.server_address)
+        self._active_endpoint.send(self.wire.encode_packet(header), self.server_address)
         self.network.run()
         responses = self._drain_and_process()
         return sent, responses
@@ -344,7 +343,7 @@ class TrackerClient:
 
     def _decode_response(self, payload: bytes) -> ConcretePacket | None:
         try:
-            header = decode_packet(payload, short_cid_length=CID_LENGTH)
+            header = self.wire.decode_packet(payload, CID_LENGTH)
         except Exception:
             return None
         if header.packet_type is PacketType.STATELESS_RESET:
@@ -361,13 +360,16 @@ class TrackerClient:
             return None
         keys = self._keys_for(space)
         try:
-            plaintext = keys.server.open(
-                header.packet_number, header_bytes_for_aead(header), header.payload
+            plaintext = self.wire.open(
+                keys.server,
+                header.packet_number,
+                header_bytes_for_aead(header),
+                header.payload,
             )
         except CryptoError:
             return None
         try:
-            frames = tuple(decode_frames(plaintext))
+            frames = self.wire.decode_frames(plaintext)
         except Exception:
             return None
         return ConcretePacket(header=header, frames=frames)
@@ -441,7 +443,7 @@ class TrackerClient:
             self._extra_endpoints.append(bugged)
             self._active_endpoint = bugged
         header, _ = self.build_packet("INITIAL", ("CRYPTO",))
-        self._active_endpoint.send(encode_packet(header), self.server_address)
+        self._active_endpoint.send(self.wire.encode_packet(header), self.server_address)
         self.network.run()
         return self._active_endpoint.receive_all()
 

@@ -4,12 +4,12 @@ A spec that has been learned before does not need a cold L*/TTT run to
 find out whether its SUL still behaves the same.  :func:`incremental_learn`
 seeds from the last :class:`~repro.store.model_store.ModelStore` record,
 replays the stored model's own W-method suite (``extra_states=0``) as
-membership queries through the store-seeded cache -- cheap when nothing
-changed, because every answer comes from the :class:`~repro.store
-.query_store.QueryStore` -- and only falls back to a full learning run
-when an answer diverges.  The result carries a :class:`~repro.analysis
-.diff.ModelDiff` whose witnesses are product-BFS shortest diverging
-words, i.e. already minimized.
+membership queries against the live SUL -- below the store-seeded cache,
+so a server that changed behind an unchanged fingerprint cannot be
+answered from its own old observations -- and only falls back to a full
+learning run when an answer diverges.  The result carries a
+:class:`~repro.analysis.diff.ModelDiff` whose witnesses are product-BFS
+shortest diverging words, i.e. already minimized.
 
 ``baseline`` lets a CI pipeline diff one target against another's lineage
 (``repro ci http2-buggy --baseline http2``): observations and the new
@@ -27,6 +27,7 @@ from ..core.mealy import MealyMachine
 from ..framework import LearningReport, Prognosis
 from ..spec import ExperimentSpec
 from .model_store import ModelStore
+from .query_store import QueryStore
 
 #: ``mode`` values of an :class:`IncrementalResult`.
 MODE_COLD = "cold"            # no stored baseline: a full learning run
@@ -50,7 +51,7 @@ class IncrementalResult:
     report: LearningReport | None = None
     #: Stored-model transitions re-validated as membership queries.
     revalidated_words: int = 0
-    #: SUL queries the revalidation itself needed (0 = fully store-served).
+    #: SUL queries the revalidation itself sent (every suite word runs live).
     revalidation_sul_queries: int = 0
     store_hits: int = 0
     store_hit_rate: float = 0.0
@@ -96,19 +97,22 @@ class IncrementalResult:
 def _revalidate(
     prognosis: Prognosis, baseline: MealyMachine, batch_size: int
 ) -> tuple[bool, int, int]:
-    """Replay the baseline's own W-method suite against the live oracle.
+    """Replay the baseline's own W-method suite against the live SUL.
 
     Returns ``(matches, words_checked, sul_queries_spent)``.  The suite
     with ``extra_states=0`` covers every transition of the stored model,
-    so an unchanged SUL answers every word exactly as the model predicts
-    -- and a fully-populated store answers all of them without a SUL run.
+    so an unchanged SUL answers every word exactly as the model predicts.
+    The words go to the oracle below the cache layer: an answer from the
+    store, a shared trie or a corpus would only check the store against
+    itself.
     """
     suite = baseline.w_method_suite(extra_states=0)
+    live = prognosis.cache_oracle.inner
     before = prognosis.sul.stats.queries
     matches = True
     for start in range(0, len(suite), batch_size):
         batch = suite[start : start + batch_size]
-        answers = prognosis.oracle.query_batch(batch)
+        answers = live.query_batch(batch)
         for word, outputs in zip(batch, answers):
             if tuple(outputs) != tuple(baseline.run(word)):
                 matches = False
@@ -135,6 +139,11 @@ def incremental_learn(
     lineage serves as the reference (cross-variant drift demos); ``save``
     controls whether a *changed* model is appended to the lineage
     (revalidated runs never append -- the model is byte-identical).
+
+    When the spec's own lineage drifted, its stored observations came from
+    a SUL that no longer answers the same way: they are dropped
+    (:meth:`~repro.store.query_store.QueryStore.gc`) and the spec is
+    re-learned cold against the live SUL.
     """
     spec = spec.validate()
     fingerprint = spec.sul_fingerprint()
@@ -147,68 +156,56 @@ def incremental_learn(
 
     with ModelStore(store_path) as models:
         record = models.latest(baseline_fingerprint)
+        baseline_model = None if record is None else record.machine()
+        matches, words, sul_queries = False, 0, 0
 
         with Prognosis.from_spec(working) as prognosis:
-            if record is None:
-                report = prognosis.learn()
-                result = IncrementalResult(
-                    spec=working,
-                    fingerprint=fingerprint,
-                    baseline_fingerprint=baseline_fingerprint,
-                    mode=MODE_COLD,
-                    drifted=False,
-                    model=report.model,
-                    report=report,
+            compatible = baseline_model is not None and tuple(
+                baseline_model.input_alphabet
+            ) == tuple(prognosis.oracle.input_alphabet)
+            if compatible:
+                matches, words, sul_queries = _revalidate(
+                    prognosis, baseline_model, working.batch_size
                 )
-            else:
-                baseline_model = record.machine()
-                compatible = tuple(baseline_model.input_alphabet) == tuple(
-                    prognosis.oracle.input_alphabet
-                )
-                matches, words, sul_queries = (
-                    _revalidate(prognosis, baseline_model, working.batch_size)
-                    if compatible
-                    else (False, 0, 0)
-                )
-                if matches:
-                    result = IncrementalResult(
-                        spec=working,
-                        fingerprint=fingerprint,
-                        baseline_fingerprint=baseline_fingerprint,
-                        mode=MODE_REVALIDATED,
-                        drifted=False,
-                        model=baseline_model,
-                        baseline_version=record.version,
-                        revalidated_words=words,
-                        revalidation_sul_queries=sul_queries,
-                    )
-                else:
-                    # The revalidation observations already warmed the
-                    # cache, so the full re-learn only pays for what the
-                    # baseline could not predict.
-                    report = prognosis.learn()
-                    diff = (
-                        diff_models(baseline_model, report.model)
-                        if compatible
-                        else None
-                    )
-                    result = IncrementalResult(
-                        spec=working,
-                        fingerprint=fingerprint,
-                        baseline_fingerprint=baseline_fingerprint,
-                        mode=MODE_RELEARNED,
-                        drifted=True,
-                        model=report.model,
-                        baseline_version=record.version,
-                        diff=diff,
-                        report=report,
-                        revalidated_words=words,
-                        revalidation_sul_queries=sul_queries,
-                    )
-
+            # Drift in the spec's own lineage: its stored rows came from a
+            # SUL that no longer answers the same way, so they must not
+            # answer the re-learn.
+            stale = compatible and not matches and baseline_fingerprint == fingerprint
+            report = None if matches or stale else prognosis.learn()
             cache = prognosis.cache_oracle
-            result.store_hits = cache.hits_by_source["store"]
-            result.store_hit_rate = cache.source_hit_rate("store")
+
+        if stale:
+            with QueryStore(working.store.path) as rows:
+                rows.gc(fingerprint)
+            with Prognosis.from_spec(working) as prognosis:
+                report = prognosis.learn()
+                cache = prognosis.cache_oracle
+
+        if record is None:
+            mode = MODE_COLD
+        elif matches:
+            mode = MODE_REVALIDATED
+        else:
+            mode = MODE_RELEARNED
+        result = IncrementalResult(
+            spec=working,
+            fingerprint=fingerprint,
+            baseline_fingerprint=baseline_fingerprint,
+            mode=mode,
+            drifted=mode == MODE_RELEARNED,
+            model=baseline_model if matches else report.model,
+            baseline_version=None if record is None else record.version,
+            diff=(
+                diff_models(baseline_model, report.model)
+                if compatible and not matches
+                else None
+            ),
+            report=report,
+            revalidated_words=words,
+            revalidation_sul_queries=sul_queries,
+            store_hits=cache.hits_by_source["store"],
+            store_hit_rate=cache.source_hit_rate("store"),
+        )
 
         if save and result.mode != MODE_REVALIDATED:
             result.saved_version = models.save(

@@ -7,6 +7,7 @@ suite stays fast.
 """
 
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -559,10 +560,13 @@ class TestCiCommand:
         assert main(["ci", "toy", "--store", str(store)]) == 0
         assert "revalidated" in capsys.readouterr().out
 
-    def test_ci_unchanged_exits_zero_without_sul_queries(self, capsys, tmp_path):
+    def test_ci_unchanged_exits_zero_after_live_revalidation(self, capsys, tmp_path):
         store = self._seed(tmp_path)
         assert main(["ci", "toy", "--exact", "--store", str(store)]) == 0
-        assert "0 SUL queries" in capsys.readouterr().out
+        words, queries = re.search(
+            r"\((\d+) words, (\d+) SUL queries\) -- no drift", capsys.readouterr().out
+        ).groups()
+        assert int(queries) == int(words) > 0
 
     def test_ci_drift_exits_nonzero_with_witness(self, capsys, tmp_path):
         spec_path = tmp_path / "http2.json"
@@ -591,7 +595,7 @@ class TestCiCommand:
         ) == 0
         artifact = json.loads((out_dir / "ci-toy.json").read_text())
         assert artifact["mode"] == "revalidated"
-        assert artifact["revalidation_sul_queries"] == 0
+        assert artifact["revalidation_sul_queries"] == artifact["revalidated_words"]
 
     def test_ci_unknown_target(self, capsys, tmp_path):
         store = tmp_path / "store.sqlite"

@@ -14,6 +14,7 @@ from repro.quic.crypto import (
     retry_integrity_tag,
     stateless_reset_token,
 )
+from repro.quic.wire import WireMemo
 
 
 class TestKeySchedule:
@@ -146,6 +147,21 @@ class TestKnownAnswers:
         sealed = key.seal(9, b"long", _plaintext(300))
         assert hashlib.sha256(sealed).hexdigest() == digest
         assert key.open(9, b"long", sealed) == _plaintext(300)
+
+    @pytest.mark.parametrize("key, pn, header, length, sealed", SEAL_VECTORS)
+    def test_wire_memo_matches_vector(self, key, pn, header, length, sealed):
+        memo = WireMemo()
+        for _ in range(2):  # a miss, then a hit
+            assert memo.seal(key, pn, header, _plaintext(length)).hex() == sealed
+            assert memo.open(key, pn, header, bytes.fromhex(sealed)) == _plaintext(length)
+
+    @pytest.mark.parametrize("key, digest", LONG_SEAL_DIGESTS)
+    def test_wire_memo_matches_digest(self, key, digest):
+        memo = WireMemo()
+        for _ in range(2):
+            sealed = memo.seal(key, 9, b"long", _plaintext(300))
+            assert hashlib.sha256(sealed).hexdigest() == digest
+            assert memo.open(key, 9, b"long", sealed) == _plaintext(300)
 
     def test_repeated_seals_are_stable(self):
         # Keyed hash state is reused across calls; it must not leak between

@@ -3,6 +3,7 @@
 import json
 
 from repro.campaign import run_spec
+from repro.registry import SUL_REGISTRY
 from repro.spec import ExperimentSpec
 from repro.store import (
     MODE_COLD,
@@ -30,20 +31,40 @@ class TestIncrementalLearn:
         with ModelStore(store) as models:
             assert models.version_count(result.fingerprint) == 1
 
-    def test_unchanged_sul_revalidates_from_store(self, tmp_path):
-        """The no-drift fast path: every revalidation query is served by
-        the store, so the SUL is never touched."""
+    def test_unchanged_sul_revalidates_against_the_live_sul(self, tmp_path):
+        """The no-drift path: every revalidation word runs on the live SUL,
+        none is answered from the store."""
         store = tmp_path / "store.sqlite"
         spec = _seed("toy", store)
         result = incremental_learn(spec, store)
         assert result.mode == MODE_REVALIDATED
         assert not result.drifted
         assert result.revalidated_words > 0
-        assert result.revalidation_sul_queries == 0
-        assert result.store_hit_rate == 1.0
+        assert result.revalidation_sul_queries == result.revalidated_words
+        assert result.store_hit_rate == 0.0
         assert result.saved_version is None  # unchanged: no new version
         with ModelStore(store) as models:
             assert models.version_count(result.fingerprint) == 1
+
+    def test_server_changed_behind_its_fingerprint_drifts(self, tmp_path):
+        """A new server build under an unchanged fingerprint: the stored
+        rows must not answer the revalidation, and the re-learn runs live."""
+        store = tmp_path / "store.sqlite"
+        spec = _seed("http2", store)
+        conformant = SUL_REGISTRY.get("http2")
+        SUL_REGISTRY.register("http2", SUL_REGISTRY.get("http2-buggy"))
+        try:
+            result = incremental_learn(spec, store)
+        finally:
+            SUL_REGISTRY.register("http2", conformant)
+        assert result.mode == MODE_RELEARNED
+        assert result.drifted
+        assert result.revalidation_sul_queries > 0
+        assert result.store_hits == 0  # the stale rows were dropped
+        buggy = run_spec(ExperimentSpec(target="http2-buggy", name="http2"))
+        assert result.model.to_dict() == buggy.model.to_dict()
+        assert result.diff.witnesses
+        assert "RST_STREAM" in " ".join(str(s) for s in result.diff.witnesses[0].word)
 
     def test_http2_drift_detected_with_witness(self, tmp_path):
         store = tmp_path / "store.sqlite"

@@ -422,13 +422,13 @@ QUIC_FIELDS = [
     (
         lambda sul: sul.server,
         {"connection", "datagrams_received", "rng"},
-        {"network", "profile", "host", "port", "endpoint", "_retry_scid"},
+        {"network", "profile", "host", "port", "endpoint", "_retry_scid", "wire"},
     ),
     (
         lambda sul: sul.server.connection,
         {"core", "spaces", "_crypto_queues", "_crypto_offsets", "recv_stream",
          "send_stream", *CONNECTION_VALUES},
-        {"profile", "rng"},
+        {"profile", "rng", "wire"},
     ),
     (
         lambda sul: sul.server.connection.spaces[Space.HANDSHAKE],
@@ -439,7 +439,7 @@ QUIC_FIELDS = [
         lambda sul: sul.client,
         {"spaces", "rng", *CONNECTION_FIELDS},
         {"network", "server_address", "config", "_ambiguity_rng", "_main_endpoint",
-         "_active_endpoint", "_extra_endpoints"},
+         "_active_endpoint", "_extra_endpoints", "wire"},
     ),
     (
         lambda sul: sul.client.spaces[Space.APPLICATION],
