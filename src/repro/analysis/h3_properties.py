@@ -21,6 +21,7 @@ from __future__ import annotations
 from ..core.oracle_table import OracleTable
 from ..core.trace import IOTrace
 from ..registry import register_properties
+from .product import HOLDS, VIOLATED, monitor
 from .property_api import Property
 
 
@@ -39,50 +40,53 @@ def _output_streams(output: object) -> list[list[str]]:
     ]
 
 
-def _server_goaway_before(trace: IOTrace, index: int) -> bool:
-    """True when some response before step ``index`` carried GOAWAY."""
-    return any("GOAWAY" in str(trace.outputs[i]) for i in range(index))
-
-
-def data_after_headers_per_stream(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def data_after_headers_per_stream(state, inp, out):
     """Within each response stream, DATA never precedes HEADERS -- an
-    HTTP/3 response starts with a header section (RFC 9114 section 4.1)."""
-    for output in trace.outputs:
-        for stream in _output_streams(output):
-            if "DATA" in stream and "HEADERS" in stream:
-                if stream.index("DATA") < stream.index("HEADERS"):
-                    return False
-            elif "DATA" in stream:
-                return False  # DATA with no HEADERS at all
-    return True
+    HTTP/3 response starts with a header section (RFC 9114 section 4.1).
+
+    Each response is judged on its own; the state never changes.
+    """
+    for stream in _output_streams(out):
+        if "DATA" in stream and "HEADERS" in stream:
+            if stream.index("DATA") < stream.index("HEADERS"):
+                return VIOLATED
+        elif "DATA" in stream:
+            return VIOLATED  # DATA with no HEADERS at all
+    return state
 
 
-def settings_draws_settings(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def settings_draws_settings(goaway_seen, inp, out):
     """The first client SETTINGS on a live connection opens the server's
-    control stream, whose first frame is its own SETTINGS (section 6.2.1)."""
-    for i, symbol in enumerate(trace.inputs):
-        if str(symbol) == "SETTINGS":
-            if _server_goaway_before(trace, i):
-                return True  # connection already erred or drained
-            return "SETTINGS" in str(trace.outputs[i])
-    return True
+    control stream, whose first frame is its own SETTINGS (section 6.2.1).
+
+    State: whether some response carried GOAWAY (the connection already
+    erred or drained, so the first SETTINGS is exempt).
+    """
+    if str(inp) == "SETTINGS":
+        return HOLDS if goaway_seen or "SETTINGS" in str(out) else VIOLATED
+    return goaway_seen or "GOAWAY" in str(out)
 
 
-def second_settings_is_error(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def second_settings_is_error(settings_seen, inp, out):
     """A second SETTINGS frame on the control stream is a connection
     error (H3_FRAME_UNEXPECTED, section 7.2.4): the server must answer
-    with GOAWAY, not ignore it."""
-    seen_settings = False
-    for i, symbol in enumerate(trace.inputs):
-        if str(symbol) != "SETTINGS":
-            continue
-        if seen_settings and not _server_goaway_before(trace, i):
-            return "GOAWAY" in str(trace.outputs[i])
-        seen_settings = True
-    return True
+    with GOAWAY, not ignore it.
+
+    State: whether the client sent SETTINGS; a response carrying GOAWAY
+    ends the check.
+    """
+    if str(inp) == "SETTINGS":
+        if settings_seen:
+            return HOLDS if "GOAWAY" in str(out) else VIOLATED
+        settings_seen = True
+    return HOLDS if "GOAWAY" in str(out) else settings_seen
 
 
-def goaway_drain_rejects_new(trace: IOTrace) -> bool:
+@monitor(initial=(False, False, False))
+def goaway_drain_rejects_new(state, inp, out):
     """After a graceful shutdown handshake the server must still answer.
 
     Section 5.2: once the server has responded to the client's GOAWAY it
@@ -90,40 +94,38 @@ def goaway_drain_rejects_new(trace: IOTrace) -> bool:
     reset -- rather than going silent.  A post-drain HEADERS that opens a
     *new* request stream must therefore draw a non-empty response
     (``{RST}``); trailers continuing a pre-drain stream may legitimately
-    stay silent until their FIN, so the predicate mirrors the client's
+    stay silent until their FIN, so the monitor mirrors the client's
     deterministic stream targeting to tell the two apart.  The
     ``goaway_teardown_bug`` server violates this at depth 3:
     ``SETTINGS, GOAWAY, HEADERS[FIN]`` answers ``{}`` instead of
     ``{RST}``.
+
+    State: (drained, configured, a request stream is open).
     """
-    drained = False
-    configured = False
-    open_request = False
-    for i, symbol in enumerate(trace.inputs):
-        text = str(symbol)
-        output = str(trace.outputs[i])
-        if text == "GOAWAY" and "GOAWAY" in output and configured:
-            # Only a GOAWAY on a *configured* connection starts a drain;
-            # GOAWAY-before-SETTINGS is the H3_MISSING_SETTINGS error.
-            drained = True
-        elif drained:
-            if text.startswith("HEADERS") and not open_request:
-                if output == "{}":
-                    return False
-            if "GOAWAY" in output:
-                # A post-drain *connection error* (e.g. a second
-                # SETTINGS): the connection is closed outright now, so
-                # subsequent silence is legitimate.
-                return True
-        # Mirror the client's stream targeting: HEADERS/DATA without FIN
-        # leave a request stream open, FIN or CANCEL close it.
-        if text == "SETTINGS":
-            configured = True
-        elif text.startswith(("HEADERS", "DATA")):
-            open_request = "[FIN]" not in text
-        elif text == "CANCEL":
-            open_request = False
-    return True
+    drained, configured, open_request = state
+    text = str(inp)
+    output = str(out)
+    if text == "GOAWAY" and "GOAWAY" in output and configured:
+        # Only a GOAWAY on a *configured* connection starts a drain;
+        # GOAWAY-before-SETTINGS is the H3_MISSING_SETTINGS error.
+        drained = True
+    elif drained:
+        if text.startswith("HEADERS") and not open_request and output == "{}":
+            return VIOLATED
+        if "GOAWAY" in output:
+            # A post-drain *connection error* (e.g. a second SETTINGS):
+            # the connection is closed outright now, so subsequent
+            # silence is legitimate.
+            return HOLDS
+    # Mirror the client's stream targeting: HEADERS/DATA without FIN
+    # leave a request stream open, FIN or CANCEL close it.
+    if text == "SETTINGS":
+        configured = True
+    elif text.startswith(("HEADERS", "DATA")):
+        open_request = "[FIN]" not in text
+    elif text == "CANCEL":
+        open_request = False
+    return drained, configured, open_request
 
 
 # ---------------------------------------------------------------------------

@@ -21,68 +21,71 @@ from __future__ import annotations
 from ..core.oracle_table import OracleTable
 from ..core.trace import IOTrace
 from ..registry import register_properties
+from .product import HOLDS, VIOLATED, monitor
 from .property_api import Property
 
 
-def _goaway_before(trace: IOTrace, index: int) -> bool:
-    """True if the connection was shut down before step ``index``."""
-    return any(
-        "GOAWAY" in str(trace.inputs[i]) or "GOAWAY" in str(trace.outputs[i])
-        for i in range(index)
-    )
+def _has_goaway(inp, out) -> bool:
+    return "GOAWAY" in str(inp) or "GOAWAY" in str(out)
 
 
-def no_data_before_headers(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def no_data_before_headers(state, inp, out):
     """A server never sends response DATA before response HEADERS --
-    HTTP/2 responses start with a header block (RFC 9113 section 8.1)."""
-    seen_headers = False
-    for output in trace.outputs:
-        text = str(output)
-        data_at = text.find("DATA")
-        if data_at != -1 and not seen_headers:
-            headers_at = text.find("HEADERS")
-            if headers_at == -1 or headers_at > data_at:
-                return False
-        if "HEADERS" in text:
-            seen_headers = True
-    return True
+    HTTP/2 responses start with a header block (RFC 9113 section 8.1).
+
+    Once a response carried HEADERS the property holds for good.
+    """
+    text = str(out)
+    data_at = text.find("DATA")
+    if data_at != -1:
+        headers_at = text.find("HEADERS")
+        if headers_at == -1 or headers_at > data_at:
+            return VIOLATED
+    return HOLDS if "HEADERS" in text else state
 
 
-def goaway_is_terminal(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def goaway_is_terminal(closed, inp, out):
     """After the server sends GOAWAY it goes silent: no later response
-    carries any frame (RFC 9113 section 6.8 connection shutdown)."""
-    for i, output in enumerate(trace.outputs):
-        if "GOAWAY" in str(output):
-            return all(str(o) == "NIL" for o in trace.outputs[i + 1 :])
-    return True
+    carries any frame (RFC 9113 section 6.8 connection shutdown).
+
+    State: whether the server has sent GOAWAY.
+    """
+    if closed:
+        return True if str(out) == "NIL" else VIOLATED
+    return "GOAWAY" in str(out)
 
 
-def settings_always_acked(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def settings_always_acked(state, inp, out):
     """Every SETTINGS frame on a live connection is acknowledged
-    (RFC 9113 section 6.5.3)."""
-    for i, symbol in enumerate(trace.inputs):
-        if str(symbol).startswith("SETTINGS") and not _goaway_before(trace, i):
-            if "SETTINGS[ACK]" not in str(trace.outputs[i]):
-                return False
-    return True
+    (RFC 9113 section 6.5.3).
+
+    Once either side sent GOAWAY the property holds for good.
+    """
+    if str(inp).startswith("SETTINGS") and "SETTINGS[ACK]" not in str(out):
+        return VIOLATED
+    return HOLDS if _has_goaway(inp, out) else state
 
 
-def rst_after_response_tolerated(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def rst_after_response_tolerated(response_seen, inp, out):
     """RST_STREAM arriving for an already-answered stream must be ignored,
     not escalated to GOAWAY (RFC 9113 section 5.1, closed state).
 
     A response was delivered when some earlier output carried DATA; the
     check skips positions where the connection already shut down.  The
     ``rst_on_closed_bug`` server violates this at depth 3.
+
+    State: whether some response carried DATA.
     """
-    for i, symbol in enumerate(trace.inputs):
-        if not str(symbol).startswith("RST_STREAM"):
-            continue
-        response_seen = any("DATA" in str(o) for o in trace.outputs[:i])
-        if response_seen and not _goaway_before(trace, i):
-            if "GOAWAY" in str(trace.outputs[i]):
-                return False
-    return True
+    if response_seen and str(inp).startswith("RST_STREAM"):
+        if "GOAWAY" in str(out):
+            return VIOLATED
+    if _has_goaway(inp, out):
+        return HOLDS
+    return response_seen or "DATA" in str(out)
 
 
 # ---------------------------------------------------------------------------

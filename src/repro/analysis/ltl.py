@@ -12,6 +12,18 @@ textual form::
     G (out != CLOSE)            # globally
     F (out == DONE)             # eventually
     (in == SYN) -> X (out == SYNACK)
+
+Besides the reference evaluator (:meth:`Formula.holds`), every formula
+can be *progressed* one step at a time (Bacchus & Kabanza):
+:meth:`Formula.progress` returns the residual obligation on the rest of
+the trace, and a prefix satisfies the formula exactly when its residual
+accepts the empty continuation (:meth:`Formula.accepts_empty`).
+Progression works on the negation normal form (:meth:`Formula.nnf`),
+which needs a weak next (:class:`WeakNext`, so ``!X p`` keeps holding
+at the last step) and release (:class:`Release`, the dual of until).
+The residual is a monitor state, which is what lets
+:mod:`repro.analysis.product` check a model without enumerating its
+traces.
 """
 
 from __future__ import annotations
@@ -51,6 +63,30 @@ class Formula:
             return True  # the empty trace satisfies everything (vacuously)
         return self.holds_at(steps, 0)
 
+    # -- progression -----------------------------------------------------
+    def nnf(self) -> "Formula":
+        """This formula in negation normal form (``Not`` only on atoms)."""
+        raise NotImplementedError(f"{type(self).__name__} has no progression")
+
+    def negated(self) -> "Formula":
+        """The negation normal form of ``!self``."""
+        raise NotImplementedError(f"{type(self).__name__} has no progression")
+
+    def progress(self, step: Step) -> "Formula":
+        """The residual obligation on the trace after ``step``.
+
+        For every continuation ``u`` (empty included), ``step . u``
+        satisfies this formula iff ``u`` satisfies the residual, where
+        the empty ``u`` satisfies it iff the residual
+        :meth:`accepts_empty`.  Residuals are simplified, so a monitor
+        over a finite model reaches few of them.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no progression")
+
+    def accepts_empty(self) -> bool:
+        """Whether an empty continuation satisfies this residual."""
+        raise NotImplementedError(f"{type(self).__name__} has no progression")
+
     # -- combinators -----------------------------------------------------
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -73,6 +109,18 @@ class Atom(Formula):
     def holds_at(self, trace: Sequence[Step], index: int) -> bool:
         return self.predicate(trace[index])
 
+    def nnf(self) -> Formula:
+        return self
+
+    def negated(self) -> Formula:
+        return Not(self)
+
+    def progress(self, step: Step) -> Formula:
+        return TRUE if self.predicate(step) else FALSE
+
+    def accepts_empty(self) -> bool:
+        return False  # an atom needs a position to hold at
+
     def __repr__(self) -> str:  # pragma: no cover
         return self.description
 
@@ -84,6 +132,22 @@ class Not(Formula):
     def holds_at(self, trace: Sequence[Step], index: int) -> bool:
         return not self.inner.holds_at(trace, index)
 
+    def nnf(self) -> Formula:
+        return self.inner.negated()
+
+    def negated(self) -> Formula:
+        return self.inner.nnf()
+
+    def progress(self, step: Step) -> Formula:
+        if isinstance(self.inner, Atom):
+            return FALSE if self.inner.predicate(step) else TRUE
+        return self.nnf().progress(step)
+
+    def accepts_empty(self) -> bool:
+        if isinstance(self.inner, Atom):
+            return False  # a negated atom needs a position too
+        return self.nnf().accepts_empty()
+
 
 @dataclass(frozen=True)
 class And(Formula):
@@ -93,6 +157,18 @@ class And(Formula):
     def holds_at(self, trace: Sequence[Step], index: int) -> bool:
         return self.left.holds_at(trace, index) and self.right.holds_at(trace, index)
 
+    def nnf(self) -> Formula:
+        return And(self.left.nnf(), self.right.nnf())
+
+    def negated(self) -> Formula:
+        return Or(self.left.negated(), self.right.negated())
+
+    def progress(self, step: Step) -> Formula:
+        return conjoin(self.left.progress(step), self.right.progress(step))
+
+    def accepts_empty(self) -> bool:
+        return self.left.accepts_empty() and self.right.accepts_empty()
+
 
 @dataclass(frozen=True)
 class Or(Formula):
@@ -101,6 +177,18 @@ class Or(Formula):
 
     def holds_at(self, trace: Sequence[Step], index: int) -> bool:
         return self.left.holds_at(trace, index) or self.right.holds_at(trace, index)
+
+    def nnf(self) -> Formula:
+        return Or(self.left.nnf(), self.right.nnf())
+
+    def negated(self) -> Formula:
+        return And(self.left.negated(), self.right.negated())
+
+    def progress(self, step: Step) -> Formula:
+        return disjoin(self.left.progress(step), self.right.progress(step))
+
+    def accepts_empty(self) -> bool:
+        return self.left.accepts_empty() or self.right.accepts_empty()
 
 
 @dataclass(frozen=True)
@@ -112,6 +200,44 @@ class Next(Formula):
     def holds_at(self, trace: Sequence[Step], index: int) -> bool:
         return index + 1 < len(trace) and self.inner.holds_at(trace, index + 1)
 
+    def nnf(self) -> Formula:
+        return Next(self.inner.nnf())
+
+    def negated(self) -> Formula:
+        return WeakNext(self.inner.negated())
+
+    def progress(self, step: Step) -> Formula:
+        if self.inner.accepts_empty():
+            return conjoin(self.inner, MORE)  # the next position must exist
+        return self.inner
+
+    def accepts_empty(self) -> bool:
+        return False
+
+
+@dataclass(frozen=True)
+class WeakNext(Formula):
+    """Weak next: holds at the last position (the dual of :class:`Next`)."""
+
+    inner: Formula
+
+    def holds_at(self, trace: Sequence[Step], index: int) -> bool:
+        return index + 1 >= len(trace) or self.inner.holds_at(trace, index + 1)
+
+    def nnf(self) -> Formula:
+        return WeakNext(self.inner.nnf())
+
+    def negated(self) -> Formula:
+        return Next(self.inner.negated())
+
+    def progress(self, step: Step) -> Formula:
+        if self.inner.accepts_empty():
+            return self.inner
+        return disjoin(self.inner, END)  # or the trace ends here
+
+    def accepts_empty(self) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class Globally(Formula):
@@ -120,6 +246,19 @@ class Globally(Formula):
     def holds_at(self, trace: Sequence[Step], index: int) -> bool:
         return all(self.inner.holds_at(trace, i) for i in range(index, len(trace)))
 
+    def nnf(self) -> Formula:
+        return Globally(self.inner.nnf())
+
+    def negated(self) -> Formula:
+        return Eventually(self.inner.negated())
+
+    def progress(self, step: Step) -> Formula:
+        # G p == p && WX G p; G's own residual accepts the empty rest.
+        return conjoin(self.inner.progress(step), self)
+
+    def accepts_empty(self) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class Eventually(Formula):
@@ -127,6 +266,19 @@ class Eventually(Formula):
 
     def holds_at(self, trace: Sequence[Step], index: int) -> bool:
         return any(self.inner.holds_at(trace, i) for i in range(index, len(trace)))
+
+    def nnf(self) -> Formula:
+        return Eventually(self.inner.nnf())
+
+    def negated(self) -> Formula:
+        return Globally(self.inner.negated())
+
+    def progress(self, step: Step) -> Formula:
+        # F p == p || X F p
+        return disjoin(self.inner.progress(step), self)
+
+    def accepts_empty(self) -> bool:
+        return False
 
 
 @dataclass(frozen=True)
@@ -141,6 +293,122 @@ class Until(Formula):
             if not self.left.holds_at(trace, i):
                 return False
         return False
+
+    def nnf(self) -> Formula:
+        return Until(self.left.nnf(), self.right.nnf())
+
+    def negated(self) -> Formula:
+        return Release(self.left.negated(), self.right.negated())
+
+    def progress(self, step: Step) -> Formula:
+        # p U q == q || (p && X (p U q))
+        return disjoin(
+            self.right.progress(step), conjoin(self.left.progress(step), self)
+        )
+
+    def accepts_empty(self) -> bool:
+        return False
+
+
+@dataclass(frozen=True)
+class Release(Formula):
+    """``left R right``: ``right`` holds up to and including the first
+    position where ``left`` holds, or to the end (the dual of until)."""
+
+    left: Formula
+    right: Formula
+
+    def holds_at(self, trace: Sequence[Step], index: int) -> bool:
+        for i in range(index, len(trace)):
+            if not self.right.holds_at(trace, i):
+                return False
+            if self.left.holds_at(trace, i):
+                return True
+        return True
+
+    def nnf(self) -> Formula:
+        return Release(self.left.nnf(), self.right.nnf())
+
+    def negated(self) -> Formula:
+        return Until(self.left.negated(), self.right.negated())
+
+    def progress(self, step: Step) -> Formula:
+        # p R q == q && (p || WX (p R q))
+        return conjoin(
+            self.right.progress(step), disjoin(self.left.progress(step), self)
+        )
+
+    def accepts_empty(self) -> bool:
+        return True
+
+
+class Constant(Formula):
+    """``true`` or ``false``: the residuals progression bottoms out in.
+
+    Only the two instances :data:`TRUE` and :data:`FALSE` exist, so
+    identity is equality.
+    """
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
+
+    def holds_at(self, trace: Sequence[Step], index: int) -> bool:
+        return self.value
+
+    def nnf(self) -> Formula:
+        return self
+
+    def negated(self) -> Formula:
+        return FALSE if self.value else TRUE
+
+    def progress(self, step: Step) -> Formula:
+        return self
+
+    def accepts_empty(self) -> bool:
+        return self.value
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "true" if self.value else "false"
+
+
+TRUE = Constant(True)
+FALSE = Constant(False)
+#: Holds on every non-empty rest and fails on the empty one (``F true``).
+MORE = Eventually(TRUE)
+#: Holds only on the empty rest (``G false``).
+END = Globally(FALSE)
+
+
+def _operands(formula: Formula, kind: type) -> list[Formula]:
+    if isinstance(formula, kind):
+        return _operands(formula.left, kind) + _operands(formula.right, kind)
+    return [formula]
+
+
+def _combine(kind: type, unit: Formula, zero: Formula, left: Formula, right: Formula) -> Formula:
+    """``left kind right``, flattened, without units or repeats."""
+    operands: dict[Formula, None] = {}
+    for operand in _operands(left, kind) + _operands(right, kind):
+        if operand == zero:
+            return zero
+        if operand != unit:
+            operands[operand] = None
+    if not operands:
+        return unit
+    result, *rest = operands
+    for operand in rest:
+        result = kind(result, operand)
+    return result
+
+
+def conjoin(left: Formula, right: Formula) -> Formula:
+    """``left && right``, simplified."""
+    return _combine(And, TRUE, FALSE, left, right)
+
+
+def disjoin(left: Formula, right: Formula) -> Formula:
+    """``left || right``, simplified."""
+    return _combine(Or, FALSE, TRUE, left, right)
 
 
 # ---------------------------------------------------------------------------

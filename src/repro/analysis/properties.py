@@ -1,11 +1,14 @@
 """Property checking over learned models (paper section 5).
 
-For a Mealy machine and an LTLf property, checking "all traces up to a
-bound satisfy the property" is decidable by exhaustive exploration of the
-machine (the machine's trace set is regular, and traces of a given length
-are finitely many).  For extended machines with registers the problem is
-undecidable in general, so -- like the paper -- we fall back to randomised
-testing of concrete executions.
+For a Mealy machine, "every trace up to a bound satisfies the property"
+is decided on the product of the machine and a monitor of the property
+(:mod:`repro.analysis.product`): an LTLf formula is monitored by
+progression, a protocol suite's trace property by its own finite-state
+monitor, and any other predicate by a monitor that keeps the whole
+prefix.  ``depth`` bounds the trace length, so a violation longer than
+``depth`` is not reported.  For extended machines with registers the
+problem is undecidable in general, so -- like the paper -- we fall back
+to randomised testing of concrete executions.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.extended import ConcreteStep, ExtendedMealyMachine
-from ..core.mealy import MealyMachine, State
-from ..core.trace import EMPTY_TRACE, IOTrace
+from ..core.mealy import MealyMachine
+from ..core.trace import IOTrace
 from .ltl import Formula
+from .product import FormulaMonitor, as_monitor, find_violation
 
 
 @dataclass(frozen=True)
@@ -34,35 +38,16 @@ class PropertyViolation:
 def check_property(
     machine: MealyMachine, formula: Formula, depth: int
 ) -> PropertyViolation | None:
-    """Exhaustively check all traces of length <= depth; None if they hold.
+    """Check every trace of length <= depth; None if they all satisfy
+    ``formula``, else a shortest violating trace.
 
     The learned model makes this tractable: instead of the |Sigma|^depth
-    blow-up against the live SUL, we explore the (few) machine states --
-    the trace-reduction argument of section 6.2.2.
+    blow-up against the live SUL, the search visits each (model state,
+    residual formula) pair once -- the trace-reduction argument of
+    section 6.2.2.
     """
-    violation = _explore(machine, formula, machine.initial_state, EMPTY_TRACE, depth)
-    return violation
-
-
-def _explore(
-    machine: MealyMachine,
-    formula: Formula,
-    state: State,
-    trace: IOTrace,
-    remaining: int,
-) -> PropertyViolation | None:
-    if len(trace) > 0 and not formula.holds(trace):
-        return PropertyViolation(trace=trace, description="LTLf violation")
-    if remaining == 0:
-        return None
-    for symbol in machine.input_alphabet:
-        target, output = machine.step(state, symbol)
-        violation = _explore(
-            machine, formula, target, trace.extend(symbol, output), remaining - 1
-        )
-        if violation is not None:
-            return violation
-    return None
+    trace = find_violation(machine, FormulaMonitor(formula), depth)
+    return None if trace is None else PropertyViolation(trace, "LTLf violation")
 
 
 def check_invariant(
@@ -70,16 +55,9 @@ def check_invariant(
     predicate: Callable[[IOTrace], bool],
     depth: int,
 ) -> PropertyViolation | None:
-    """Check an arbitrary trace predicate on all traces up to ``depth``."""
-
-    class _Wrapper(Formula):
-        def holds(self, trace: IOTrace) -> bool:  # type: ignore[override]
-            return predicate(trace)
-
-        def holds_at(self, steps, index):  # pragma: no cover - unused
-            raise NotImplementedError
-
-    return check_property(machine, _Wrapper(), depth)
+    """Check a trace predicate (or monitor) on all traces up to ``depth``."""
+    trace = find_violation(machine, as_monitor(predicate), depth)
+    return None if trace is None else PropertyViolation(trace, "invariant violation")
 
 
 # ---------------------------------------------------------------------------

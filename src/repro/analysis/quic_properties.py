@@ -4,7 +4,7 @@ The paper checks learned models against "a subset of the properties from
 IETF's Draft 29", e.g. *an endpoint must not send data on a stream at or
 beyond the final size* and handshake-ordering rules.  This module
 packages the checkable subset as :class:`~repro.analysis.property_api
-.Property` trace predicates and registers them as the ``quic`` suite, so
+.Property` trace monitors and registers them as the ``quic`` suite, so
 ``repro properties quic-google`` and property campaigns discover them by
 target name.
 
@@ -17,102 +17,96 @@ signal different design decisions".
 
 from __future__ import annotations
 
-from ..core.trace import IOTrace
 from ..registry import register_properties
+from .product import HOLDS, VIOLATED, monitor
 from .property_api import Property
 
 
-def _outputs_with(trace: IOTrace, fragment: str) -> list[int]:
-    return [i for i, o in enumerate(trace.outputs) if fragment in str(o)]
-
-
-def _inputs_with(trace: IOTrace, fragment: str) -> list[int]:
-    return [i for i, s in enumerate(trace.inputs) if fragment in str(s)]
-
-
-def handshake_done_only_after_finished(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def handshake_done_only_after_finished(finished, inp, out):
     """The server may signal HANDSHAKE_DONE only after the client's
-    Finished (a HANDSHAKE[ACK,CRYPTO] input) -- RFC 9001 section 4.1.2."""
-    done_positions = [
-        i
-        for i in _outputs_with(trace, "HANDSHAKE_DONE")
-        # only 1-RTT HANDSHAKE_DONE outputs, not echoes of our input
-    ]
-    if not done_positions:
-        return True
-    finished_positions = _inputs_with(trace, "HANDSHAKE(?,?)[ACK,CRYPTO]")
-    if not finished_positions:
-        return False
-    return min(done_positions) >= min(finished_positions)
+    Finished (a HANDSHAKE[ACK,CRYPTO] input) -- RFC 9001 section 4.1.2.
+
+    State: whether the client's Finished was sent; the first
+    HANDSHAKE_DONE settles the verdict.
+    """
+    finished = finished or "HANDSHAKE(?,?)[ACK,CRYPTO]" in str(inp)
+    if "HANDSHAKE_DONE" in str(out):
+        return HOLDS if finished else VIOLATED
+    return finished
 
 
-def no_server_flight_without_hello(trace: IOTrace) -> bool:
-    """CRYPTO responses require a ClientHello first (INITIAL[CRYPTO])."""
-    crypto_positions = _outputs_with(trace, "[ACK,CRYPTO]")
-    if not crypto_positions:
-        return True
-    hello_positions = _inputs_with(trace, "INITIAL(?,?)[CRYPTO]")
-    if not hello_positions:
-        return False
-    return min(crypto_positions) >= min(hello_positions)
+@monitor(initial=False)
+def no_server_flight_without_hello(hello, inp, out):
+    """CRYPTO responses require a ClientHello first (INITIAL[CRYPTO]).
+
+    State: whether the ClientHello was sent; the first CRYPTO response
+    settles the verdict.
+    """
+    hello = hello or "INITIAL(?,?)[CRYPTO]" in str(inp)
+    if "[ACK,CRYPTO]" in str(out):
+        return HOLDS if hello else VIOLATED
+    return hello
 
 
-def close_is_terminal_for_data(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def close_is_terminal_for_data(closed, inp, out):
     """After the server closes, it never starts *new* application data.
 
     Close retransmissions may still bundle the close frame itself; this
     property flags outputs that carry STREAM data *without* the close.
+
+    State: whether the server has sent CONNECTION_CLOSE.
     """
-    close_positions = _outputs_with(trace, "CONNECTION_CLOSE")
-    if not close_positions:
-        return True
-    first_close = min(close_positions)
-    for i in range(first_close + 1, len(trace)):
-        output = str(trace.outputs[i])
+    output = str(out)
+    if closed:
         if "STREAM" in output and "CONNECTION_CLOSE" not in output:
-            return False
-    return True
+            return VIOLATED
+        return closed
+    return "CONNECTION_CLOSE" in output
 
 
-def client_done_draws_close(trace: IOTrace) -> bool:
+#: The client sent HANDSHAKE_DONE and no close has answered it (yet).
+_UNANSWERED = "unanswered"
+
+
+@monitor(initial=False, ok=lambda state: state != _UNANSWERED)
+def client_done_draws_close(handshake_done, inp, out):
     """A client-sent HANDSHAKE_DONE after the handshake must be answered
     with a connection error (it is a server-only frame, RFC 9000 19.20).
 
     Only 1-RTT (SHORT) packets are held to this: Initial/Handshake-space
     packets may legitimately be dropped once their keys are discarded.
+    The handshake is complete when the *server* signalled HANDSHAKE_DONE;
+    the first client HANDSHAKE_DONE after that is answered when a
+    CONNECTION_CLOSE appears anywhere in the trace -- before it (the
+    connection was already closed, so silence is fine), with it, or any
+    time later.
+
+    State: whether the server sent HANDSHAKE_DONE, then unanswered.
     """
-    # The handshake is complete when the *server* signalled HANDSHAKE_DONE.
-    finished = _outputs_with(trace, "HANDSHAKE_DONE")
-    if not finished:
-        return True  # handshake never completed; nothing to check
-    start = min(finished)
-    for i in range(start + 1, len(trace)):
-        text = str(trace.inputs[i])
-        if text.startswith("SHORT") and "HANDSHAKE_DONE]" in text:
-            # Either the violation is answered with a close now, or the
-            # connection was already closed earlier (silence is then fine).
-            closed_before = any(
-                "CONNECTION_CLOSE" in str(o) for o in trace.outputs[:i]
-            )
-            closed_after = any(
-                "CONNECTION_CLOSE" in str(o) for o in trace.outputs[i:]
-            )
-            return closed_before or closed_after
-    return True
+    if "CONNECTION_CLOSE" in str(out):
+        return HOLDS
+    if handshake_done == _UNANSWERED:
+        return handshake_done
+    text = str(inp)
+    if handshake_done and text.startswith("SHORT") and "HANDSHAKE_DONE]" in text:
+        return _UNANSWERED
+    return handshake_done or "HANDSHAKE_DONE" in str(out)
 
 
-def single_packet_close(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def single_packet_close(state, inp, out):
     """Design-decision probe: closes are single packets (Quiche style).
 
     Google bundles closes across encryption levels, so this property holds
     for the Quiche-like model and fails for the Google-like one -- a
     difference, not a bug.
     """
-    for output in trace.outputs:
-        text = str(output)
-        if "CONNECTION_CLOSE" in text and text.count("],") >= 1:
-            return False
-    return True
+    text = str(out)
+    if "CONNECTION_CLOSE" in text and text.count("],") >= 1:
+        return VIOLATED
+    return state
 
 
 STANDARD_PROPERTIES: tuple[Property, ...] = (

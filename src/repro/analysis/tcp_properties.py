@@ -21,8 +21,8 @@ the ``tcp`` suite (covering ``tcp``, ``tcp-handshake`` and
 
 from __future__ import annotations
 
-from ..core.trace import IOTrace
 from ..registry import register_properties
+from .product import HOLDS, VIOLATED, monitor
 from .property_api import Property
 
 
@@ -38,70 +38,63 @@ def _is_nil(symbol) -> bool:
     return str(symbol) == "NIL"
 
 
-def _fin_seen(trace: IOTrace, upto: int) -> bool:
-    """True when a FIN crossed the wire (either direction) before ``upto``.
-
-    The rate limiter only guards ESTABLISHED; once the close sequence
-    starts (LAST_ACK and friends), challenge ACKs are unthrottled.
-    """
-    return any(
-        "FIN" in str(trace.inputs[i]) or "FIN" in str(trace.outputs[i])
-        for i in range(upto)
-    )
-
-
-def challenge_ack_is_rate_limited(trace: IOTrace) -> bool:
+@monitor(initial=(False, False))
+def challenge_ack_is_rate_limited(state, inp, out):
     """A challenge ACK consumes the credit: the very next SYN is dropped.
 
     RFC 5961 section 4.2 with Linux's ``tcp_challenge_ack_limit``
     behaviour: on an established (pre-FIN) connection, a SYN answered
     with a plain ACK (the challenge) leaves no credit, so a SYN on the
     next step must draw silence.  Receiving data replenishes the credit,
-    which is why only *consecutive* SYNs are constrained.
+    which is why only *consecutive* SYNs are constrained.  Once a FIN
+    crossed the wire (either direction) the close sequence has started
+    and challenge ACKs are unthrottled.
+
+    State: (challenge ACK on the previous step, FIN seen).
     """
-    for i in range(len(trace) - 1):
-        if not (_is_syn(trace.inputs[i]) and _is_plain_ack(trace.outputs[i])):
-            continue
-        if _fin_seen(trace, i):
-            continue  # close sequence started; the limiter is off duty
-        if _is_syn(trace.inputs[i + 1]) and not _is_nil(trace.outputs[i + 1]):
-            return False
-    return True
+    challenged, fin_seen = state
+    if challenged and _is_syn(inp) and not _is_nil(out):
+        return VIOLATED
+    if fin_seen:
+        return HOLDS  # the limiter is off duty for good
+    challenge = _is_syn(inp) and _is_plain_ack(out)
+    return challenge, "FIN" in str(inp) or "FIN" in str(out)
 
 
-def rst_is_terminal(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def rst_is_terminal(synchronized, inp, out):
     """A client RST on a synchronized connection is final: only silence
     follows (RFC 793: a reset destroys the connection).
 
     Pre-handshake RSTs are out of scope -- a listener ignores them and
     must still accept a later SYN -- so the check arms once the server
     has sent its SYN+ACK.
+
+    State: whether the server has sent SYN+ACK, then ``"reset"``.
     """
-    synchronized = False
-    for i in range(len(trace)):
-        if "SYN" in str(trace.outputs[i]):
-            synchronized = True
-        if synchronized and "RST" in str(trace.inputs[i]):
-            return all(_is_nil(o) for o in trace.outputs[i:])
-    return True
+    if synchronized == "reset":
+        return "reset" if _is_nil(out) else VIOLATED
+    synchronized = synchronized or "SYN" in str(out)
+    if synchronized and "RST" in str(inp):
+        return "reset" if _is_nil(out) else VIOLATED
+    return synchronized
 
 
-def data_needs_handshake(trace: IOTrace) -> bool:
+@monitor(initial=False)
+def data_needs_handshake(syn_ack_sent, inp, out):
     """The server never ACKs payload before the handshake completed.
 
     A data segment hitting a listener is answered with a reset (or
     dropped), never acknowledged: an ACK of data implies the server sent
     SYN+ACK earlier in the trace.
+
+    State: whether the server has sent SYN+ACK.
     """
-    syn_ack_sent = False
-    for i in range(len(trace)):
-        if "SYN" in str(trace.outputs[i]):
-            syn_ack_sent = True
-        carries_payload = str(trace.inputs[i]).endswith(",1)")
-        if carries_payload and not syn_ack_sent:
-            if _is_plain_ack(trace.outputs[i]):
-                return False
-    return True
+    if "SYN" in str(out):
+        return HOLDS
+    if str(inp).endswith(",1)") and _is_plain_ack(out):
+        return VIOLATED
+    return False
 
 
 TCP_PROPERTIES: tuple[Property, ...] = (

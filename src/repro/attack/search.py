@@ -3,14 +3,15 @@
 The offline half of attack synthesis.  Given a learned
 :class:`~repro.core.mealy.MealyMachine` and an
 :class:`~repro.attack.automata.AttackerAutomaton`, explore the product
-of the two transition systems -- the same pairwise product walk
-:func:`repro.analysis.equivalence.find_difference` uses, upgraded from
-BFS to Dijkstra so capability costs weight the search -- for the
-cheapest input word that drives the attacker into a goal state.  An
-optional *objective* (an LTLf formula from :mod:`repro.analysis.ltl`)
-further filters goal paths: the predicted I/O trace must VIOLATE the
-formula, tying synthesized strategies to the Property API's notion of
-"something went wrong".
+of the two transition systems on the product explorer property checks
+use (:mod:`repro.analysis.product`), in its Dijkstra mode so capability
+costs weight the search, for the cheapest input word that drives the
+attacker into a goal state.  An optional *objective* (an LTLf formula
+from :mod:`repro.analysis.ltl`) further filters goal paths: the
+predicted I/O trace must VIOLATE the formula, tying synthesized
+strategies to the Property API's notion of "something went wrong".  The
+objective's progressed residual is part of the product node, so the
+search is exact for history-dependent objectives too.
 
 The result is an :class:`AttackStrategy`: the input word, the
 per-step outputs the model predicts, the path cost, and a
@@ -22,12 +23,12 @@ never longer than the product search's own optimum.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 
 from ..analysis.difftest import minimize_witness
 from ..analysis.ltl import Formula
+from ..analysis.product import FormulaMonitor, shortest_path
 from ..core.mealy import MealyMachine
 from ..core.trace import IOTrace, Word, render_word
 from ..core.alphabet import deserialize_symbol, serialize_symbol
@@ -123,59 +124,23 @@ def synthesize_attack(
     not speak, or a model whose behaviour prunes every line of attack
     (the conformant-variant "no false attack" case) all land here.
 
-    Dijkstra over pairs ``(model_state, attacker_state)`` with
-    per-move costs; heap entries carry an insertion counter so ties
-    break deterministically and the same model + attacker always yields
-    the same strategy.  When ``objective`` is given, a popped goal node
-    only counts if the predicted trace violates the formula; otherwise
-    the search keeps relaxing (a later, costlier goal path may violate).
+    Dijkstra (:func:`repro.analysis.product.shortest_path`) over nodes
+    ``(model_state, attacker_state, residual)`` with per-move costs and
+    deterministic tie-breaking, so the same model + attacker always
+    yields the same strategy.  ``residual`` is the objective's monitor
+    state (:class:`~repro.analysis.product.FormulaMonitor`), so two paths
+    that differ in what the objective has seen are different nodes: a
+    goal node counts only if its trace violates the objective, and a
+    costlier path whose history does violate it is never pruned by a
+    cheaper one that does not.  Goal states end a line of attack.
     """
     by_label = {str(symbol): symbol for symbol in model.input_alphabet}
+    monitor = None if objective is None else FormulaMonitor(objective)
 
-    start = (model.initial_state, attacker.initial)
-    # parents: product node -> (previous node, input symbol, output symbol)
-    parents: dict[tuple, tuple] = {start: (None, None, None)}
-    best: dict[tuple, float] = {start: 0.0}
-    counter = 0
-    heap: list[tuple[float, int, tuple]] = [(0.0, counter, start)]
-    expanded = 0
-
-    def reconstruct(node: tuple) -> tuple[Word, Word]:
-        word: list = []
-        outputs: list = []
-        while True:
-            prev, symbol, output = parents[node]
-            if prev is None:
-                break
-            word.append(symbol)
-            outputs.append(output)
-            node = prev
-        return tuple(reversed(word)), tuple(reversed(outputs))
-
-    while heap and expanded < max_expansions:
-        cost, _, node = heapq.heappop(heap)
-        if cost > best.get(node, float("inf")):
-            continue
-        expanded += 1
-        model_state, attacker_state = node
-        if attacker.is_goal(attacker_state):
-            word, outputs = reconstruct(node)
-            if not _objective_violated(objective, IOTrace(word, outputs)):
-                continue
-            minimized = word
-            if minimize and word:
-                minimized = _minimize(model, attacker, objective, word)
-            return AttackStrategy(
-                attacker=attacker.name,
-                target=model.name,
-                word=word,
-                expected_outputs=outputs,
-                cost=cost,
-                goal=attacker_state,
-                states_expanded=expanded,
-                minimized=minimized,
-                objective=objective_text,
-            )
+    def successors(node):
+        model_state, attacker_state, residual = node
+        if attacker_state in attacker.goals:
+            return
         for move in attacker.enabled(attacker_state):
             symbol = by_label.get(move.symbol)
             if symbol is None:
@@ -184,14 +149,42 @@ def synthesize_attack(
             next_attacker = attacker.outcome(move, str(output))
             if next_attacker is None:
                 continue
-            next_node = (next_model, next_attacker)
-            next_cost = cost + move.cost
-            if next_cost < best.get(next_node, float("inf")):
-                best[next_node] = next_cost
-                parents[next_node] = (node, symbol, output)
-                counter += 1
-                heapq.heappush(heap, (next_cost, counter, next_node))
-    return None
+            if monitor is not None:
+                next_residual = monitor.step(residual, symbol, output)
+            else:
+                next_residual = None
+            yield move.cost, symbol, output, (next_model, next_attacker, next_residual)
+
+    def accept(node) -> bool:
+        _, attacker_state, residual = node
+        return attacker.is_goal(attacker_state) and (
+            monitor is None or not monitor.ok(residual)
+        )
+
+    start = (
+        model.initial_state,
+        attacker.initial,
+        None if monitor is None else monitor.initial,
+    )
+    found = shortest_path(
+        start, successors, accept, weighted=True, max_expansions=max_expansions
+    )
+    if found is None:
+        return None
+    minimized = found.word
+    if minimize and found.word:
+        minimized = _minimize(model, attacker, objective, found.word)
+    return AttackStrategy(
+        attacker=attacker.name,
+        target=model.name,
+        word=found.word,
+        expected_outputs=found.outputs,
+        cost=found.cost,
+        goal=found.node[1],
+        states_expanded=found.expanded,
+        minimized=minimized,
+        objective=objective_text,
+    )
 
 
 def _minimize(

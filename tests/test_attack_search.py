@@ -184,6 +184,36 @@ class TestObjective:
             is None
         )
 
+    def test_history_dependent_objective_is_not_pruned(self):
+        """The cheap goal path ACK satisfies the objective; the costlier
+        SYN ACK violates it but reaches the same (model, attacker) pair
+        as the empty word.  Only the objective's residual tells the two
+        apart, so it must be part of the search node."""
+        model = mealy_from_table(
+            "s", Alphabet.of([SYN, ACK]),
+            [("s", SYN, SYNACK, "s"), ("s", ACK, RST, "s")],
+            name="one-state",
+        )
+        attacker = AttackerAutomaton(
+            name="history",
+            description="an objective only a SYN first violates",
+            initial="a",
+            moves=(
+                Move("a", str(ACK), outcomes=(("*", "goal"),), cost=1),
+                Move("a", str(SYN), outcomes=(("*", "a"),), cost=2),
+            ),
+            goals=frozenset({"goal"}),
+            capabilities=frozenset({"client"}),
+            targets=("tcp",),
+        )
+        objective = parse_ltl(f"G (out != {SYNACK})")
+        strategy = synthesize_attack(model, attacker, objective=objective)
+        assert strategy is not None
+        assert strategy.word == (SYN, ACK)
+        assert strategy.cost == 3.0
+        assert model.run(strategy.word) == strategy.expected_outputs
+        assert not objective.holds(strategy.trace)
+
 
 class TestSerialization:
     def test_strategy_json_round_trip(self):
