@@ -10,17 +10,28 @@ This module implements the abstract level.  Abstract symbols render exactly
 like the paper writes them, e.g. ``SYN(?,?,0)`` for TCP or
 ``INITIAL(?,?)[ACK,CRYPTO]`` for QUIC, and are hashable so they can key
 observation tables and transition maps.
+
+Symbols are interned per text: each ``parse_*`` function is a bounded
+memo, so decoding a label the process has already seen is one dict
+lookup and returns the very object the alphabet factories hold.  A
+symbol hashes by its label alone (a cached ``str`` hash), since equal
+symbols always share a label.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class SymbolError(ValueError):
     """Raised when an abstract symbol cannot be parsed or validated."""
+
+
+#: Entries per text parser memo; a target has a few dozen distinct labels.
+SYMBOL_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True, order=True)
@@ -33,6 +44,12 @@ class AbstractSymbol:
     """
 
     label: str
+
+    # Equal symbols share a label, and a str caches its hash.  Every
+    # subclass re-assigns this, or @dataclass(frozen=True) would generate
+    # a hash over all its fields.
+    def __hash__(self) -> int:
+        return hash(self.label)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.label
@@ -48,6 +65,8 @@ class TCPSymbol(AbstractSymbol):
     label.  ``payload_len`` is the abstracted payload length (the paper's
     alphabet carries 0 or 1).
     """
+
+    __hash__ = AbstractSymbol.__hash__
 
     flags: tuple[str, ...] = ()
     seq: str = "?"
@@ -90,6 +109,7 @@ _TCP_SYMBOL_RE = re.compile(
 )
 
 
+@lru_cache(maxsize=SYMBOL_MEMO_SIZE)
 def parse_tcp_symbol(text: str) -> TCPSymbol:
     """Parse a paper-style TCP symbol, e.g. ``ACK+PSH(?,?,1)`` or ``NIL``."""
     text = text.strip()
@@ -153,6 +173,8 @@ class QUICSymbol(AbstractSymbol):
     richer abstraction pins them to concrete values.
     """
 
+    __hash__ = AbstractSymbol.__hash__
+
     packet_type: str = "INITIAL"
     frames: tuple[str, ...] = ()
     version: str = "?"
@@ -190,6 +212,7 @@ _QUIC_SYMBOL_RE = re.compile(
 )
 
 
+@lru_cache(maxsize=SYMBOL_MEMO_SIZE)
 def parse_quic_symbol(text: str) -> QUICSymbol:
     """Parse a paper-style QUIC symbol, e.g. ``SHORT(?,?)[ACK,STREAM]``."""
     match = _QUIC_SYMBOL_RE.match(text.strip())
@@ -212,6 +235,8 @@ class QUICOutput(AbstractSymbol):
     an empty response is ``{}``.  Packets are kept in canonical sorted order
     (with multiplicity) so two equal multisets always compare equal.
     """
+
+    __hash__ = AbstractSymbol.__hash__
 
     packets: tuple[QUICSymbol, ...] = ()
 
@@ -240,6 +265,7 @@ class QUICOutput(AbstractSymbol):
 QUIC_EMPTY_OUTPUT = QUICOutput.make(())
 
 
+@lru_cache(maxsize=SYMBOL_MEMO_SIZE)
 def parse_quic_output(text: str) -> QUICOutput:
     """Parse an appendix-style output multiset such as
     ``{HANDSHAKE(?,?)[CRYPTO],INITIAL(?,?)[ACK,CRYPTO]}``."""
@@ -291,6 +317,8 @@ class HTTP2Symbol(AbstractSymbol):
     parameters, where the stream-id monotonicity check reads them back.
     """
 
+    __hash__ = AbstractSymbol.__hash__
+
     kind: str = "PING"
     flags: tuple[str, ...] = ()
 
@@ -311,6 +339,7 @@ class HTTP2Symbol(AbstractSymbol):
 _HTTP2_SYMBOL_RE = re.compile(r"^(?P<kind>[A-Z_]+)\[(?P<flags>[A-Z_,]*)\]$")
 
 
+@lru_cache(maxsize=SYMBOL_MEMO_SIZE)
 def parse_http2_symbol(text: str) -> HTTP2Symbol:
     """Parse an HTTP/2 frame symbol, e.g. ``SETTINGS[ACK]`` or ``DATA[]``."""
     match = _HTTP2_SYMBOL_RE.match(text.strip())
@@ -329,6 +358,8 @@ class HTTP2Output(AbstractSymbol):
     as received and rendered ``HEADERS[END_HEADERS]+DATA[END_STREAM]``;
     an empty response is ``NIL``.
     """
+
+    __hash__ = AbstractSymbol.__hash__
 
     frames: tuple[HTTP2Symbol, ...] = ()
 
@@ -357,6 +388,7 @@ class HTTP2Output(AbstractSymbol):
 HTTP2_EMPTY_OUTPUT = HTTP2Output.make(())
 
 
+@lru_cache(maxsize=SYMBOL_MEMO_SIZE)
 def parse_http2_output(text: str) -> HTTP2Output:
     """Parse a rendered frame sequence such as
     ``HEADERS[END_HEADERS]+DATA[END_STREAM]`` (or ``NIL``)."""
@@ -392,6 +424,8 @@ class H3Symbol(AbstractSymbol):
     exactly as for HTTP/2.
     """
 
+    __hash__ = AbstractSymbol.__hash__
+
     kind: str = "SETTINGS"
     fin: bool = False
 
@@ -408,6 +442,7 @@ class H3Symbol(AbstractSymbol):
 _H3_SYMBOL_RE = re.compile(r"^(?P<kind>[A-Z_]+)(?P<fin>\[FIN\])?$")
 
 
+@lru_cache(maxsize=SYMBOL_MEMO_SIZE)
 def parse_h3_symbol(text: str) -> H3Symbol:
     """Parse an HTTP/3 frame symbol, e.g. ``HEADERS[FIN]`` or ``GOAWAY``."""
     match = _H3_SYMBOL_RE.match(text.strip())
@@ -425,6 +460,8 @@ class H3Output(AbstractSymbol):
     each an ordered frame sequence.  Rendered as the sorted, braced form
     ``{HEADERS+DATA[FIN],SETTINGS}``; an empty response is ``{}``.
     """
+
+    __hash__ = AbstractSymbol.__hash__
 
     streams: tuple[tuple[H3Symbol, ...], ...] = ()
 
@@ -462,6 +499,7 @@ class H3Output(AbstractSymbol):
 H3_EMPTY_OUTPUT = H3Output.make(())
 
 
+@lru_cache(maxsize=SYMBOL_MEMO_SIZE)
 def parse_h3_output(text: str) -> H3Output:
     """Parse a rendered stream multiset such as ``{HEADERS+DATA[FIN]}``."""
     text = text.strip()
@@ -517,13 +555,13 @@ class Alphabet:
 
 
 _SYMBOL_PARSERS = {
-    "tcp": lambda text: parse_tcp_symbol(text),
-    "quic": lambda text: parse_quic_symbol(text),
-    "quic-output": lambda text: parse_quic_output(text),
-    "http2": lambda text: parse_http2_symbol(text),
-    "http2-output": lambda text: parse_http2_output(text),
-    "h3": lambda text: parse_h3_symbol(text),
-    "h3-output": lambda text: parse_h3_output(text),
+    "tcp": parse_tcp_symbol,
+    "quic": parse_quic_symbol,
+    "quic-output": parse_quic_output,
+    "http2": parse_http2_symbol,
+    "http2-output": parse_http2_output,
+    "h3": parse_h3_symbol,
+    "h3-output": parse_h3_output,
     "raw": lambda text: AbstractSymbol(label=text),
 }
 
@@ -560,6 +598,8 @@ def deserialize_symbol(data: Mapping) -> AbstractSymbol:
         kind, text = data["kind"], data["text"]
     except (KeyError, TypeError):
         raise SymbolError(f"malformed serialized symbol: {data!r}") from None
+    if not isinstance(text, str):
+        raise SymbolError(f"serialized symbol text is not a string: {data!r}")
     try:
         parser = _SYMBOL_PARSERS[kind]
     except KeyError:
@@ -572,10 +612,10 @@ def tcp_alphabet() -> Alphabet:
     return Alphabet.of(
         [
             parse_tcp_symbol("SYN(?,?,0)"),
-            parse_tcp_symbol("SYN+ACK(?,?,0)"),
+            parse_tcp_symbol("ACK+SYN(?,?,0)"),
             parse_tcp_symbol("ACK(?,?,0)"),
             parse_tcp_symbol("ACK+PSH(?,?,1)"),
-            parse_tcp_symbol("FIN+ACK(?,?,0)"),
+            parse_tcp_symbol("ACK+FIN(?,?,0)"),
             parse_tcp_symbol("RST(?,?,0)"),
             parse_tcp_symbol("ACK+RST(?,?,0)"),
         ]

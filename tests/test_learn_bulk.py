@@ -69,6 +69,15 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="line 1"):
             list(read_jsonl_corpus(path))
 
+    def test_non_string_symbol_text_names_its_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"inputs": [{"kind": "tcp", "text": 5}], '
+            '"outputs": [{"kind": "tcp", "text": "NIL"}]}\n'
+        )
+        with pytest.raises(CorpusFormatError, match="line 1"):
+            list(read_jsonl_corpus(path))
+
 
 class TestLoadCorpusCache:
     def test_stats_account_for_the_pass(self, tmp_path):

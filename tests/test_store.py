@@ -13,6 +13,7 @@ import sqlite3
 import pytest
 
 from repro.campaign import Campaign, run_spec
+from repro.core.alphabet import SymbolError
 from repro.learn.cache import CacheInconsistencyError, CachedMembershipOracle, QueryCache
 from repro.registry import RegistryError
 from repro.spec import ExecutorSpec, ExperimentSpec, SpecError, StoreSpec, assemble
@@ -41,6 +42,13 @@ class TestWordCodec:
         text = encode_word((syn,))
         assert text == encode_word(decode_word(text))
         json.loads(text)  # valid, human-inspectable JSON
+
+    @pytest.mark.parametrize(
+        "text", ['[{"kind": "tcp", "text": 5}]', '[{"kind": "raw", "text": ["a"]}]']
+    )
+    def test_non_string_symbol_text_is_a_symbol_error(self, text):
+        with pytest.raises(SymbolError, match="not a string"):
+            decode_word(text)
 
 
 class TestQueryStore:
