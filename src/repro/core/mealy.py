@@ -95,6 +95,31 @@ class MealyMachine:
             outputs.append(output)
         return tuple(outputs)
 
+    def run_all(self, words: Iterable[Sequence[AbstractSymbol]]) -> Iterator[Word]:
+        """``run(word)`` for each word, resuming from the previous word's states.
+
+        Lazy: a word's :class:`MealyError` is raised when its outputs are
+        reached, as :meth:`run` would raise it.  A word shares the previous
+        word's states up to its first symbol that is not the identical
+        object, so sorted suites step each distinct prefix once.
+        """
+        delta = self._delta
+        previous: Sequence[AbstractSymbol] = ()
+        states = [self.initial_state]
+        outputs: list[AbstractSymbol] = []
+        for word in words:
+            depth, limit = 0, min(len(previous), len(word))
+            while depth < limit and word[depth] is previous[depth]:
+                depth += 1
+            del states[depth + 1 :], outputs[depth:]
+            previous, state = word, states[depth]
+            for symbol in word[depth:]:
+                slot = delta.get((state, symbol))
+                state, output = self.step(state, symbol) if slot is None else slot
+                states.append(state)
+                outputs.append(output)
+            yield tuple(outputs)
+
     def trace(self, inputs: Sequence[AbstractSymbol]) -> IOTrace:
         """The I/O trace for an input word from the initial state."""
         return IOTrace(tuple(inputs), self.run(inputs))
@@ -289,17 +314,26 @@ class MealyMachine:
         with the characterization set: the set of traces that must be checked
         to establish equivalence with a machine of at most the same size.
         Section 6.2.2's "1210 and 715 traces" correspond to this suite.
+        The suite is built and sorted over each symbol's rank in
+        ``sorted(input_alphabet)`` -- integer tuples hash and compare in C,
+        in the same order as the symbol words -- then decoded once.
         """
-        cover = [EPSILON] + self.transition_cover()
-        w_set = self.characterization_set()
-        middles: list[Word] = [EPSILON]
-        frontier: list[Word] = [EPSILON]
+        symbols = sorted(self.input_alphabet)
+        rank = {symbol: index for index, symbol in enumerate(symbols)}
+
+        def ranked(words: Iterable[Word]) -> list[tuple[int, ...]]:
+            return [tuple(rank[symbol] for symbol in word) for word in words]
+
+        cover = [()] + ranked(self.transition_cover())
+        w_set = ranked(self.characterization_set())
+        middles: list[tuple[int, ...]] = [()]
+        frontier: list[tuple[int, ...]] = [()]
         for _ in range(extra_states):
-            frontier = [m + (a,) for m in frontier for a in self.input_alphabet]
+            frontier = [m + (a,) for m in frontier for a in range(len(symbols))]
             middles.extend(frontier)
         suite = {p + m + w for p in cover for m in middles for w in w_set}
-        suite.discard(EPSILON)
-        return sorted(suite)
+        suite.discard(())
+        return [tuple(map(symbols.__getitem__, word)) for word in sorted(suite)]
 
     # ------------------------------------------------------------------
     # Serialization (campaign artifacts, model exchange)

@@ -226,6 +226,25 @@ def load_corpus_cache(
     return cache, stats
 
 
+def accepted_corpus_cache(source, stats: CorpusStats) -> QueryCache:
+    """The trie of the corpus traces ``stats`` records as accepted.
+
+    Re-streams ``source`` in corpus order, skipping ``stats.skipped`` and
+    stopping after ``stats.traces`` traces: exactly the observations
+    :func:`accept_traces` yielded, in a trie of their own.
+    """
+    skipped = {conflict.trace_index for conflict in stats.skipped}
+    cache = QueryCache()
+    accepted = 0
+    for index, trace in enumerate(iter_corpus(source)):
+        if accepted == stats.traces:
+            break
+        if index not in skipped:
+            cache.insert(trace.inputs, trace.outputs)
+            accepted += 1
+    return cache
+
+
 # ---------------------------------------------------------------------------
 # Corpus generation (netsim-backed session logs, covering corpora)
 # ---------------------------------------------------------------------------
@@ -342,10 +361,13 @@ class BulkLearnResult:
 def bulk_passive_learn(spec, *, refine: bool = True, shared_cache=None) -> BulkLearnResult:
     """The full pipeline: stream corpus -> fold -> targeted refinement.
 
-    Requires a spec with a ``corpus`` section.  The corpus is read once,
-    as the cache layer's ``"corpus"`` seed; that seed's trie warms the
-    active learner's cache *and* folds into the passive
-    :class:`~repro.learn.passive.PartialMealyMachine`.  With ``refine``,
+    Requires a spec with a ``corpus`` section.  The corpus seeds the
+    cache layer (its ``"corpus"`` source), which warms the active
+    learner's cache.  The traces that seeding accepted are then re-read
+    into a trie of their own (:func:`accepted_corpus_cache`) and folded
+    into the passive :class:`~repro.learn.passive.PartialMealyMachine`:
+    the layer's trie also holds any shared or store observations seeded
+    first, which would change the prefix tree's state order.  With ``refine``,
     each undetermined ``(state, symbol)`` cell becomes one targeted
     membership query (access word + missing symbol) batched through the
     spec's oracle/executor stack, then the spec's active learner runs
@@ -361,8 +383,8 @@ def bulk_passive_learn(spec, *, refine: bool = True, shared_cache=None) -> BulkL
         raise SpecError("bulk_passive_learn needs a spec with a corpus section")
     spec.validate()
     with Prognosis.from_spec(spec, shared_cache=shared_cache) as prognosis:
-        corpus_cache = prognosis.cache_oracle.seeds["corpus"]
         stats = prognosis.corpus_stats
+        corpus_cache = accepted_corpus_cache(spec.corpus.path, stats)
         passive_model = fold_prefix_tree(
             prefix_tree_from_cache(corpus_cache), prognosis.oracle.input_alphabet
         )
@@ -376,7 +398,7 @@ def bulk_passive_learn(spec, *, refine: bool = True, shared_cache=None) -> BulkL
             ]
             targeted = len(words)
             covered = sum(
-                1 for word in words if corpus_cache.lookup(word) is not None
+                found is not None for found in corpus_cache.lookup_all(words)
             )
             for start in range(0, len(words), spec.batch_size):
                 prognosis.oracle.query_batch(words[start : start + spec.batch_size])

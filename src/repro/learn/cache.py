@@ -17,7 +17,10 @@ answers both.  Only the surviving words are forwarded to the inner oracle
 The layer is the framework's only query cache.  Observations from outside
 the run -- a campaign's shared trie, a persistent store's rows, a bulk
 trace corpus -- are *seed sources* of the same layer, each with its own
-hit count; a store also receives the run's fresh observations.  This
+hit count; a store also receives the run's fresh observations.  A source
+is one bit on the nodes of the one trie, not a trie of its own: seeding
+inserts each observation once, marking its path, and the bits on a hit's
+final node say which sources held the word.  This
 module only sees the store through its ``observations``/``append``/
 ``record_usage``/``close`` methods, so it stays importable by
 :mod:`repro.store`.
@@ -46,10 +49,19 @@ class CacheInconsistencyError(Exception):
         )
 
 
-@dataclass
+#: ``_TrieNode.terminal`` bit of every stored word; seed sources take the
+#: higher bits (``2, 4, 8, ...``).
+_STORED = 1
+
+
+@dataclass(slots=True)
 class _TrieNode:
     children: dict = field(default_factory=dict)  # symbol -> (output, _TrieNode)
-    terminal: bool = False  # a stored word ends exactly here
+    #: ``_STORED`` when a stored word ends exactly here, plus the bit of
+    #: each seed source holding that word.
+    terminal: int = 0
+    #: Bits of the seed sources with an observation through this node.
+    sources: int = 0
 
 
 class QueryCache:
@@ -58,6 +70,12 @@ class QueryCache:
     ``entries`` counts *stored words* (queries whose full observation was
     inserted); ``nodes`` counts trie nodes, i.e. the number of distinct
     (word-prefix, output) steps held.  Earlier versions conflated the two.
+
+    :meth:`lookup_all` and :meth:`insert_all` walk sorted word lists once
+    per distinct prefix: each word resumes from the previous word's path
+    for as long as its symbols are the *identical* objects (interned
+    symbols always are).  An equal but distinct symbol only ends the
+    sharing there; the rest of the word is looked up as usual.
     """
 
     def __init__(self) -> None:
@@ -67,6 +85,15 @@ class QueryCache:
 
     def lookup(self, word: Sequence[AbstractSymbol]) -> Word | None:
         """Cached outputs for ``word``, or None on any cache miss."""
+        found = self._find(word)
+        return None if found is None else found[0]
+
+    def lookup_all(self, words: Sequence[Sequence[AbstractSymbol]]) -> list[Word | None]:
+        """``[lookup(word) for word in words]``, walking shared prefixes once."""
+        return [None if found is None else found[0] for found in self._find_all(words)]
+
+    def _find(self, word: Sequence[AbstractSymbol]) -> tuple[Word, _TrieNode] | None:
+        """``word``'s cached outputs and final node, or None on a miss."""
         node = self._root
         outputs: list[AbstractSymbol] = []
         for symbol in word:
@@ -75,28 +102,111 @@ class QueryCache:
                 return None
             output, node = slot
             outputs.append(output)
-        return tuple(outputs)
+        return tuple(outputs), node
 
-    def insert(self, word: Sequence[AbstractSymbol], outputs: Sequence[AbstractSymbol]) -> None:
-        """Store an observation; raises on conflicts with cached outputs."""
-        node = self._root
-        for symbol, output in zip(word, outputs):
+    def _find_all(
+        self, words: Iterable[Sequence[AbstractSymbol]]
+    ) -> Iterator[tuple[Word, _TrieNode] | None]:
+        """:meth:`_find` of each word, resuming from the previous word's path.
+
+        ``path[i]`` is the node after ``previous[:i]`` and ``outputs`` the
+        outputs along it.  Inserts between two words only add branches, so
+        the saved path stays valid.
+        """
+        previous: Sequence[AbstractSymbol] = ()
+        path = [self._root]
+        outputs: list[AbstractSymbol] = []
+        for word in words:
+            depth, limit = 0, min(len(path) - 1, len(word))
+            while depth < limit and word[depth] is previous[depth]:
+                depth += 1
+            del path[depth + 1 :], outputs[depth:]
+            previous, node = word, path[depth]
+            for symbol in word[depth:]:
+                slot = node.children.get(symbol)
+                if slot is None:
+                    yield None
+                    break
+                output, node = slot
+                outputs.append(output)
+                path.append(node)
+            else:
+                yield tuple(outputs), node
+
+    def insert(
+        self, word: Sequence[AbstractSymbol], outputs: Sequence[AbstractSymbol]
+    ) -> _TrieNode:
+        """Store an observation; raises on conflicts with cached outputs.
+
+        Returns the word's final node.  A word and outputs of different
+        lengths are not an observation and raise :class:`ValueError`.
+        """
+        return self._insert([self._root], word, outputs, 0)
+
+    def insert_all(
+        self, observations: Iterable[tuple[Word, Word]], mark: int
+    ) -> Iterator[tuple[Word, Word, _TrieNode, bool]]:
+        """Insert each observation of the seed source ``mark``, resuming
+        from the previous one's path.
+
+        Yields ``(word, outputs, final node, added)`` after each insert,
+        where ``added`` says the source did not hold the word yet.  Every
+        node on the path, the root included, gains ``mark`` in its
+        ``sources``.
+        """
+        self._root.sources |= mark
+        previous: Word = ()
+        previous_outputs: Word = ()
+        path = [self._root]
+        for word, outputs in observations:
+            # A length mismatch walks no shared prefix and fails in _insert.
+            depth, limit = 0, min(len(previous), len(word), len(outputs))
+            while depth < limit and word[depth] is previous[depth]:
+                cached, output = previous_outputs[depth], outputs[depth]
+                if cached is not output and cached != output:
+                    raise CacheInconsistencyError(tuple(word), cached, output)
+                depth += 1
+            del path[depth + 1 :]
+            node = self._insert(path, word, outputs, mark)
+            added = not node.terminal & mark
+            node.terminal |= mark
+            previous, previous_outputs = word, outputs
+            yield word, outputs, node, added
+
+    def _insert(
+        self,
+        path: list[_TrieNode],
+        word: Sequence[AbstractSymbol],
+        outputs: Sequence[AbstractSymbol],
+        mark: int,
+    ) -> _TrieNode:
+        """Insert ``word`` below ``path`` (its first ``len(path) - 1``
+        symbols already walked), appending the nodes it passes to ``path``
+        and marking them with ``mark``; returns the final node.
+        """
+        if len(word) != len(outputs):
+            raise ValueError(
+                f"observation of {len(word)} inputs has {len(outputs)} outputs"
+            )
+        node = path[-1]
+        for index in range(len(path) - 1, len(word)):
+            symbol, output = word[index], outputs[index]
             slot = node.children.get(symbol)
             if slot is None:
-                child = _TrieNode()
+                child = _TrieNode(sources=mark)
                 node.children[symbol] = (output, child)
                 node = child
                 self.nodes += 1
             else:
-                cached_output, child = slot
-                if cached_output != output:
-                    raise CacheInconsistencyError(
-                        tuple(word), cached_output, output
-                    )
-                node = child
-        if not node.terminal:
-            node.terminal = True
+                cached, node = slot
+                if cached is not output and cached != output:
+                    raise CacheInconsistencyError(tuple(word), cached, output)
+                node.sources |= mark
+            path.append(node)
+        if not node.terminal & _STORED:
+            node.terminal |= _STORED
             self.entries += 1
+        return node
 
     def clear(self) -> None:
         self._root = _TrieNode()
@@ -173,6 +283,28 @@ def _drop_covered_prefixes(words: Sequence[Word]) -> list[Word]:
     return survivors
 
 
+class SeedView:
+    """One seed source's observations, read from the layer's single trie.
+
+    A word lies inside the source when its final node carries the
+    source's bit.  ``entries`` counts the distinct words the source held.
+    """
+
+    __slots__ = ("_cache", "bit", "entries")
+
+    def __init__(self, cache: QueryCache, bit: int) -> None:
+        self._cache = cache
+        self.bit = bit
+        self.entries = 0
+
+    def lookup(self, word: Sequence[AbstractSymbol]) -> Word | None:
+        """The source's outputs for ``word``, or None if it lacks the word."""
+        found = self._cache._find(word)
+        if found is None or not found[1].sources & self.bit:
+            return None
+        return found[0]
+
+
 @MIDDLEWARE_REGISTRY.register("cache")
 class CachedMembershipOracle:
     """Membership oracle layer that answers from the trie when possible.
@@ -185,7 +317,8 @@ class CachedMembershipOracle:
     (:meth:`seed`).  :func:`repro.spec.assemble` seeds the campaign's
     shared trie (``"shared"``), then the spec's store rows (``"store"``,
     :meth:`seed_from_store`), then the spec's corpus (``"corpus"``).  Each
-    source keeps its own trie in :attr:`seeds`, and :attr:`hits_by_source`
+    source is one bit on the nodes of the one trie, :attr:`seeds` holds a
+    read-only :class:`SeedView` per source, and :attr:`hits_by_source`
     counts a hit for a source only when the whole word lies inside that
     source's observations.
 
@@ -204,7 +337,7 @@ class CachedMembershipOracle:
         self.misses = 0
         self.batch_deduped = 0
         self.prefix_collapsed = 0
-        self.seeds: dict[str, QueryCache] = {}
+        self.seeds: dict[str, SeedView] = {}
         self.hits_by_source: dict[str, int] = {}
         #: The durable backing (a :class:`~repro.store.query_store.QueryStore`)
         #: and the SUL fingerprint keying its rows, once seeded from a store.
@@ -220,11 +353,12 @@ class CachedMembershipOracle:
         conflicts are findings rather than errors filters them out before
         they get here (see :func:`repro.learn.bulk.accept_traces`).
         """
-        trie = QueryCache()
-        for word, outputs in observations:
-            self._keep(word, outputs)
-            trie.insert(word, outputs)
-        self.seeds[name] = trie
+        bit = max((view.bit for view in self.seeds.values()), default=_STORED) << 1
+        view = SeedView(self.cache, bit)
+        for word, outputs, node, added in self.cache.insert_all(observations, bit):
+            view.entries += added
+            self._append_if_unstored(word, outputs, node)
+        self.seeds[name] = view
         self.hits_by_source[name] = 0
 
     def seed_from_store(self, store, fingerprint: str) -> None:
@@ -234,26 +368,31 @@ class CachedMembershipOracle:
         self.seed("store", store.observations(fingerprint))
 
     def _keep(self, word: Word, outputs: Word) -> None:
-        """Insert an observation; with a store, append it if the rows lack it."""
-        self.cache.insert(word, outputs)
+        """Insert a fresh observation; with a store, append it if the rows lack it."""
+        self._append_if_unstored(word, outputs, self.cache.insert(word, outputs))
+
+    def _append_if_unstored(self, word: Word, outputs: Word, node: _TrieNode) -> None:
+        """With a store, append an observation its rows lack."""
         stored = self.seeds.get("store")
-        if stored is not None and self.store is not None and stored.lookup(word) is None:
+        if stored is not None and self.store is not None and not node.sources & stored.bit:
             self.store.append(self.fingerprint, word, outputs)
 
-    def _count_hits(self, word: Word, count: int = 1) -> None:
+    def _count_hits(self, node: _TrieNode, count: int = 1) -> None:
+        """Count ``count`` hits on the word ending at ``node``."""
         self.hits += count
-        for name, trie in self.seeds.items():
-            if trie.lookup(word) is not None:
-                self.hits_by_source[name] += count
+        if node.sources:
+            for name, view in self.seeds.items():
+                if node.sources & view.bit:
+                    self.hits_by_source[name] += count
 
     # -- querying ------------------------------------------------------------
     def query(self, word: Sequence[AbstractSymbol]) -> Word:
         word = tuple(word)
         self.stats.note(word)
-        cached = self.cache.lookup(word)
-        if cached is not None:
-            self._count_hits(word)
-            return cached
+        found = self.cache._find(word)
+        if found is not None:
+            self._count_hits(found[1])
+            return found[0]
         self.misses += 1
         outputs = tuple(self.inner.query(word))
         self._keep(word, outputs)
@@ -267,13 +406,12 @@ class CachedMembershipOracle:
 
         # 1. Answer what the trie already knows.
         pending: dict[Word, list[int]] = {}
-        for index, word in enumerate(words):
-            cached = self.cache.lookup(word)
-            if cached is not None:
-                self._count_hits(word)
-                results[index] = cached
+        for index, found in enumerate(self.cache._find_all(words)):
+            if found is not None:
+                self._count_hits(found[1])
+                results[index] = found[0]
             else:
-                pending.setdefault(word, []).append(index)
+                pending.setdefault(words[index], []).append(index)
         if not pending:
             return results  # type: ignore[return-value]
 
@@ -295,14 +433,15 @@ class CachedMembershipOracle:
         for word, outputs in zip(survivors, answers):
             self._keep(word, tuple(outputs))
         executed = set(survivors)
-        for word, indices in pending.items():
-            outputs = self.cache.lookup(word)
-            assert outputs is not None  # survivors cover every pending word
+        for (word, indices), found in zip(pending.items(), self.cache._find_all(pending)):
+            if found is None:
+                raise RuntimeError(f"inner oracle left {word} unanswered")
+            outputs, node = found
             if word in executed:
                 self.misses += 1
-                self._count_hits(word, len(indices) - 1)
+                self._count_hits(node, len(indices) - 1)
             else:
-                self._count_hits(word, len(indices))
+                self._count_hits(node, len(indices))
             for index in indices:
                 results[index] = outputs
         return results  # type: ignore[return-value]

@@ -29,7 +29,7 @@ the strategy that found them.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..core.mealy import MealyMachine
 from ..core.trace import Word
@@ -56,7 +56,9 @@ class AttributionMixin:
     Subclasses set ``name`` and maintain ``words_submitted`` /
     ``counterexamples_found``; :meth:`attribution` packages them in the
     shape :class:`~repro.framework.LearningReport.eq_attribution` reports,
-    replacing the ``getattr`` duck-typing the framework used to do.
+    replacing the ``getattr`` duck-typing the framework used to do.  The
+    word-testing oracles (random, W-method, fixed) share one checking
+    loop, :meth:`_first_counterexample`, over their ``oracle``.
     """
 
     name: str = "eq"
@@ -70,6 +72,22 @@ class AttributionMixin:
                 "counterexamples_found": self.counterexamples_found,
             }
         }
+
+    def _first_counterexample(
+        self, hypothesis: MealyMachine, batches: Iterable[Sequence[Word]]
+    ) -> Word | None:
+        """Query each batch and check it in order; the first counterexample,
+        shrunk, or None.  Predictions come from one
+        :meth:`~repro.core.mealy.MealyMachine.run_all` walk per batch.
+        """
+        for batch in batches:
+            actuals = self.oracle.query_batch(batch)
+            self.words_submitted += len(batch)
+            for word, actual, predicted in zip(batch, actuals, hypothesis.run_all(batch)):
+                if actual != predicted:
+                    self.counterexamples_found += 1
+                    return _shrink(word, actual, predicted)
+        return None
 
 
 @EQ_ORACLE_REGISTRY.register("random")
@@ -97,6 +115,10 @@ class RandomWordEquivalenceOracle(AttributionMixin):
         self.counterexamples_found = 0
 
     def find_counterexample(self, hypothesis: MealyMachine) -> Word | None:
+        return self._first_counterexample(hypothesis, self._batches())
+
+    def _batches(self) -> Iterator[list[Word]]:
+        """Random batches, each drawn only once the previous one is checked."""
         symbols = list(self.oracle.input_alphabet)
         remaining = self.num_words
         while remaining > 0:
@@ -106,14 +128,7 @@ class RandomWordEquivalenceOracle(AttributionMixin):
             for _ in range(count):
                 length = self.rng.randint(self.min_length, self.max_length)
                 batch.append(tuple(self.rng.choice(symbols) for _ in range(length)))
-            actuals = self.oracle.query_batch(batch)
-            self.words_submitted += count
-            for word, actual in zip(batch, actuals):
-                predicted = hypothesis.run(word)
-                if actual != predicted:
-                    self.counterexamples_found += 1
-                    return _shrink(word, actual, predicted)
-        return None
+            yield batch
 
 
 @EQ_ORACLE_REGISTRY.register("wmethod")
@@ -142,15 +157,7 @@ class WMethodEquivalenceOracle(AttributionMixin):
     def find_counterexample(self, hypothesis: MealyMachine) -> Word | None:
         suite = hypothesis.w_method_suite(self.extra_states)
         self.last_suite_size = len(suite)
-        for batch in _chunks(suite, self.batch_size):
-            actuals = self.oracle.query_batch(batch)
-            self.words_submitted += len(batch)
-            for word, actual in zip(batch, actuals):
-                predicted = hypothesis.run(word)
-                if actual != predicted:
-                    self.counterexamples_found += 1
-                    return _shrink(word, actual, predicted)
-        return None
+        return self._first_counterexample(hypothesis, _chunks(suite, self.batch_size))
 
 
 class ChainedEquivalenceOracle:
@@ -215,15 +222,7 @@ class FixedWordsEquivalenceOracle(AttributionMixin):
         self.counterexamples_found = 0
 
     def find_counterexample(self, hypothesis: MealyMachine) -> Word | None:
-        for batch in _chunks(self.words, self.batch_size):
-            actuals = self.oracle.query_batch(batch)
-            self.words_submitted += len(batch)
-            for word, actual in zip(batch, actuals):
-                predicted = hypothesis.run(word)
-                if actual != predicted:
-                    self.counterexamples_found += 1
-                    return _shrink(word, actual, predicted)
-        return None
+        return self._first_counterexample(hypothesis, _chunks(self.words, self.batch_size))
 
 
 class PerfectEquivalenceOracle(AttributionMixin):

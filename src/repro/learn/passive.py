@@ -214,10 +214,11 @@ def prefix_tree_from_cache(cache: QueryCache) -> _PrefixTree:
     """The prefix-tree transducer of every observation a trie holds.
 
     A :class:`~repro.learn.cache.QueryCache` *is* a PTT already -- same
-    structure, different bookkeeping -- so the bulk pipeline can seed an
-    active learner's cache and fold a passive model from a single corpus
-    pass.  States are numbered in BFS order from the trie root (the trie
-    layout is an intra-package contract of the ``learn`` package).
+    structure, different bookkeeping -- so a corpus read into a trie
+    folds into a passive model without a second tree.  States are
+    numbered in BFS order from the trie root, children in insertion order
+    (the trie layout is an intra-package contract of the ``learn``
+    package).
     """
     tree = _PrefixTree()
     queue = deque([(cache._root, 0)])

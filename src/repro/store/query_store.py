@@ -168,7 +168,16 @@ class QueryStore:
         word: Sequence[AbstractSymbol],
         outputs: Sequence[AbstractSymbol],
     ) -> None:
-        """Buffer one observation; flushes every ``flush_every`` rows."""
+        """Buffer one observation; flushes every ``flush_every`` rows.
+
+        A word and outputs of different lengths are not an observation:
+        the row is rejected with :class:`StoreError`.
+        """
+        if len(word) != len(outputs):
+            raise StoreError(
+                f"observation for {fingerprint} has {len(word)} inputs and"
+                f" {len(outputs)} outputs: {encode_word(word)}"
+            )
         self._buffer.append(
             (fingerprint, encode_word(word), encode_word(outputs))
         )
@@ -218,7 +227,12 @@ class QueryStore:
 
     # -- reading -----------------------------------------------------------
     def observations(self, fingerprint: str) -> Iterator[tuple[Word, Word]]:
-        """All stored ``(word, outputs)`` pairs for one fingerprint."""
+        """All stored ``(word, outputs)`` pairs for one fingerprint.
+
+        A row that does not decode (bad JSON, a bad symbol) or whose word
+        and outputs differ in length raises :class:`StoreError` naming the
+        fingerprint and the row.
+        """
         self.flush()
         cursor = self._conn.execute(
             "SELECT word, outputs FROM observations"
@@ -226,7 +240,18 @@ class QueryStore:
             (fingerprint,),
         )
         for word_text, outputs_text in cursor:
-            yield decode_word(word_text), decode_word(outputs_text)
+            try:
+                word, outputs = decode_word(word_text), decode_word(outputs_text)
+            except (ValueError, TypeError) as error:
+                raise StoreError(
+                    f"bad row for {fingerprint}: {word_text} -> {outputs_text}: {error}"
+                ) from None
+            if len(word) != len(outputs):
+                raise StoreError(
+                    f"bad row for {fingerprint}: {word_text} -> {outputs_text}:"
+                    f" {len(word)} inputs but {len(outputs)} outputs"
+                )
+            yield word, outputs
 
     def load(self, fingerprint: str) -> QueryCache:
         """The fingerprint's observations as a warm prefix-tree cache.

@@ -20,7 +20,11 @@ from repro.learn.bulk import (
     write_jsonl_corpus,
 )
 from repro.learn.cache import CachedMembershipOracle, QueryCache
-from repro.learn.passive import TraceConflictError
+from repro.learn.passive import (
+    TraceConflictError,
+    fold_prefix_tree,
+    prefix_tree_from_cache,
+)
 from repro.spec import ExperimentSpec, SpecError, assemble
 from repro.store import QueryStore
 
@@ -408,3 +412,64 @@ class TestBulkPipeline:
         assert len(result.corpus_stats.skipped) == 1
         assert result.refined.corpus_skipped == 1
         assert "skipped conflicts" in result.summary()
+
+
+class TestPassiveModelIsTheCorpusOwn:
+    """The passive model folds the accepted corpus traces in corpus order,
+    whatever was seeded into the cache layer's one trie before them."""
+
+    SPEC = ExperimentSpec(target="tcp", target_params={"seed": 3}, seed=3)
+
+    def _corpus(self, tmp_path):
+        """A random-walk corpus with a contradicting line planted at index 4."""
+        path = tmp_path / "corpus.jsonl"
+        generate_corpus(self.SPEC, path, num_sessions=40, max_len=5)
+        traces = list(read_jsonl_corpus(path))
+        first = traces[0]
+        flipped = RST if first.outputs[0] != RST else NIL
+        traces.insert(4, IOTrace(first.inputs[:1], (flipped,)))
+        write_jsonl_corpus(path, traces)
+        return path
+
+    def _seeded_first(self, tmp_path):
+        """A store and a shared trie holding a cold learn's observations,
+        whose branches come in another order than the corpus's."""
+        store = tmp_path / "store.sqlite"
+        with Prognosis.from_spec(self.SPEC.clone(store=str(store))) as prognosis:
+            prognosis.learn()
+            shared = QueryCache()
+            shared.merge_from(prognosis.cache_oracle.cache)
+        return str(store), shared
+
+    @pytest.mark.parametrize("max_traces", [None, 25])
+    def test_corpus_store_and_shared_seedings_fold_the_same_model(
+        self, tmp_path, max_traces
+    ):
+        corpus = self._corpus(tmp_path)
+        store, shared = self._seeded_first(tmp_path)
+        section = {"path": str(corpus), "max_traces": max_traces}
+        trie, stats = load_corpus_cache(corpus, max_traces=max_traces)
+        assert [conflict.trace_index for conflict in stats.skipped] == [4]
+
+        runs = {
+            "corpus": bulk_passive_learn(self.SPEC.clone(corpus=section)),
+            "store+corpus": bulk_passive_learn(
+                self.SPEC.clone(corpus=section, store=store)
+            ),
+            "shared+corpus": bulk_passive_learn(
+                self.SPEC.clone(corpus=section), shared_cache=shared
+            ),
+        }
+        alone = runs["corpus"]
+        folded = fold_prefix_tree(
+            prefix_tree_from_cache(trie), alone.refined.model.input_alphabet
+        )
+        assert alone.passive_model.to_dict() == folded.to_dict()
+        for mode, result in runs.items():
+            assert result.passive_model.to_dict() == folded.to_dict(), mode
+            assert result.corpus_stats.to_dict() == stats.to_dict(), mode
+            assert result.refined.model.to_dict() == alone.refined.model.to_dict(), mode
+            assert (result.targeted_queries, result.targeted_covered) == (
+                alone.targeted_queries,
+                alone.targeted_covered,
+            ), mode

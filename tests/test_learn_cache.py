@@ -1,5 +1,9 @@
 """Tests for the query cache and nondeterminism detection layers."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -45,6 +49,17 @@ class TestQueryCache:
         cache.insert((syn,), (synack,))
         with pytest.raises(CacheInconsistencyError):
             cache.insert((syn,), (nil,))
+
+    def test_insert_rejects_a_length_mismatch(self, ab_alphabet, out_symbols):
+        """A word and outputs of different lengths are no observation;
+        zipping them would store a truncated one for a word never asked."""
+        syn, ack = ab_alphabet.symbols
+        synack, _ = out_symbols
+        cache = QueryCache()
+        with pytest.raises(ValueError, match="2 inputs has 1 outputs"):
+            cache.insert((syn, ack), (synack,))
+        assert cache.lookup((syn,)) is None
+        assert (cache.entries, cache.nodes) == (0, 0)
 
     def test_clear(self, ab_alphabet, out_symbols):
         syn, _ = ab_alphabet.symbols
@@ -109,6 +124,75 @@ class TestCachedOracle:
         oracle.query((syn,))
         assert sul.stats.queries == 1
         assert oracle.hit_rate == 0.5
+
+
+class _ShortAnswers:
+    """An inner oracle that drops the last answer of every batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.input_alphabet = inner.input_alphabet
+
+    def query_batch(self, words):
+        return self.inner.query_batch(words)[:-1]
+
+
+class TestInnerOracleMisbehaviour:
+    def test_unanswered_batch_word_raises(self, toy_machine, ab_alphabet):
+        syn, ack = ab_alphabet.symbols
+        inner = _ShortAnswers(SULMembershipOracle(MealySUL(toy_machine)))
+        oracle = CachedMembershipOracle(inner)
+        with pytest.raises(RuntimeError, match="left .* unanswered"):
+            oracle.query_batch([(syn, ack), (ack, ack)])
+
+    def test_unanswered_batch_word_raises_under_optimize(self):
+        """The check must survive ``python -O``, which strips asserts."""
+        script = textwrap.dedent(
+            """
+            from repro.adapter.mealy_sul import MealySUL
+            from repro.core.alphabet import Alphabet, TCPSymbol
+            from repro.core.mealy import mealy_from_table
+            from repro.learn.cache import CachedMembershipOracle
+            from repro.learn.teacher import SULMembershipOracle
+
+            syn, ack = TCPSymbol.make(["SYN"]), TCPSymbol.make(["ACK"])
+            machine = mealy_from_table(
+                "s", Alphabet.of([syn, ack]), [("s", syn, ack, "s"), ("s", ack, syn, "s")]
+            )
+
+            class Short:
+                input_alphabet = machine.input_alphabet
+                inner = SULMembershipOracle(MealySUL(machine))
+
+                def query_batch(self, words):
+                    return self.inner.query_batch(words)[:-1]
+
+            try:
+                print(CachedMembershipOracle(Short()).query_batch([(syn,), (ack,)]))
+            except RuntimeError as error:
+                print("raised:", error)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert result.stdout.startswith("raised:"), result.stdout
+
+    def test_short_outputs_raise(self, toy_machine, ab_alphabet):
+        syn, ack = ab_alphabet.symbols
+
+        class Truncating:
+            input_alphabet = toy_machine.input_alphabet
+
+            def query_batch(self, words):
+                return [toy_machine.run(word)[:-1] for word in words]
+
+        oracle = CachedMembershipOracle(Truncating())
+        with pytest.raises(ValueError, match="2 inputs has 1 outputs"):
+            oracle.query_batch([(syn, ack)])
+        assert oracle.cache.lookup((syn,)) is None
 
 
 class TestMajorityVote:

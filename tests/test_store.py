@@ -125,6 +125,45 @@ class TestQueryStore:
             with pytest.raises(CacheInconsistencyError):
                 store.load("fp")
 
+    def test_append_rejects_a_length_mismatch(self, tmp_path, ab_alphabet, out_symbols):
+        syn, ack = ab_alphabet.symbols
+        synack, _ = out_symbols
+        with QueryStore(tmp_path / "store.sqlite") as store:
+            with pytest.raises(StoreError, match="2 inputs and 1 outputs"):
+                store.append("fp", (syn, ack), (synack,))
+            assert store.word_count("fp") == 0
+            assert store.load("fp").lookup((syn,)) is None
+
+    @pytest.mark.parametrize(
+        "word_text, outputs_text, reason",
+        [
+            ("", "[]", "Expecting value"),
+            ('[{"kind":"tcp","text":"SYN(?,?,0)"}]', "[{]", "Expecting property name"),
+            ('[{"kind":"tcp","text":"SYN(?,?,0)"}]', '[{"kind":"tcp"}]', "malformed"),
+            (
+                '[{"kind":"tcp","text":"SYN(?,?,0)"},{"kind":"tcp","text":"ACK(?,?,0)"}]',
+                '[{"kind":"tcp","text":"ACK+SYN(?,?,0)"}]',
+                "2 inputs but 1 outputs",
+            ),
+        ],
+        ids=["bad-json-word", "bad-json-outputs", "bad-symbol", "length-mismatch"],
+    )
+    def test_bad_rows_name_fingerprint_and_row(
+        self, tmp_path, word_text, outputs_text, reason
+    ):
+        path = tmp_path / "store.sqlite"
+        QueryStore(path).close()
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "INSERT INTO observations (fingerprint, word, outputs) VALUES (?, ?, ?)",
+                ("fp-planted", word_text, outputs_text),
+            )
+        with QueryStore(path) as store:
+            with pytest.raises(StoreError, match=reason) as raised:
+                list(store.observations("fp-planted"))
+        assert "fp-planted" in str(raised.value)
+        assert outputs_text in str(raised.value)
+
     def test_usage_accumulates_across_sessions(self, tmp_path):
         path = tmp_path / "store.sqlite"
         with QueryStore(path) as store:
