@@ -33,6 +33,7 @@ from pathlib import Path
 from conftest import report, run_once
 
 from repro.adapter.mealy_sul import MealySUL
+from repro.adapter.sul import SUL
 from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.framework import Prognosis
 from repro.learn.cache import CachedMembershipOracle
@@ -63,7 +64,13 @@ MATRIX_CELLS = (("serial", 1), ("thread", POOL_WORKERS), ("process", POOL_WORKER
 
 
 class LatentTCPSUL(TCPAdapterSUL):
-    """TCP adapter with a per-step delay standing in for network RTT."""
+    """TCP adapter with a per-step delay standing in for network RTT.
+
+    Like the closed box it stands in for, it can only reset and step: it
+    refuses snapshots, so every word is replayed and pays its latency.
+    """
+
+    snapshot = SUL.snapshot
 
     def _step_impl(self, symbol):
         time.sleep(STEP_LATENCY)

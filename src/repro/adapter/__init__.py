@@ -10,7 +10,6 @@ from .executor import (
 )
 from .h3_adapter import H3AppLayer, build_h3_app, build_http3_sul
 from .http2_adapter import (
-    HTTP2AdapterSUL,
     HTTP2AppLayer,
     TransportHTTP2Client,
     abstract_frame,
@@ -48,7 +47,6 @@ __all__ = [
     "ExecutorBackend",
     "ExecutorError",
     "H3AppLayer",
-    "HTTP2AdapterSUL",
     "HTTP2AppLayer",
     "LayeredSUL",
     "PacketQueue",

@@ -408,11 +408,11 @@ class _QuicConnState:
         return (
             self.cid,
             self.next_pn,
-            frozenset(self.received_pns),
+            tuple(sorted(self.received_pns)),
             tuple(self.unacked.items()),
             tuple((sid, stream.snapshot()) for sid, stream in self.recv.items()),
             tuple((sid, stream.snapshot()) for sid, stream in self.send.items()),
-            frozenset(self.fin_reported),
+            tuple(sorted(self.fin_reported)),
             self.handshaken,
         )
 

@@ -113,7 +113,7 @@ class QUICAdapterSUL(SUL):
         server = self.server
         if connection is not None:
             connection = QUICServerConnection.restored(
-                connection, server.profile, server.rng, server.wire
+                connection, server.profile, server.table, server.rng, server.wire
             )
         server.connection = connection
         self.client.restore(client)

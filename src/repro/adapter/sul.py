@@ -9,9 +9,12 @@ sent).
 A SUL that can :meth:`~SUL.snapshot` and :meth:`~SUL.restore` its state
 answers a query batch as one depth-first walk over the batch's prefix
 trie instead of resetting and replaying every word; the answers, the
-Oracle Table and the logical counters are those of per-word replay.  The
-walk's snapshots outlive the batch: later batches resume from the saved
-post-reset root and pass through saved prefixes without stepping them.
+Oracle Table and the logical counters are those of per-word replay.  A
+snapshot is a hashable value of exactly the dynamic state, so the walk
+keeps a per-SUL transition memo keyed by it: after every physical step
+``(state, input) -> (step, next state)`` is recorded, and a later edge
+from an equal state -- in this batch or a later one, whatever the prefix
+-- is answered without a step.
 
 Every simulated target snapshots, into hand-written immutable tuples:
 ``MealySUL``, the QUIC SULs, ``tcp``, and the layered ``http2`` and
@@ -21,19 +24,20 @@ while datagrams are in flight, for mvfst-style probabilistic stateless
 resets, the tracker's ambiguous-abstraction and retry-port flags, a
 resuming or migrated QUIC-stream transport, and ``tcp`` with absolute
 sequence numbers.  Learning with the default spec at seed 11, tcp runs
-1,110 of 2,897 logical steps (2 of 654 resets), http2 1,240 of 3,152 (1
-of 777), http3 3,843 of 11,286 (4 of 2,166) and quic-google 4,921 of
-17,321 (2 of 3,124).
+279 of 2,897 logical steps (2 of 654 resets), http2 526 of 3,152 (1 of
+777), http3 2,721 of 11,286 (4 of 2,166), quic-google 2,407 of 17,321 (2
+of 3,124) and quic-quiche 1,089 of 8,636 (1 of 1,664).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from ..core.alphabet import AbstractSymbol, Alphabet
+from ..core.extended import ConcreteStep
 from ..core.oracle_table import OracleTable
 from ..core.trace import Word
 
@@ -46,7 +50,8 @@ class SULStats:
     reset-and-replay would have cost, whatever way the batch really ran.
     The ``physical_*`` counters are what reached the implementation;
     ``snapshots`` and ``restores`` count the trie walk's state copies, and
-    ``skipped_steps`` the steps it passed through saved snapshots instead.
+    ``skipped_steps`` the steps it answered from the transition memo
+    instead.
     """
 
     queries: int = 0
@@ -59,7 +64,7 @@ class SULStats:
     skipped_steps: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return asdict(self)
+        return dict(self.__dict__)
 
     def add(self, delta: Mapping[str, int]) -> None:
         """Add a :meth:`snapshot` difference (a pool worker's shard cost)."""
@@ -67,13 +72,38 @@ class SULStats:
             setattr(self, key, getattr(self, key) + value)
 
 
-#: Restore token of a trie node whose snapshot was refused: reach it again
-#: by a physical reset and a replay of its prefix.
-_REPLAY = object()
+#: Concrete states a SUL's transition memo keeps across query batches; the
+#: least recently used one goes first (its snapshot stays restorable for
+#: the walks and memo edges that still hold it).
+SNAPSHOT_CAPACITY = 1024
 
-#: Trie-walk snapshots a SUL keeps across query batches, its post-reset
-#: root included; the least recently used one goes first.
-SNAPSHOT_CAPACITY = 256
+
+class _State:
+    """A concrete SUL state: its snapshot, hashed once, and the memo's
+    transitions out of it (``symbol -> (step, next state)``).
+
+    Only :attr:`live` states -- those in the SUL's memo -- hold
+    transitions.  A refused snapshot (``None``) is never live; the walk
+    reaches such a state again by a reset and a replay.
+    """
+
+    __slots__ = ("snapshot", "_hash", "edges", "live")
+
+    def __init__(self, snapshot: Any) -> None:
+        self.snapshot = snapshot
+        self._hash = hash(snapshot)
+        self.edges: dict[AbstractSymbol, tuple[ConcreteStep, _State]] = {}
+        self.live = False
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, _State)
+            and self._hash == other._hash
+            and self.snapshot == other.snapshot
+        )
 
 
 class SUL(ABC):
@@ -84,10 +114,10 @@ class SUL(ABC):
         self.name = name
         self.oracle_table = OracleTable()
         self.stats = SULStats()
-        #: Trie-walk snapshots kept across batches by prefix -- the
-        #: post-reset root under ``()`` and branch nodes -- each with the
-        #: output and parameters of the last step of its path.
-        self._saved: OrderedDict[Word, tuple] = OrderedDict()
+        #: The transition memo: interned concrete states, least recently
+        #: used first, and the post-reset state the walks start from.
+        self._states: OrderedDict[_State, _State] = OrderedDict()
+        self._root: _State | None = None
 
     # -- subclass responsibilities ---------------------------------------
     @abstractmethod
@@ -105,8 +135,10 @@ class SUL(ABC):
         """A copy of the current state for :meth:`restore`, or ``None``.
 
         ``None`` means "cannot": the batch falls back to reset-and-replay.
-        A SUL may only return a state when restoring it makes every later
-        step behave exactly as it would have from here.
+        A state is a hashable value of exactly the dynamic state, with
+        configuration and memos left out: two equal snapshots must answer
+        every later step alike, since the transition memo answers one from
+        the other.
         """
         return None
 
@@ -138,20 +170,18 @@ class SUL(ABC):
         self.reset()
         return self._run(word)
 
+    def _concrete_step(self, symbol: AbstractSymbol) -> ConcreteStep:
+        """One physical step, as the read-only step the Oracle Table keeps."""
+        self.stats.physical_steps += 1
+        return ConcreteStep(symbol, *self._step_impl(symbol))
+
     def _run(self, word: Sequence[AbstractSymbol]) -> Word:
         """Step through ``word`` from the current state and record it."""
-        outputs: list[AbstractSymbol] = []
-        input_params: list[Mapping[str, int]] = []
-        output_params: list[Mapping[str, int]] = []
+        steps = []
         for symbol in word:
             self.stats.steps += 1
-            self.stats.physical_steps += 1
-            output, in_params, out_params = self._step_impl(symbol)
-            outputs.append(output)
-            input_params.append(in_params)
-            output_params.append(out_params)
-        self.oracle_table.record(tuple(word), tuple(outputs), input_params, output_params)
-        return tuple(outputs)
+            steps.append(self._concrete_step(symbol))
+        return self.oracle_table.record_steps(word, steps).abstract.outputs
 
     def query_batch(self, words: Sequence[Sequence[AbstractSymbol]]) -> list[Word]:
         """Answer several membership queries; results are index-aligned.
@@ -159,60 +189,73 @@ class SUL(ABC):
         The base implementation runs the words serially on this instance;
         parallel backends (:class:`repro.adapter.pool.SULPool`) override it.
         A SUL that overrides :meth:`snapshot` runs the batch as one walk
-        over its prefix trie (:meth:`_walk_trie`).  The walk starts from
-        the saved post-reset root when there is one, and from a physical
-        reset otherwise; either way :meth:`snapshot` is called there once,
-        and if it refuses, the saved snapshots are dropped and every word
-        is reset and replayed, the first one on that reset.
+        over its prefix trie (:meth:`_walk_trie`) from its post-reset
+        state, taken by a physical reset in the first batch.  A later
+        batch snapshots the state the SUL was left in instead; if that is
+        refused (say, a lossy link was set in between), the memo is
+        dropped and the batch starts from a reset, and if the post-reset
+        snapshot is refused too, every word is reset and replayed, the
+        first one on that reset.
         """
         words = [tuple(word) for word in words]
         if type(self).snapshot is SUL.snapshot:
             return [self.query(word) for word in words]
         if not words:
             return []
-        root = None
-        saved_root = self._saved.get(())
-        if saved_root is not None:
-            self._saved.move_to_end(())
-            self.stats.restores += 1
-            self.restore(saved_root[0])
-            if self.snapshot() is None:
-                self._saved.clear()
+        stats = self.stats
+        here = None
+        if self._root is not None:
+            current = self.snapshot()
+            if current is None:
+                self._states.clear()
+                self._root = None
             else:
-                root = saved_root[0]
-                self.stats.snapshots += 1
-                self.stats.resets += 1  # resumed instead of reset
-        if root is None:
+                stats.snapshots += 1
+                stats.resets += 1  # resumed instead of reset
+                here = self._intern(_State(current))
+        if self._root is None:
             self.reset()
             root = self.snapshot()
             if root is None:
-                self.stats.queries += 1
+                stats.queries += 1
                 return [self._run(words[0])] + [self.query(word) for word in words[1:]]
-            self.stats.snapshots += 1
-            self._save((), (root, None, None, None))
-        return self._walk_trie(words, root)
+            stats.snapshots += 1
+            self._root = here = self._intern(_State(root))
+        return self._walk_trie(words, here)
 
-    def _save(self, prefix: Word, entry: tuple) -> None:
-        """Keep ``entry`` (the snapshot after ``prefix`` and its last step's
-        output and parameters), evicting the least recently used one beyond
-        :data:`SNAPSHOT_CAPACITY`."""
-        saved = self._saved
-        saved[prefix] = entry
-        if len(saved) > SNAPSHOT_CAPACITY:
-            saved.popitem(last=False)
+    def _intern(self, state: _State) -> _State:
+        """The memo's state equal to ``state`` (``state`` itself if there was
+        none), made the most recently used; beyond
+        :data:`SNAPSHOT_CAPACITY`, the least recently used one is evicted.
+        A state whose snapshot was refused stays out: it equals no other."""
+        if state.snapshot is None:
+            return state
+        states = self._states
+        live = states.get(state)
+        if live is not None:
+            states.move_to_end(live)
+            return live
+        states[state] = state
+        state.live = True
+        if len(states) > SNAPSHOT_CAPACITY:
+            evicted = states.popitem(last=False)[0]
+            evicted.live = False
+            evicted.edges = {}
+        return state
 
-    def _walk_trie(self, words: list[Word], root_state: Any) -> list[Word]:
-        """Run ``words`` depth-first over their prefix trie from the reset
-        state ``root_state`` was taken in.
+    def _walk_trie(self, words: list[Word], here: _State) -> list[Word]:
+        """Run ``words`` depth-first over their prefix trie from the
+        post-reset state; the SUL is physically in state ``here``.
 
-        A node with two or more children is snapshotted once and saved
-        (:meth:`_save`); every later child restores it.  A node saved by an
-        earlier batch is passed through without a step, and restored only
-        when one of its children must really be stepped.  A refused
-        snapshot is made up for by a physical reset and a replay of the
-        prefix.  Answers and Oracle-Table entries come out in batch order,
-        and the logical counters advance as if every word had been
-        replayed.
+        Each trie edge is answered from the transition memo when its
+        state has taken that input before; otherwise the state is
+        restored (unless the SUL is in it) and the input really stepped,
+        after which the next state is snapshotted, interned
+        (:meth:`_intern`) and the transition memoised.  A state whose
+        snapshot was refused is reached again by a physical reset and a
+        replay of the prefix.  Answers and Oracle-Table entries come out
+        in batch order, every step shared with the memo, and the logical
+        counters advance as if every word had been replayed.
         """
         root: tuple[dict, list] = ({}, [])  # (children by symbol, word indices)
         for index, word in enumerate(words):
@@ -225,58 +268,39 @@ class SUL(ABC):
             node[1].append(index)
 
         stats = self.stats
-        saved = self._saved
         path: list[AbstractSymbol] = []
-        outputs: list[AbstractSymbol] = []
-        input_params: list[Mapping[str, int]] = []
-        output_params: list[Mapping[str, int]] = []
+        steps: list[ConcreteStep] = []
         observed: list[tuple] = [()] * len(words)
         # Later children still to run: (symbol, node, parent depth, the
-        # parent's restore token).
+        # parent's state).
         stack: list[tuple] = []
-        # ``token`` restores the current node; None means "not taken yet",
-        # which only happens while the SUL is physically at the node.
-        node, token, here = root, root_state, True
+        node, state = root, self._intern(self._root)
+        self._root = state
         while True:
             children, ends = node
             for index in ends:
-                observed[index] = (tuple(outputs), input_params[:], output_params[:])
+                observed[index] = tuple(steps)
             if children:
                 items = list(children.items())
-                if len(items) > 1:
-                    if token is None:
-                        token = self.snapshot()
-                        if token is None:
-                            token = _REPLAY
-                        else:
-                            stats.snapshots += 1
-                            last = (outputs[-1], input_params[-1], output_params[-1])
-                            self._save(tuple(path), (token, *last))
-                    depth = len(path)
-                    for position in range(len(items) - 1, 0, -1):
-                        stack.append((*items[position], depth, token))
+                depth = len(path)
+                for position in range(len(items) - 1, 0, -1):
+                    stack.append((*items[position], depth, state))
                 symbol, node = items[0]
             elif stack:
-                symbol, node, depth, token = stack.pop()
-                del path[depth:], outputs[depth:]
-                del input_params[depth:], output_params[depth:]
-                here = False
+                symbol, node, depth, state = stack.pop()
+                del path[depth:], steps[depth:]
             else:
                 break
             path.append(symbol)
-            prefix = tuple(path)
-            entry = saved.get(prefix)
-            if entry is not None:
-                saved.move_to_end(prefix)
+            edge = state.edges.get(symbol)
+            if edge is not None:
                 stats.skipped_steps += 1
-                token, output, in_params, out_params = entry
-                outputs.append(output)
-                input_params.append(in_params)
-                output_params.append(out_params)
-                here = False
+                step, state = edge
+                steps.append(step)
+                state = self._intern(state)
                 continue
-            if not here:
-                if token is _REPLAY:
+            if here is not state:
+                if state.snapshot is None:
                     stats.physical_resets += 1
                     self._reset_impl()
                     for replayed in path[:-1]:
@@ -284,19 +308,21 @@ class SUL(ABC):
                         self._step_impl(replayed)
                 else:
                     stats.restores += 1
-                    self.restore(token)
-                here = True
-            stats.physical_steps += 1
-            output, in_params, out_params = self._step_impl(symbol)
-            outputs.append(output)
-            input_params.append(in_params)
-            output_params.append(out_params)
-            token = None
+                    self.restore(state.snapshot)
+            step = self._concrete_step(symbol)
+            steps.append(step)
+            state = self._intern(state)
+            snapshot = self.snapshot()
+            if snapshot is not None:
+                stats.snapshots += 1
+            following = self._intern(_State(snapshot))
+            if state.live:
+                state.edges[symbol] = (step, following)
+            state = here = following
 
         answers: list[Word] = []
-        for word, (word_outputs, word_in, word_out) in zip(words, observed):
-            self.oracle_table.record(word, word_outputs, word_in, word_out)
-            answers.append(word_outputs)
+        for word, word_steps in zip(words, observed):
+            answers.append(self.oracle_table.record_steps(word, word_steps).abstract.outputs)
         stats.queries += len(words)
         stats.resets += len(words) - 1  # the batch's own reset counted one
         stats.steps += sum(len(word) for word in words)

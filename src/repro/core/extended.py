@@ -17,6 +17,7 @@ dependency-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Protocol, Sequence
 
 from .alphabet import AbstractSymbol
@@ -47,19 +48,52 @@ class TransitionAnnotation:
     outputs: Mapping[str, Term] = field(default_factory=dict)
 
 
-@dataclass
+class FrozenDict(dict):
+    """A read-only, hashable :class:`dict` (equal to the plain dict)."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+@dataclass(frozen=True, slots=True)
 class ConcreteStep:
     """One step of a concrete trace: input params and observed output params.
 
     ``input_params``/``output_params`` carry the numeric packet fields the
     abstraction dropped -- e.g. ``{"sn": 2, "an": 5}`` for TCP sequence and
-    acknowledgement numbers.
+    acknowledgement numbers.  A step is read-only (its params are
+    :class:`FrozenDict` copies), so one step taken by the SUL is shared by
+    every Oracle-Table entry whose word passes through it.
     """
 
     input_symbol: AbstractSymbol
     output_symbol: AbstractSymbol
     input_params: Mapping[str, int]
     output_params: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        for name in ("input_params", "output_params"):
+            params = getattr(self, name)
+            if type(params) is not FrozenDict:
+                object.__setattr__(self, name, _frozen_params(tuple(params.items())))
+
+
+@lru_cache(maxsize=4096)
+def _frozen_params(items: tuple[tuple[str, int], ...]) -> FrozenDict:
+    """One shared :class:`FrozenDict` per distinct parameter set (a learn
+    sees a few dozen to a few hundred)."""
+    return FrozenDict(items)
 
 
 class ExtendedMealyMachine:

@@ -68,16 +68,15 @@ class OracleTable:
         first.
         """
         abstract = IOTrace(tuple(inputs), tuple(outputs))
-        steps = tuple(
-            ConcreteStep(
-                input_symbol=i,
-                output_symbol=o,
-                input_params=dict(ip),
-                output_params=dict(op),
-            )
-            for i, o, ip, op in zip(inputs, outputs, input_params, output_params)
-        )
+        steps = tuple(map(ConcreteStep, inputs, outputs, input_params, output_params))
         return self.merge(OracleEntry(abstract=abstract, steps=steps))
+
+    def record_steps(
+        self, inputs: Sequence[AbstractSymbol], steps: Sequence[ConcreteStep]
+    ) -> OracleEntry:
+        """:meth:`record` a query from its (read-only, shareable) steps."""
+        outputs = tuple(step.output_symbol for step in steps)
+        return self.merge(OracleEntry(IOTrace(tuple(inputs), outputs), tuple(steps)))
 
     def merge(self, entry: OracleEntry) -> OracleEntry:
         """Adopt an entry recorded by another table (e.g. a pool worker).

@@ -80,7 +80,7 @@ class H3Client:
             self._control_open,
             tuple((sid, decoder.snapshot()) for sid, decoder in self._decoders.items()),
             tuple((sid, bytes(buffer)) for sid, buffer in self._uni_type_buffers.items()),
-            frozenset(self._uni_type_seen),
+            tuple(sorted(self._uni_type_seen)),
         )
 
     def restore(self, state: tuple) -> None:

@@ -279,7 +279,7 @@ class SimulatedNetwork:
             return None
         return (
             self._sequence,
-            dict(self.stats),
+            tuple(self.stats.values()),
             self._drop_next,
             self.clock.now,
             self._rng.getstate(),
@@ -291,6 +291,6 @@ class SimulatedNetwork:
         for endpoint in self._endpoints.values():
             endpoint.inbox.clear()
         self._sequence, stats, self._drop_next, now, rng_state = state
-        self.stats.update(stats)
+        self.stats.update(zip(self.stats, stats))
         self.clock._now = now  # the one place time may move backwards
         self._rng.setstate(rng_state)

@@ -1,16 +1,33 @@
 """A seeded RNG whose state snapshots are shared while it is not drawn.
 
 A Mersenne-Twister :meth:`~random.Random.getstate` is a tuple of 625 ints,
-about 25 KB, and takes some 15 µs to build.  SUL snapshots capture the
-state of every RNG they own, and most of those RNGs are drawn rarely (at a
-reset, or when a connection opens), so one state object can stand for all
-the snapshots taken between two draws -- and restoring the state the
-generator already holds costs nothing.
+about 25 KB, and takes some 15 µs to build and 8 µs to hash.  SUL
+snapshots capture the state of every RNG they own, and most of those RNGs
+are drawn rarely (at a reset, or when a connection opens), so one state
+object can stand for all the snapshots taken between two draws, hashes
+once for all of them, and restoring the state the generator already
+holds costs nothing.
 """
 
 from __future__ import annotations
 
 import random
+
+
+class RandomState(tuple):
+    """A :meth:`~random.Random.getstate` tuple that hashes once.
+
+    Snapshots are interned by value, so the same state is hashed for
+    every snapshot that carries it.  Plain :class:`random.Random` accepts
+    it like the tuple it is.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
 
 
 class SnapshotRandom(random.Random):
@@ -21,7 +38,7 @@ class SnapshotRandom(random.Random):
     """
 
     #: The generator's state, while it has not been drawn since.
-    _state: tuple | None = None
+    _state: RandomState | None = None
 
     def seed(self, a=None, version=2) -> None:
         self._state = None
@@ -39,12 +56,12 @@ class SnapshotRandom(random.Random):
         self._state = None  # may consume the cached second value undrawn
         return super().gauss(mu, sigma)
 
-    def getstate(self) -> tuple:
+    def getstate(self) -> RandomState:
         if self._state is None:
-            self._state = super().getstate()
+            self._state = RandomState(super().getstate())
         return self._state
 
     def setstate(self, state: tuple) -> None:
-        if state is not self._state:
+        if state is not self._state and state != self._state:
             super().setstate(state)
-            self._state = state
+            self._state = state if type(state) is RandomState else None

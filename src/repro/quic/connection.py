@@ -129,13 +129,13 @@ class QUICServerConnection:
         self._hello_processed = False
 
     def snapshot(self) -> tuple:
-        """The connection's state as immutable values (SUL snapshots).
+        """The connection's state as immutable, hashable values (SUL
+        snapshots).
 
-        The behaviour table is carried by reference; :meth:`restored` takes
-        the shared profile, server RNG and wire memo.
+        :meth:`restored` takes the server's profile, behaviour table, RNG
+        and wire memo, which stay out.
         """
         return (
-            self.core.table,
             self.core.state,
             _connection_values(self),
             tuple(space.snapshot() for space in self.spaces.values()),
@@ -147,9 +147,14 @@ class QUICServerConnection:
 
     @classmethod
     def restored(
-        cls, state: tuple, profile: ServerProfile, rng: random.Random, wire: WireMemo
+        cls,
+        state: tuple,
+        profile: ServerProfile,
+        table: BehaviorTable,
+        rng: random.Random,
+        wire: WireMemo,
     ) -> "QUICServerConnection":
-        table, core_state, values, spaces, queues, offsets, recv, send = state
+        core_state, values, spaces, queues, offsets, recv, send = state
         connection = cls.__new__(cls)
         connection.__dict__.update(zip(CONNECTION_VALUES, values))
         connection.profile, connection.rng, connection.wire = profile, rng, wire
@@ -418,6 +423,8 @@ class QUICServer:
         #: Memoised wire functions, shared by every connection this server
         #: hosts and kept across :meth:`reset` (see :mod:`repro.quic.wire`).
         self.wire = WireMemo()
+        #: The static behaviour table every connection reads.
+        self.table = profile.table_factory()
         self.endpoint = network.bind(host, port)
         self.endpoint.handler = self._handle
         self.connection: QUICServerConnection | None = None
@@ -472,10 +479,9 @@ class QUICServer:
             if header.token[:-4] != expected:
                 return []  # invalid token (e.g. sent from the wrong port)
             min_pn = int.from_bytes(header.token[-4:], "big")
-        table = self.profile.table_factory()
         self.connection = QUICServerConnection(
             profile=self.profile,
-            table=table,
+            table=self.table,
             original_dcid=header.destination_cid,
             client_scid=header.source_cid,
             rng=self.rng,

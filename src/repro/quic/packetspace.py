@@ -33,7 +33,7 @@ class PacketNumberSpace:
         """The space's state as immutable values (SUL snapshots)."""
         return (
             self.next_packet_number,
-            frozenset(self.received),
+            tuple(sorted(self.received)),
             self.largest_received,
             self.largest_acked_by_peer,
         )

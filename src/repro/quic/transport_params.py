@@ -8,8 +8,9 @@ ids (as required by the RFC's extension rules).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..core.extended import FrozenDict
 from .varint import Buffer, VarintError
 
 PARAM_MAX_IDLE_TIMEOUT = 0x01
@@ -42,7 +43,8 @@ class TransportParameterError(ValueError):
 class TransportParameters:
     """The negotiated limits one endpoint advertises to its peer.
 
-    Frozen: connections and their SUL snapshots share instances.
+    Frozen and hashable (``unknown`` too): connections and their SUL
+    snapshots share instances.
     """
 
     max_idle_timeout: int = 30_000
@@ -52,7 +54,11 @@ class TransportParameters:
     initial_max_streams_bidi: int = 8
     original_dcid: bytes = b""
     retry_source_cid: bytes | None = None
-    unknown: dict[int, bytes] = field(default_factory=dict)
+    unknown: FrozenDict = FrozenDict()
+
+    def __post_init__(self) -> None:
+        if type(self.unknown) is not FrozenDict:
+            object.__setattr__(self, "unknown", FrozenDict(self.unknown))
 
     def encode(self) -> bytes:
         buf = Buffer()

@@ -75,13 +75,13 @@ class TestExecution:
         assert predictions[1] == {}  # no outputs modelled on that edge
 
     def test_consistency_check_passes(self, fig3c_machine):
-        steps = [_step(SYN, SYNACK, sn=41, an=0)]
-        steps[0].output_params.update({"an": 42})
+        # Steps are read-only: the observed output goes in at construction.
+        steps = [ConcreteStep(SYN, SYNACK, {"sn": 41, "an": 0}, {"an": 42})]
         assert fig3c_machine.consistent_with(steps)
 
     def test_consistency_check_fails_on_wrong_value(self, fig3c_machine):
-        steps = [_step(SYN, SYNACK, sn=41, an=0)]
-        steps[0].output_params.update({"an": 99})
+        # Steps are read-only: the observed output goes in at construction.
+        steps = [ConcreteStep(SYN, SYNACK, {"sn": 41, "an": 0}, {"an": 99})]
         assert not fig3c_machine.consistent_with(steps)
 
     def test_unobserved_params_are_ignored(self, fig3c_machine):

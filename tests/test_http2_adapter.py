@@ -1,9 +1,11 @@
 """Tests for the HTTP/2 adapter: alpha/gamma, registry, pooled identity."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.adapter.http2_adapter import (
-    HTTP2AdapterSUL,
     abstract_frame,
     abstract_frames,
     build_http2_sul,
@@ -20,6 +22,8 @@ from repro.core.alphabet import (
 from repro.experiments import learn_http2
 from repro.http2.frames import ErrorCode, goaway_frame, headers_frame, settings_frame
 from repro.registry import SUL_REGISTRY, load_builtins
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "http2.json"
 
 SETTINGS = parse_http2_symbol("SETTINGS[]")
 REQUEST = parse_http2_symbol("HEADERS[END_HEADERS,END_STREAM]")
@@ -64,7 +68,7 @@ class TestSymbolCodec:
 
 class TestHTTP2AdapterSUL:
     def test_query_records_oracle_entry(self):
-        sul = HTTP2AdapterSUL()
+        sul = build_http2_sul()
         outputs = sul.query((SETTINGS, REQUEST))
         assert str(outputs[0]) == "SETTINGS[]+SETTINGS[ACK]"
         assert str(outputs[1]) == "HEADERS[END_HEADERS]+DATA[END_STREAM]"
@@ -74,13 +78,13 @@ class TestHTTP2AdapterSUL:
         sul.close()
 
     def test_determinism_across_queries(self):
-        sul = HTTP2AdapterSUL()
+        sul = build_http2_sul()
         word = (SETTINGS, REQUEST, RST, REQUEST)
         assert sul.query(word) == sul.query(word)
         sul.close()
 
     def test_foreign_symbol_rejected(self):
-        sul = HTTP2AdapterSUL()
+        sul = build_http2_sul()
         with pytest.raises(TypeError):
             sul.query((parse_tcp_symbol("SYN(?,?,0)"),))
         sul.close()
@@ -112,27 +116,21 @@ class TestHTTP2AdapterSUL:
 
 class TestComposedIdentity:
     def test_composed_stack_learns_the_monolithic_model(self):
-        """Satellite guarantee: migrating ``http2`` onto
-        ``compose(ReliableByteTransport, build_http2_app)`` left the
-        learned model byte-identical to the monolithic adapter's."""
-        from repro.core.mealy import behavior_fingerprint
-        from repro.framework import Prognosis
+        """Migrating ``http2`` onto ``compose(ReliableByteTransport,
+        build_http2_app)`` left the learned model byte-identical to the one
+        the monolithic adapter learned, pinned in
+        ``perfbench/reference/http2.json``."""
+        from repro.core.mealy import MealyMachine, behavior_fingerprint
 
+        pinned = MealyMachine.from_dict(json.loads(REFERENCE.read_text()))
         composed = learn_http2()
-        with Prognosis(
-            sul=HTTP2AdapterSUL(),
-            learner="ttt",
-            equivalence="wmethod",
-            extra_states=1,
-            name="http2-monolithic",
-        ) as monolithic:
-            model = monolithic.learn().model
-            assert model.num_states == composed.model.num_states == 5
-            assert model.relabel().structurally_equal(composed.model.relabel())
-            assert behavior_fingerprint(model) == behavior_fingerprint(
-                composed.model
-            )
-        composed.close()
+        try:
+            model = composed.model
+            assert model.num_states == pinned.num_states == 5
+            assert model.relabel().structurally_equal(pinned.relabel())
+            assert behavior_fingerprint(model) == behavior_fingerprint(pinned)
+        finally:
+            composed.close()
 
 
 class TestLearnedModels:

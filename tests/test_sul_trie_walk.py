@@ -1,12 +1,15 @@
 """Batches run as prefix-trie walks must answer exactly like per-word replay.
 
 A SUL that can snapshot runs a query batch as one depth-first walk over
-the batch's prefix trie, and keeps its branch-node snapshots for later
-batches.  Whatever the batches -- duplicates, words that are prefixes of
-other words, the empty word, snapshots evicted in between -- the answers,
-the Oracle Table (entries and their order) and the logical counters must
-equal those of resetting and replaying every word; only the physical
-counters may drop.
+the batch's prefix trie, and memoises every transition it steps, keyed by
+the concrete state (its snapshot) it was stepped from, for the rest of
+the batch and for later batches.  Whatever the batches -- duplicates,
+words that are prefixes of other words, the empty word, distinct prefixes
+that reach equal states, states evicted in between -- the answers, the
+Oracle Table (entries, their order and every parameter) and the logical
+counters must equal those of resetting and replaying every word; only the
+physical counters may drop.  ``reference_walk.py`` keeps the walk that
+came before the memo (snapshots saved by prefix) to compare with.
 """
 
 import itertools
@@ -17,6 +20,8 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from reference_walk import PrefixStoreWalk
 
 from repro.adapter.h3_adapter import build_http3_sul
 from repro.adapter.http2_adapter import build_http2_sul
@@ -34,7 +39,7 @@ from repro.quic.impls.quiche import quiche_server
 from repro.quic.impls.tracker import CONNECTION_FIELDS
 from repro.quic.packetspace import Space
 from repro.registry import SUL_REGISTRY
-from repro.spec import ExperimentSpec
+from repro.spec import ExecutorSpec, ExperimentSpec
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -72,6 +77,26 @@ def machines(draw):
     return mealy_from_table("s0", Alphabet.of(inputs), table, name="random")
 
 
+@st.composite
+def converging_machines(draw):
+    """Machines where many distinct prefixes reach equal states: every
+    transition enters one of at most two states."""
+    states = draw(st.integers(2, 4))
+    sinks = draw(st.integers(1, 2))
+    inputs = INPUTS[: draw(st.integers(2, 3))]
+    table = [
+        (
+            f"s{state}",
+            symbol,
+            draw(st.sampled_from(OUTPUTS)),
+            f"s{draw(st.integers(0, sinks - 1))}",
+        )
+        for state in range(states)
+        for symbol in inputs
+    ]
+    return mealy_from_table("s0", Alphabet.of(inputs), table, name="converging")
+
+
 def _draw_batch(draw, symbols):
     word = st.lists(st.sampled_from(symbols), max_size=5).map(tuple)
     words = draw(st.lists(word, min_size=1, max_size=12))
@@ -86,13 +111,13 @@ def _draw_batch(draw, symbols):
 
 @st.composite
 def machines_and_batches(draw):
-    machine = draw(machines())
+    machine = draw(st.one_of(machines(), converging_machines()))
     return machine, _draw_batch(draw, list(machine.input_alphabet.symbols))
 
 
 @st.composite
 def machines_and_batch_runs(draw):
-    machine = draw(machines())
+    machine = draw(st.one_of(machines(), converging_machines()))
     symbols = list(machine.input_alphabet.symbols)
     return machine, [_draw_batch(draw, symbols) for _ in range(draw(st.integers(2, 5)))]
 
@@ -111,6 +136,21 @@ class RefusingSUL(MealySUL):
 
     def snapshot(self):
         return super().snapshot() if self._fresh else None
+
+
+class PartlyRefusingSUL(MealySUL):
+    """Refuses snapshots in the machine states named in ``refused`` (the
+    initial state excepted), so the memo holds transitions into states it
+    can only reach again by reset and replay."""
+
+    def __init__(self, machine, refused):
+        super().__init__(machine)
+        self.refused = refused
+
+    def snapshot(self):
+        if self._state != self.machine.initial_state and self._state in self.refused:
+            return None
+        return super().snapshot()
 
 
 class TestMealyWalk:
@@ -141,30 +181,74 @@ class TestMealyWalk:
         stats = sul.stats
         assert (stats.queries, stats.steps, stats.resets) == (4, 8, 4)
         # syn, ack, syn | ack | syn: one reset and five steps.  Snapshots:
-        # the one taken after the reset, then one per branch point.
+        # the one taken after the reset, then one after every step.  The
+        # second ``ack`` runs from the state the first ``syn`` left (equal
+        # to the one it was meant to run from), so only the last ``syn``
+        # restores.
         assert (stats.physical_resets, stats.physical_steps) == (1, 5)
-        assert (stats.snapshots, stats.restores) == (3, 2)
+        assert (stats.snapshots, stats.restores) == (6, 1)
+
+    def test_distinct_prefixes_to_equal_states_step_once(self, toy_machine):
+        # ``ack`` keeps the toy machine in its initial state: ``()``,
+        # ``(ack,)`` and ``(ack, ack)`` reach equal states, so after the
+        # first word only the new transition ``s0 --ack-->`` is stepped;
+        # the other five of the batch's eight trie edges are memo hits.
+        syn, ack = toy_machine.input_alphabet.symbols
+        batch = [(syn, ack), (ack, syn, ack), (ack, ack, syn, ack)]
+        sul = MealySUL(toy_machine)
+        assert sul.query_batch(batch) == _replay(MealySUL(toy_machine), batch)
+        stats = sul.stats
+        assert (stats.physical_resets, stats.physical_steps, stats.skipped_steps) == (1, 3, 5)
+        assert (stats.snapshots, stats.restores) == (4, 1)
+        assert len(sul._states) == 3
+
+    def test_states_with_refused_snapshots_stay_apart(self):
+        # s1 and s2 refuse snapshots.  The first word's last ``ACK`` is a
+        # memo hit into a refused s1, the last word's ``SYN`` one into a
+        # refused s2: two states without snapshots, which must not be
+        # taken for one another (s1 answers ``ACK`` with RST, s2 with NIL).
+        syn, ack = INPUTS[:2]
+        nil, rst = OUTPUTS[:2]
+        table = [
+            ("s0", syn, nil, "s2"), ("s0", ack, nil, "s1"),
+            ("s1", syn, rst, "s0"), ("s1", ack, rst, "s2"),
+            ("s2", syn, nil, "s1"), ("s2", ack, nil, "s0"),
+        ]
+        machine = mealy_from_table("s0", Alphabet.of([syn, ack]), table, name="refusing")
+        batch = [(ack, syn, ack), (ack, ack, ack, syn), (syn, ack)]
+        walked = PartlyRefusingSUL(machine, {"s1", "s2"})
+        assert walked.query_batch(batch) == _replay(MealySUL(machine), batch)
 
     def test_empty_and_single_batches(self, toy_machine):
         syn, _ = toy_machine.input_alphabet.symbols
         sul = MealySUL(toy_machine)
         assert sul.query_batch([]) == []
         assert sul.stats.snapshots == 0
-        # A single word walks too: its reset state is saved, and the next
-        # batch resumes from it instead of resetting.
+        # A single word walks too: its reset state and the state it
+        # reached are interned, and the next batch answers it from the
+        # memo instead of resetting or stepping.
         expected = MealySUL(toy_machine).query((syn,))
         assert sul.query_batch([(syn,)]) == [expected]
-        assert (sul.stats.physical_resets, sul.stats.snapshots) == (1, 1)
+        assert (sul.stats.physical_resets, sul.stats.snapshots) == (1, 2)
         assert sul.query_batch([(syn,)]) == [expected]
-        assert (sul.stats.physical_resets, sul.stats.restores) == (1, 1)
+        assert (sul.stats.physical_resets, sul.stats.physical_steps) == (1, 1)
+        assert (sul.stats.restores, sul.stats.skipped_steps) == (0, 1)
         assert _logical(sul) == (2, 2, 2)
 
 
-class TestSavedSnapshots:
-    """Batch after batch on one SUL: saved snapshots replace resets and
-    steps, and a tiny capacity evicts them between and within batches."""
+class PrefixStoreMealySUL(PrefixStoreWalk, MealySUL):
+    """The walk before the transition memo (``reference_walk.py``)."""
 
-    @given(machines_and_batch_runs(), st.sampled_from([0, 1, 3, 256]))
+
+class TestSavedSnapshots:
+    """Batch after batch on one SUL: memoised transitions replace resets
+    and steps, and a tiny capacity evicts states between and within
+    batches."""
+
+    @given(
+        machines_and_batch_runs(),
+        st.sampled_from([0, 1, 3, sul_module.SNAPSHOT_CAPACITY]),
+    )
     @settings(max_examples=200, deadline=None)
     def test_batch_runs_equal_replay(self, case, capacity):
         machine, batches = case
@@ -175,10 +259,35 @@ class TestSavedSnapshots:
         assert _entries(walked) == _entries(replayed)
         assert _logical(walked) == _logical(replayed)
         stats = walked.stats
-        assert len(walked._saved) <= capacity
+        assert len(walked._states) <= capacity
         assert stats.physical_steps + stats.skipped_steps <= stats.steps
-        if capacity == 256:
+        if capacity == sul_module.SNAPSHOT_CAPACITY:
             assert stats.physical_resets == 1
+
+    @given(machines_and_batch_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_memo_steps_no_more_than_the_prefix_store(self, case):
+        # Every transition the old walk passed through a saved prefix was
+        # stepped before, from an equal state, so the memo (which never
+        # fills up on these machines) answers it too.
+        machine, batches = case
+        walked, reference = MealySUL(machine), PrefixStoreMealySUL(machine)
+        for batch in batches:
+            assert walked.query_batch(batch) == reference.query_batch(batch)
+        assert _entries(walked) == _entries(reference)
+        assert _logical(walked) == _logical(reference)
+        assert walked.stats.physical_steps <= reference.stats.physical_steps
+        assert walked.stats.physical_resets == reference.stats.physical_resets == 1
+
+    @given(machines_and_batch_runs(), st.sets(st.sampled_from(["s1", "s2", "s3"])))
+    @settings(max_examples=200, deadline=None)
+    def test_partly_refused_batch_runs_equal_replay(self, case, refused):
+        machine, batches = case
+        walked, replayed = PartlyRefusingSUL(machine, refused), MealySUL(machine)
+        for batch in batches:
+            assert walked.query_batch(batch) == _replay(replayed, batch)
+        assert _entries(walked) == _entries(replayed)
+        assert _logical(walked) == _logical(replayed)
 
     @given(machines_and_batch_runs())
     @settings(max_examples=100, deadline=None)
@@ -195,12 +304,13 @@ class TestSavedSnapshots:
         sul = MealySUL(toy_machine)
         sul.query_batch([(syn, ack), (syn, syn)])
         before = sul.stats.snapshot()
-        # Resumed at the saved root; ``syn`` is passed through, and only
-        # ``ack`` is stepped, from the restored ``syn`` node.
+        # Resumed where the last batch left the SUL (snapshotted once);
+        # ``syn`` and ``ack`` are memo hits, and only the second ``ack`` is
+        # stepped, from the restored state the first one reached.
         assert sul.query_batch([(syn, ack, ack)]) == [MealySUL(toy_machine).query((syn, ack, ack))]
         cost = {key: value - before[key] for key, value in sul.stats.snapshot().items()}
-        assert (cost["physical_resets"], cost["physical_steps"], cost["skipped_steps"]) == (0, 2, 1)
-        assert (cost["restores"], cost["snapshots"]) == (2, 1)
+        assert (cost["physical_resets"], cost["physical_steps"], cost["skipped_steps"]) == (0, 1, 2)
+        assert (cost["restores"], cost["snapshots"]) == (1, 2)
 
 
 QUIC_TARGETS = [
@@ -350,23 +460,45 @@ class TestQUICSnapshots:
             assert state == stepped(prefix)[0].snapshot()
 
     def test_google_learn_is_pinned(self):
-        spec = ExperimentSpec(target="quic-google", target_params={"seed": 11}, seed=11)
-        with Prognosis.from_spec(spec) as prognosis:
-            report = prognosis.learn()
-        reference = json.loads((REFERENCE_DIR / "quic-google.json").read_text())
-        reference.pop("name")
-        body = report.model.to_dict()
-        body.pop("name")
-        assert body == reference
-        counters = (
-            report.sul_queries,
-            report.physical_steps,
-            report.physical_resets,
-            report.snapshots,
-            report.restores,
-        )
-        assert counters == (3124, 4921, 2, 739, 3258)
-        assert report.skipped_steps == 1161
+        _assert_learn_is_pinned("quic-google")
+
+
+#: Seed-11 learns with the default spec: (queries, physical steps,
+#: physical resets, snapshots, restores, memo hits).  The walk with the
+#: prefix-keyed store took 1,110 / 1,240 / 3,843 / 4,921 / 2,745 physical
+#: steps; no target may take more.
+PINNED_LEARNS = {
+    "tcp": (654, 279, 2, 300, 228, 902),
+    "http2": (777, 526, 1, 554, 466, 842),
+    "http3": (2166, 2721, 4, 2804, 1919, 1978),
+    "quic-google": (3124, 2407, 2, 2538, 2067, 3675),
+    "quic-quiche": (1664, 1089, 1, 1152, 930, 2197),
+}
+
+
+def _assert_learn_is_pinned(target):
+    spec = ExperimentSpec(target=target, target_params={"seed": 11}, seed=11)
+    with Prognosis.from_spec(spec) as prognosis:
+        report = prognosis.learn()
+    reference = json.loads((REFERENCE_DIR / f"{target}.json").read_text())
+    reference.pop("name")
+    body = report.model.to_dict()
+    body.pop("name")
+    assert body == reference
+    counters = (
+        report.sul_queries,
+        report.physical_steps,
+        report.physical_resets,
+        report.snapshots,
+        report.restores,
+        report.skipped_steps,
+    )
+    assert counters == PINNED_LEARNS[target]
+
+
+@pytest.mark.parametrize("target", sorted(set(PINNED_LEARNS) - {"quic-google"}))
+def test_learn_is_pinned(target):
+    _assert_learn_is_pinned(target)
 
 
 EVERY_TARGET = [
@@ -387,7 +519,7 @@ class TestSavedSnapshotsOnTargets:
         with mock.patch.object(sul_module, "SNAPSHOT_CAPACITY", 6):
             for batch in _random_batches(walked, seed=len(target), count=6):
                 assert walked.query_batch(batch) == _replay(replayed, batch)
-                assert len(walked._saved) <= 6
+                assert len(walked._states) <= 6
         assert _entries(walked) == _entries(replayed)
         assert _logical(walked) == _logical(replayed)
         assert walked.stats.skipped_steps > 0
@@ -399,18 +531,18 @@ class TestSavedSnapshotsOnTargets:
         replayed = SUL_REGISTRY.create(target, seed=11)
         first, second, third = _random_batches(walked, seed=2, count=3)
         assert walked.query_batch(first) == _replay(replayed, first)
-        assert walked._saved
+        assert walked._states
         for sul in (walked, replayed):
             _network(sul).config = LOSSY
         before = walked.stats.snapshot()
         assert walked.query_batch(second) == _replay(replayed, second)
         cost = {key: value - before[key] for key, value in walked.stats.snapshot().items()}
-        assert not walked._saved
+        assert not walked._states
         assert (cost["physical_steps"], cost["physical_resets"]) == (cost["steps"], cost["resets"])
         for sul in (walked, replayed):
             _network(sul).config = PERFECT_LINK
         assert walked.query_batch(third) == _replay(replayed, third)
-        assert walked._saved
+        assert walked._states
         assert _entries(walked) == _entries(replayed)
         assert _logical(walked) == _logical(replayed)
 
@@ -422,7 +554,7 @@ QUIC_FIELDS = [
     (
         lambda sul: sul.server,
         {"connection", "datagrams_received", "rng"},
-        {"network", "profile", "host", "port", "endpoint", "_retry_scid", "wire"},
+        {"network", "profile", "host", "port", "endpoint", "_retry_scid", "wire", "table"},
     ),
     (
         lambda sul: sul.server.connection,
@@ -551,8 +683,8 @@ STREAM_FIELDS = [
         lambda sul: sul,
         "tcp",
         {"_base", "_server_base"},
-        {"input_alphabet", "name", "oracle_table", "stats", "_saved", "network",
-         "server", "client", "relative_numbers"},
+        {"input_alphabet", "name", "oracle_table", "stats", "_states", "_root",
+         "network", "server", "client", "relative_numbers"},
     ),
     (
         lambda sul: sul.server,
@@ -686,3 +818,126 @@ class TestPooledWalk:
             assert pool.stats.skipped_steps > 0
         finally:
             pool.close()
+
+
+def _run_fresh(target, word):
+    """A fresh seed-11 SUL of ``target`` reset once and stepped through
+    ``word``: its ``_step_impl`` answers and final snapshot."""
+    sul = SUL_REGISTRY.create(target, seed=11)
+    sul.reset()
+    return [sul._step_impl(symbol) for symbol in word], sul.snapshot()
+
+
+class TestSnapshotValues:
+    """A snapshot is a hashable value of exactly the dynamic state: the
+    memo interns states by it, and answers one state's transitions from
+    another equal one."""
+
+    @pytest.mark.parametrize("target", EVERY_TARGET)
+    def test_snapshots_hash(self, target):
+        # After seeded random walks from the post-reset state, a snapshot
+        # hashes like the same walk's on a fresh SUL, and restores.
+        sul = SUL_REGISTRY.create(target, seed=11)
+        symbols = list(sul.input_alphabet.symbols)
+        rng = random.Random(len(target))
+        sul.reset()
+        root = sul.snapshot()
+        for _ in range(40):
+            prefix = _random_word(rng, symbols, 4)
+            sul.restore(root)
+            for symbol in prefix:
+                sul.step(symbol)
+            state = sul.snapshot()
+            assert hash(state) == hash(_run_fresh(target, prefix)[1])
+            sul.restore(state)
+            assert sul.snapshot() == state
+
+    @pytest.mark.parametrize("target", EVERY_TARGET)
+    def test_equal_snapshots_answer_every_suffix_alike(self, target):
+        # The first two words of up to three symbols that reach equal
+        # snapshots, each then run on a fresh SUL (no snapshot restored):
+        # every suffix of up to two symbols steps alike, concrete
+        # parameters included, and ends in equal snapshots.
+        sul = SUL_REGISTRY.create(target, seed=11)
+        symbols = list(sul.input_alphabet.symbols)
+        sul.reset()
+        root = sul.snapshot()
+        reached = {}
+        for word in (w for n in range(4) for w in itertools.product(symbols, repeat=n)):
+            sul.restore(root)
+            for symbol in word:
+                sul.step(symbol)
+            first = reached.setdefault(sul.snapshot(), word)
+            if first != word:
+                second = word
+                break
+        else:
+            pytest.fail("no two words of up to three symbols reach equal states")
+        suffixes = [()] + [(a,) for a in symbols] + list(itertools.product(symbols, repeat=2))
+        for suffix in suffixes:
+            answers = [_run_fresh(target, prefix + suffix) for prefix in (first, second)]
+            assert answers[0][0][len(first):] == answers[1][0][len(second):]
+            assert answers[0][1] == answers[1][1]
+
+
+class TestSharedSteps:
+    """Each physical step yields one read-only ConcreteStep, shared by the
+    memo and every Oracle-Table entry whose word passes through it."""
+
+    def test_steps_are_read_only(self):
+        sul = SUL_REGISTRY.create("tcp", seed=11)
+        symbols = sul.input_alphabet.symbols
+        sul.query_batch([(symbols[0], symbols[1]), (symbols[0],)])
+        entry = sul.oracle_table.lookup((symbols[0], symbols[1]))
+        step = entry.steps[1]
+        with pytest.raises(TypeError):
+            step.input_params["sn"] = 0
+        with pytest.raises(TypeError):
+            step.output_params.update(an=0)
+        with pytest.raises(AttributeError):
+            step.input_params = {}
+        assert step.input_params == dict(step.input_params)
+
+    def test_words_through_one_step_share_it(self):
+        sul = SUL_REGISTRY.create("http2", seed=11)
+        a, b = sul.input_alphabet.symbols[:2]
+        sul.query_batch([(a, b), (a, a)])
+        sul.query_batch([(a, b, a)])
+        steps = [sul.oracle_table.lookup(word).steps for word in [(a, b), (a, a), (a, b, a)]]
+        assert steps[0][0] is steps[1][0] is steps[2][0]
+        assert steps[0][1] is steps[2][1]
+
+    @pytest.mark.parametrize("target", ["toy", "quic-quiche"])
+    def test_query_and_walk_step_through_one_helper(self, target):
+        made = []
+        original = sul_module.SUL._concrete_step
+
+        def counted(sul, symbol):
+            made.append(original(sul, symbol))
+            return made[-1]
+
+        sul = SUL_REGISTRY.create(target)
+        symbols = sul.input_alphabet.symbols
+        with mock.patch.object(sul_module.SUL, "_concrete_step", counted):
+            sul.query(tuple(symbols[:2]))
+            for batch in _random_batches(sul, seed=1, count=2):
+                sul.query_batch(batch)
+        assert len(made) == sul.stats.physical_steps
+        recorded = {id(step) for entry in sul.oracle_table for step in entry.steps}
+        assert recorded <= {id(step) for step in made}
+
+    @pytest.mark.parametrize("target", ["tcp", "http2", "http3"])
+    def test_concrete_traces_equal_across_executors(self, target):
+        traces = []
+        for kind in ("serial", "thread", "process"):
+            spec = ExperimentSpec(
+                target=target,
+                target_params={"seed": 11},
+                seed=11,
+                executor=ExecutorSpec(kind=kind, workers=1 if kind == "serial" else 2),
+            )
+            with Prognosis.from_spec(spec) as prognosis:
+                prognosis.learn()
+                traces.append(prognosis.sul.oracle_table.concrete_traces())
+        assert traces[0] == traces[1] == traces[2]
+        assert len(traces[0]) > 100
