@@ -14,7 +14,6 @@ import time
 from conftest import report, run_once
 
 from repro.adapter.mealy_sul import MealySUL, toy_machine
-from repro.adapter.sul import SUL
 from repro.campaign import DiffCampaign
 from repro.core.mealy import MealyMachine
 from repro.registry import SUL_REGISTRY
@@ -25,13 +24,7 @@ POOL_WORKERS = 4
 
 
 class _LatentMealySUL(MealySUL):
-    """A machine-backed SUL with a per-step delay standing in for RTT.
-
-    Like the closed box it stands in for, it can only reset and step: it
-    refuses snapshots, so every word is replayed and pays its latency.
-    """
-
-    snapshot = SUL.snapshot
+    """A machine-backed SUL with a per-step delay standing in for RTT."""
 
     def _step_impl(self, symbol):
         time.sleep(STEP_LATENCY)

@@ -5,8 +5,8 @@ The batch-first pipeline's levers, measured separately:
 * **SUL pooling** -- a latency-injected TCP adapter (0.3 ms per step,
   standing in for the network round-trips a real closed-box SUL pays)
   learned serially vs on a 4-worker thread pool.  Learned models must be
-  identical; pooled wall-clock must beat serial; the ``i mod n`` sharding
-  must keep per-worker load balanced.
+  identical; pooled wall-clock must beat serial; the deterministic
+  sharding must keep per-worker load balanced.
 * **Executor matrix** -- serial vs thread vs process backends on a
   CPU-bound simulator SUL (where the GIL caps threads and only processes
   scale) and on the real-boundary socket SUL (where threads scale fine,
@@ -33,7 +33,6 @@ from pathlib import Path
 from conftest import report, run_once
 
 from repro.adapter.mealy_sul import MealySUL
-from repro.adapter.sul import SUL
 from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.framework import Prognosis
 from repro.learn.cache import CachedMembershipOracle
@@ -64,13 +63,7 @@ MATRIX_CELLS = (("serial", 1), ("thread", POOL_WORKERS), ("process", POOL_WORKER
 
 
 class LatentTCPSUL(TCPAdapterSUL):
-    """TCP adapter with a per-step delay standing in for network RTT.
-
-    Like the closed box it stands in for, it can only reset and step: it
-    refuses snapshots, so every word is replayed and pays its latency.
-    """
-
-    snapshot = SUL.snapshot
+    """TCP adapter with a per-step delay standing in for network RTT."""
 
     def _step_impl(self, symbol):
         time.sleep(STEP_LATENCY)
@@ -136,7 +129,7 @@ def _merge_artifact(section: str, data: dict) -> None:
 
 
 def _assert_balanced(per_worker):
-    """``i mod n`` sharding skews by at most one word per batch, so tiny
+    """Sharding skews by at most one word per batch, so tiny
     totals get absolute slack; real runs must stay within a tight ratio."""
     assert min(per_worker) > 0
     spread_ok = max(per_worker) - min(per_worker) <= 2
@@ -193,7 +186,7 @@ def test_pool_scaling_vs_serial(benchmark):
     assert serial_report.model.states == pooled_report.model.states
     assert serial_report.counterexamples == pooled_report.counterexamples
     assert serial_report.sul_queries == pooled_report.sul_queries
-    # ... nor skew the deterministic i mod n sharding: every worker gets
+    # ... nor skew the deterministic sharding: every worker gets
     # its fair share (small batches pin to low workers, hence the slack).
     assert sum(per_worker) == pooled_report.sul_queries
     _assert_balanced(per_worker)

@@ -68,12 +68,20 @@ def _run_shard(
 class SULPool(SUL):
     """N identical SULs behind the single-SUL interface.
 
-    A batch is sharded deterministically: word ``i`` always runs on worker
-    ``i mod n`` (``n`` = active workers for the batch), each worker's shard
-    on its own thread or process.  Deterministic assignment matters beyond
-    taste -- for SULs whose RNG state persists across resets (mvfst's
-    stateless resets), a timing-dependent assignment would make the
-    observed response distribution vary between identically-seeded runs.
+    A batch is sharded deterministically: sorted by the words' symbol
+    ranks in the alphabet, so words that share a prefix stay together,
+    and cut into ``n`` contiguous shards (``n`` = active workers for the
+    batch) whose sizes differ by at most one; shard ``k`` runs on worker
+    ``k``, on its own thread or process.  In-process workers (``thread``,
+    ``serial``) share one transition memo
+    (:meth:`~repro.adapter.sul.SUL.share_memo`), so a transition one
+    worker took is not stepped again by another; worker processes keep
+    their own, since shipping a snapshot costs about as much as a
+    simulated step.
+    Deterministic assignment matters beyond taste -- for SULs whose RNG
+    state persists across resets (mvfst's stateless resets), a
+    timing-dependent assignment would make the observed response
+    distribution vary between identically-seeded runs.
     Every worker is built by the same ``sul_factory`` and must behave
     identically, so for deterministic SULs the pool's answers do not
     depend on the assignment at all.
@@ -110,6 +118,8 @@ class SULPool(SUL):
             self._run_shard = _run_shard
         else:
             suls = [sul_factory() for _ in range(workers)]
+            for sul in suls[1:]:
+                sul.share_memo(suls[0])
             self._executor = build_executor(backend, workers)
             self._run_shard = lambda shard: _run_shard(self._suls[shard[0]], shard)
         super().__init__(suls[0].input_alphabet, name=name or f"{suls[0].name}-pool")
@@ -119,20 +129,23 @@ class SULPool(SUL):
         #: stats on every backend.
         self._worker_stats = [SULStats() for _ in range(workers)]
         self._parent_stats = SULStats()
+        self._rank = {symbol: rank for rank, symbol in enumerate(self.input_alphabet)}
 
     # -- batched execution -------------------------------------------------
     def query_batch(self, words: Sequence[Sequence[AbstractSymbol]]) -> list[Word]:
         words = [tuple(word) for word in words]
         if not words:
             return []
-        shards = min(self.workers, len(words))
         results: list[tuple[Word, OracleEntry | None]] = [None] * len(words)  # type: ignore[list-item]
-        payloads = self._executor.map(
-            self._run_shard, [(index, words[index::shards]) for index in range(shards)]
-        )
+        parts = self._shards(words)
+        shards = [
+            (index, [words[position] for position in part]) for index, part in enumerate(parts)
+        ]
+        payloads = self._executor.map(self._run_shard, shards)
         for index, (outcomes, delta) in enumerate(payloads):
             self._worker_stats[index].add(delta)
-            results[index::shards] = outcomes
+            for position, outcome in zip(parts[index], outcomes):
+                results[position] = outcome
 
         answers: list[Word] = []
         for outputs, entry in results:
@@ -141,6 +154,19 @@ class SULPool(SUL):
             answers.append(outputs)
         self._refresh_stats()
         return answers
+
+    def _shards(self, words: list[Word]) -> list[list[int]]:
+        """The batch's word positions per shard: sorted by symbol rank,
+        then cut into contiguous runs whose sizes differ by at most one."""
+        rank, unknown = self._rank, len(self._rank)
+        order = sorted(
+            range(len(words)),
+            key=lambda position: [rank.get(symbol, unknown) for symbol in words[position]],
+        )
+        shards = min(self.workers, len(words))
+        size, extra = divmod(len(words), shards)
+        bounds = [index * size + min(index, extra) for index in range(shards + 1)]
+        return [order[bounds[index] : bounds[index + 1]] for index in range(shards)]
 
     def query(self, word: Sequence[AbstractSymbol]) -> Word:
         return self.query_batch([word])[0]

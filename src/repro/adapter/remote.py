@@ -222,7 +222,13 @@ class SocketSUL(SUL):
             output = deserialize_symbol(reply["output"])
         except (KeyError, SymbolError) as exc:
             raise RemoteProtocolError(f"bad step reply: {reply!r}") from exc
-        return output, reply.get("in_params", {}), reply.get("out_params", {})
+        in_params, out_params = reply.get("in_params", {}), reply.get("out_params", {})
+        for params in (in_params, out_params):
+            if not isinstance(params, dict) or any(
+                type(value) is not int for value in params.values()
+            ):
+                raise RemoteProtocolError(f"bad step reply: {reply!r}")
+        return output, in_params, out_params
 
     def query(self, word: Sequence[AbstractSymbol]) -> Word:
         for attempt in range(self.retries + 1):

@@ -31,6 +31,7 @@ of 3,124) and quic-quiche 1,089 of 8,636 (1 of 1,664).
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -118,6 +119,8 @@ class SUL(ABC):
         #: used first, and the post-reset state the walks start from.
         self._states: OrderedDict[_State, _State] = OrderedDict()
         self._root: _State | None = None
+        #: Guards :attr:`_states` where in-process pool workers share it.
+        self._memo_lock = threading.Lock()
 
     # -- subclass responsibilities ---------------------------------------
     @abstractmethod
@@ -207,7 +210,8 @@ class SUL(ABC):
         if self._root is not None:
             current = self.snapshot()
             if current is None:
-                self._states.clear()
+                with self._memo_lock:
+                    self._states.clear()
                 self._root = None
             else:
                 stats.snapshots += 1
@@ -231,17 +235,25 @@ class SUL(ABC):
         if state.snapshot is None:
             return state
         states = self._states
-        live = states.get(state)
-        if live is not None:
-            states.move_to_end(live)
-            return live
-        states[state] = state
-        state.live = True
-        if len(states) > SNAPSHOT_CAPACITY:
-            evicted = states.popitem(last=False)[0]
-            evicted.live = False
-            evicted.edges = {}
+        with self._memo_lock:
+            live = states.get(state)
+            if live is not None:
+                states.move_to_end(live)
+                return live
+            states[state] = state
+            state.live = True
+            if len(states) > SNAPSHOT_CAPACITY:
+                evicted = states.popitem(last=False)[0]
+                evicted.live = False
+                evicted.edges = {}
         return state
+
+    def share_memo(self, other: SUL) -> None:
+        """Use ``other``'s transition memo from now on (a pool's in-process
+        workers): instances built alike answer equal snapshots alike, and
+        a snapshot taken on one restores into the other.  Two workers may
+        step one transition at once; the memo keeps the later, equal step."""
+        self._states, self._memo_lock = other._states, other._memo_lock
 
     def _walk_trie(self, words: list[Word], here: _State) -> list[Word]:
         """Run ``words`` depth-first over their prefix trie from the

@@ -17,7 +17,6 @@ dependency-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Protocol, Sequence
 
 from .alphabet import AbstractSymbol
@@ -86,14 +85,7 @@ class ConcreteStep:
         for name in ("input_params", "output_params"):
             params = getattr(self, name)
             if type(params) is not FrozenDict:
-                object.__setattr__(self, name, _frozen_params(tuple(params.items())))
-
-
-@lru_cache(maxsize=4096)
-def _frozen_params(items: tuple[tuple[str, int], ...]) -> FrozenDict:
-    """One shared :class:`FrozenDict` per distinct parameter set (a learn
-    sees a few dozen to a few hundred)."""
-    return FrozenDict(items)
+                object.__setattr__(self, name, FrozenDict(params))
 
 
 class ExtendedMealyMachine:

@@ -10,7 +10,7 @@ synthesizer of section 4.3 mines this table to recover register behaviour
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .alphabet import AbstractSymbol
 from .extended import ConcreteStep
@@ -68,15 +68,16 @@ class OracleTable:
         first.
         """
         abstract = IOTrace(tuple(inputs), tuple(outputs))
-        steps = tuple(map(ConcreteStep, inputs, outputs, input_params, output_params))
-        return self.merge(OracleEntry(abstract=abstract, steps=steps))
+        steps = map(ConcreteStep, abstract.inputs, abstract.outputs, input_params, output_params)
+        return self.record_steps(abstract.inputs, steps)
 
     def record_steps(
-        self, inputs: Sequence[AbstractSymbol], steps: Sequence[ConcreteStep]
+        self, inputs: Sequence[AbstractSymbol], steps: Iterable[ConcreteStep]
     ) -> OracleEntry:
         """:meth:`record` a query from its (read-only, shareable) steps."""
+        steps = tuple(steps)
         outputs = tuple(step.output_symbol for step in steps)
-        return self.merge(OracleEntry(IOTrace(tuple(inputs), outputs), tuple(steps)))
+        return self.merge(OracleEntry(IOTrace(tuple(inputs), outputs), steps))
 
     def merge(self, entry: OracleEntry) -> OracleEntry:
         """Adopt an entry recorded by another table (e.g. a pool worker).

@@ -1,10 +1,14 @@
 """Tests for the SUL pool: parallel fan-out behind the single-SUL interface."""
 
+from functools import partial
+from unittest import mock
+
 import pytest
 
 from repro.adapter.mealy_sul import MealySUL
 from repro.adapter.executor import ThreadExecutor
 from repro.adapter.pool import SULPool
+from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.learn.teacher import SULMembershipOracle
 
 
@@ -81,8 +85,8 @@ class TestSULPool:
         syn, ack = ab_alphabet.symbols
         pool = _pool_for(toy_machine, workers=4)
         pool.query_batch([(syn,)] * 8)
-        # Word i always runs on worker i mod n: a balanced batch loads
-        # every worker equally, independent of thread timing.
+        # Shard sizes differ by at most one: a balanced batch loads every
+        # worker equally, independent of thread timing.
         assert pool.per_worker_queries() == [2, 2, 2, 2]
         pool.close()
 
@@ -120,6 +124,58 @@ class TestSULPool:
         pool.close()
 
 
+class TestSharding:
+    """Shards keep words with a shared prefix together, and in-process
+    workers share one transition memo."""
+
+    def test_shards_are_contiguous_runs_of_the_sorted_batch(self, toy_machine, ab_alphabet):
+        syn, ack = ab_alphabet.symbols
+        words = [(ack, syn), (syn, ack), (ack, ack), (syn, syn), (syn,)]
+        pool = _pool_for(toy_machine, workers=2)
+        # Sorted by alphabet rank: (syn,) (syn, syn) (syn, ack) | (ack, syn) (ack, ack)
+        assert pool._shards(words) == [[4, 3, 1], [0, 2]]
+        assert pool._shards(words[:1]) == [[0]]
+        pool.close()
+
+    @pytest.mark.parametrize(
+        "backend, second_batch_steps",
+        [("serial", 2), ("thread", 2), ("process", 6)],
+    )
+    def test_in_process_workers_share_one_memo(self, backend, second_batch_steps):
+        # Worker 0 alone runs the prefix; the next batch sends one
+        # extension to each worker.  An in-process worker 1 finds the
+        # prefix's transitions in the shared memo and steps only the last
+        # symbol; a worker process replays the prefix first.
+        pool = SULPool(partial(TCPAdapterSUL, seed=3), workers=2, backend=backend)
+        single = TCPAdapterSUL(seed=3)
+        symbols = pool.input_alphabet.symbols
+        prefix = (symbols[0], symbols[1], symbols[2], symbols[1])
+        batches = [[prefix], [prefix + (symbols[0],), prefix + (symbols[3],)]]
+        try:
+            assert pool.query_batch(batches[0]) == single.query_batch(batches[0])
+            before = pool.stats.physical_steps
+            assert pool.query_batch(batches[1]) == single.query_batch(batches[1])
+            assert pool.stats.physical_steps - before == second_batch_steps
+            assert pool.per_worker_queries() == [2, 1]
+            for word in batches[1]:
+                assert pool.oracle_table.lookup(word) == single.oracle_table.lookup(word)
+        finally:
+            pool.close()
+
+    def test_shared_memo_stays_bounded(self):
+        # The workers' one memo holds SNAPSHOT_CAPACITY states in all.
+        pool = SULPool(partial(TCPAdapterSUL, seed=3), workers=2, backend="thread")
+        symbols = pool.input_alphabet.symbols
+        words = [(symbol,) * 3 for symbol in symbols] + [(symbols[0], symbol) for symbol in symbols]
+        with mock.patch("repro.adapter.sul.SNAPSHOT_CAPACITY", 3):
+            answers = pool.query_batch(words)
+        workers = pool._suls
+        assert workers[1]._states is workers[0]._states
+        assert len(workers[0]._states) == 3
+        assert answers == TCPAdapterSUL(seed=3).query_batch(words)
+        pool.close()
+
+
 class TestSULPoolBackends:
     """Every executor backend answers and accounts like a single SUL.
 
@@ -150,7 +206,7 @@ class TestSULPoolBackends:
         assert pool.stats.queries == 8
         assert pool.stats.resets == 8
         assert pool.stats.steps == 16
-        # word i -> worker i mod n, so a balanced batch loads all equally
+        # shard sizes differ by at most one, so a balanced batch loads all equally
         assert pool.per_worker_queries() == [2, 2, 2, 2]
         pool.close()
 

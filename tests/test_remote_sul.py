@@ -9,6 +9,8 @@ no retry).
 """
 
 import json
+import socket
+import threading
 
 import pytest
 
@@ -16,9 +18,13 @@ from repro.adapter.remote import (
     RemoteDisconnectError,
     RemoteProtocolError,
     RemoteSULError,
+    SocketSUL,
     SubprocessSUL,
     SULTimeoutError,
+    recv_frame,
+    send_frame,
 )
+from repro.core.alphabet import serialize_symbol
 from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.registry import SUL_REGISTRY, load_builtins
 
@@ -143,6 +149,44 @@ class TestFaultPaths:
             assert remote.respawns == 0
         finally:
             remote.close()
+
+    @pytest.mark.parametrize(
+        "in_params",
+        [[1, 2], {"sn": [1]}, {"sn": "1"}, {"sn": 1.5}, None],
+        ids=["list", "list-value", "str-value", "float-value", "null"],
+    )
+    def test_malformed_step_params_raise_a_protocol_error(self, tcp_words, in_params):
+        """A step reply whose params are not a str -> int object is a
+        protocol error, not a bare TypeError from recording it."""
+        symbol = tcp_words[0][0]
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                while (request := recv_frame(conn))["op"] != "bye":
+                    reply = {"ok": True}
+                    if request["op"] == "hello":
+                        reply["alphabet"] = [serialize_symbol(symbol)]
+                    elif request["op"] == "step":
+                        reply.update(
+                            output=serialize_symbol(symbol),
+                            in_params=in_params,
+                            out_params={},
+                        )
+                    send_frame(conn, reply)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        remote = SocketSUL(*listener.getsockname(), timeout_s=2.0)
+        try:
+            with pytest.raises(RemoteProtocolError, match="bad step reply"):
+                remote.query((symbol,))
+            assert remote.respawns == 0
+        finally:
+            remote.close()
+            server.join(timeout=2.0)
+            listener.close()
 
     def test_error_taxonomy(self):
         assert issubclass(SULTimeoutError, RemoteSULError)

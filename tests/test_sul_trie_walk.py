@@ -683,7 +683,7 @@ STREAM_FIELDS = [
         lambda sul: sul,
         "tcp",
         {"_base", "_server_base"},
-        {"input_alphabet", "name", "oracle_table", "stats", "_states", "_root",
+        {"input_alphabet", "name", "oracle_table", "stats", "_states", "_root", "_memo_lock",
          "network", "server", "client", "relative_numbers"},
     ),
     (
@@ -878,6 +878,32 @@ class TestSnapshotValues:
             answers = [_run_fresh(target, prefix + suffix) for prefix in (first, second)]
             assert answers[0][0][len(first):] == answers[1][0][len(second):]
             assert answers[0][1] == answers[1][1]
+
+
+    @pytest.mark.parametrize("target", EVERY_TARGET)
+    def test_snapshots_restore_into_a_sibling_instance(self, target):
+        # A pool's in-process workers share one memo, so they restore
+        # each other's snapshots: a snapshot taken on one SUL,
+        # restored into another built alike, answers every one-symbol
+        # suffix as on the SUL that took it, and ends in equal snapshots.
+        taker = SUL_REGISTRY.create(target, seed=11)
+        sibling = SUL_REGISTRY.create(target, seed=11)
+        symbols = list(taker.input_alphabet.symbols)
+        rng = random.Random(len(target))
+        taker.reset()
+        sibling.reset()
+        root = taker.snapshot()
+        for _ in range(8):
+            taker.restore(root)
+            for symbol in _random_word(rng, symbols, 4):
+                taker.step(symbol)
+            state = taker.snapshot()
+            for symbol in symbols:
+                answers = []
+                for sul in (taker, sibling):
+                    sul.restore(state)
+                    answers.append((sul._step_impl(symbol), sul.snapshot()))
+                assert answers[0] == answers[1]
 
 
 class TestSharedSteps:
