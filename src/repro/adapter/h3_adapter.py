@@ -28,6 +28,7 @@ from ..core.alphabet import (
     H3Symbol,
     h3_alphabet,
 )
+from ..core.state import fields, nested
 from ..h3 import (
     H3Action,
     H3Client,
@@ -60,6 +61,8 @@ class H3AppLayer(AppLayer):
     """HTTP/3 protocol logic riding any stream-capable transport."""
 
     name = "http3"
+    __state__ = fields(server=nested(H3Server), client=nested(H3Client))
+    __shared__ = "alphabet transport"
 
     def __init__(
         self,
@@ -102,14 +105,6 @@ class H3AppLayer(AppLayer):
         output = self.abstract_events(events)
         out_params = {"err": self.server.last_error}
         return output, in_params, out_params
-
-    def snapshot(self) -> tuple:
-        return self.server.snapshot(), self.client.snapshot()
-
-    def restore(self, state: tuple) -> None:
-        server, client = state
-        self.server.restore(server)
-        self.client.restore(client)
 
     # -- abstraction -----------------------------------------------------
     def abstract_events(self, events: list[StreamEvent]) -> H3Output:

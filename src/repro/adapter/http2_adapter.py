@@ -20,6 +20,7 @@ from ..core.alphabet import (
     HTTP2Symbol,
     http2_alphabet,
 )
+from ..core.state import fields, nested
 from ..http2.client import HTTP2Client, HTTP2ClientConfig
 from ..http2.frames import Frame, FrameType, parse_goaway, parse_rst_stream
 from ..http2.server import HTTP2Server, HTTP2ServerConfig
@@ -75,6 +76,8 @@ class TransportHTTP2Client(HTTP2Client):
     response chunks come back as transport events.
     """
 
+    __shared__ = "_transport"
+
     def __init__(
         self,
         transport: Transport,
@@ -104,6 +107,8 @@ class HTTP2AppLayer(AppLayer):
     """
 
     name = "http2"
+    __state__ = fields(server=nested(HTTP2Server), client=nested(TransportHTTP2Client))
+    __shared__ = "alphabet transport"
 
     def __init__(
         self,
@@ -138,14 +143,6 @@ class HTTP2AppLayer(AppLayer):
         for frame in responses:
             out_params.update(frame_params(frame))
         return abstract_frames(responses), in_params, out_params
-
-    def snapshot(self) -> tuple:
-        return self.server.snapshot(), self.client.snapshot()
-
-    def restore(self, state: tuple) -> None:
-        server, client = state
-        self.server.restore(server)
-        self.client.restore(client)
 
     def close(self) -> None:
         self.client.close()

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from ..core.alphabet import AbstractSymbol, Alphabet
+from ..core.state import DICT, LIST, RNG, SET, fields, mapping, nested
 from ..netsim import LinkConfig, PERFECT_LINK, SimulatedNetwork, SnapshotRandom
 from ..quic.flowcontrol import ReceiveFlowController, SendFlowController
 from ..quic.frames import (
@@ -86,6 +87,8 @@ class Transport(ABC):
     and probes consult them instead of type-checking.
     """
 
+    __shared__ = "_server_handler"
+
     #: Streams deliver independently (loss on one does not stall others).
     independent_streams: ClassVar[bool] = False
     #: The client edge can change its network address mid-connection.
@@ -128,18 +131,6 @@ class Transport(ABC):
     def migrate(self) -> None:
         raise TransportError(f"{type(self).__name__} cannot migrate")
 
-    def snapshot(self) -> tuple | None:
-        """The connection state for a SUL snapshot, or ``None`` ("replay").
-
-        A transport that snapshots keeps its network in ``self.network``;
-        :class:`LayeredSUL` snapshots the network itself.
-        """
-        return None
-
-    def restore(self, state: tuple) -> None:
-        """Return to a state :meth:`snapshot` returned."""
-        raise NotImplementedError(f"{type(self).__name__} cannot restore snapshots")
-
     def close(self) -> None:  # pragma: no cover - overridden where needed
         """Release network resources."""
 
@@ -150,6 +141,8 @@ class Transport(ABC):
 
 class _ArqEnd:
     """One direction of the reliable pipe: cumulative-ack ARQ state."""
+
+    __state__ = fields("send_offset delivered", unacked=DICT, pending=LIST, recv_segments=DICT)
 
     def __init__(self) -> None:
         self.send_offset = 0
@@ -196,24 +189,6 @@ class _ArqEnd:
             self.delivered += len(segment)
         return bytes(out)
 
-    def snapshot(self) -> tuple:
-        return (
-            self.send_offset,
-            tuple(self.unacked.items()),
-            tuple(self.pending),
-            tuple(self.recv_segments.items()),
-            self.delivered,
-        )
-
-    @classmethod
-    def restored(cls, state: tuple) -> "_ArqEnd":
-        end = cls()
-        end.send_offset, unacked, pending, recv_segments, end.delivered = state
-        end.unacked = dict(unacked)
-        end.pending = list(pending)
-        end.recv_segments = dict(recv_segments)
-        return end
-
 
 def _encode_segment(ack: int, segments: Sequence[tuple[int, bytes]]) -> bytes:
     buf = Buffer()
@@ -245,6 +220,9 @@ class ReliableByteTransport(Transport):
     """
 
     independent_streams = False
+    __state__ = fields(network=nested(SimulatedNetwork), _client_arq=nested(_ArqEnd),
+                       _server_arq=nested(_ArqEnd))
+    __shared__ = "_server_endpoint _endpoint"
 
     def __init__(
         self,
@@ -309,17 +287,6 @@ class ReliableByteTransport(Transport):
             return []
         return [StreamEvent(stream_id=0, kind="data", data=bytes(collected))]
 
-    def snapshot(self) -> tuple | None:
-        """Both ARQ ends; None on a lossy or delayed link."""
-        if self.network.config != PERFECT_LINK:
-            return None
-        return self._client_arq.snapshot(), self._server_arq.snapshot()
-
-    def restore(self, state: tuple) -> None:
-        client, server = state
-        self._client_arq = _ArqEnd.restored(client)
-        self._server_arq = _ArqEnd.restored(server)
-
     def close(self) -> None:
         self._endpoint.close()
         self._server_endpoint.close()
@@ -369,6 +336,10 @@ def _send_stream() -> SendStream:
 class _QuicConnState:
     """Per-connection packet and stream state for one side."""
 
+    __state__ = fields("cid next_pn handshaken", received_pns=SET, unacked=DICT,
+                       recv=mapping(nested(ReceiveStream)), send=mapping(nested(SendStream)),
+                       fin_reported=SET)
+
     def __init__(self, cid: bytes) -> None:
         self.cid = cid
         self.next_pn = 0
@@ -403,31 +374,6 @@ class _QuicConnState:
             for pn, frames in self.unacked.items()
             if not ack.acknowledges(pn)
         }
-
-    def snapshot(self) -> tuple:
-        return (
-            self.cid,
-            self.next_pn,
-            tuple(sorted(self.received_pns)),
-            tuple(self.unacked.items()),
-            tuple((sid, stream.snapshot()) for sid, stream in self.recv.items()),
-            tuple((sid, stream.snapshot()) for sid, stream in self.send.items()),
-            tuple(sorted(self.fin_reported)),
-            self.handshaken,
-        )
-
-    @classmethod
-    def restored(cls, state: tuple) -> "_QuicConnState":
-        cid, next_pn, received_pns, unacked, recv, send, fin_reported, handshaken = state
-        conn = cls(cid)
-        conn.next_pn = next_pn
-        conn.received_pns = set(received_pns)
-        conn.unacked = dict(unacked)
-        conn.recv = {sid: ReceiveStream.restored(stream) for sid, stream in recv}
-        conn.send = {sid: SendStream.restored(stream) for sid, stream in send}
-        conn.fin_reported = set(fin_reported)
-        conn.handshaken = handshaken
-        return conn
 
 
 def _encode_packet(conn: _QuicConnState, frames: Sequence[Frame]) -> bytes:
@@ -472,6 +418,11 @@ class QuicStreamTransport(Transport):
     independent_streams = True
     supports_migration = True
     supports_resumption = True
+    __state__ = fields("_pending_token last_connection_rounds", network=nested(SimulatedNetwork),
+                       _conn=nested(_QuicConnState), _server_conns=mapping(nested(_QuicConnState)),
+                       _reset_queue=LIST, _pending_resets=LIST, _rng=RNG)
+    # The ticket is only read with resumption, which never snapshots.
+    __shared__ = "_server_endpoint _client_host _endpoint resumption _ticket _server_ticket stats"
 
     def __init__(
         self,
@@ -553,46 +504,8 @@ class QuicStreamTransport(Transport):
         self._endpoint = self.network.bind(self._client_host, None)
         self.stats["migrations"] += 1
 
-    def snapshot(self) -> tuple | None:
-        """Both connections, the pending queues and the CID RNG state.
-
-        None on a lossy or delayed link, with resumption (the ticket a
-        connection earns changes what the next reset does) and once the
-        client edge has migrated.
-        """
-        if (
-            self.resumption
-            or self.stats["migrations"]
-            or self.network.config != PERFECT_LINK
-        ):
-            return None
-        return (
-            self._conn.snapshot(),
-            tuple((cid, conn.snapshot()) for cid, conn in self._server_conns.items()),
-            self._pending_token,
-            tuple(self._reset_queue),
-            tuple(self._pending_resets),
-            self.last_connection_rounds,
-            self._rng.getstate(),
-        )
-
-    def restore(self, state: tuple) -> None:
-        (
-            conn,
-            server_conns,
-            self._pending_token,
-            reset_queue,
-            pending_resets,
-            self.last_connection_rounds,
-            rng_state,
-        ) = state
-        self._conn = _QuicConnState.restored(conn)
-        self._server_conns = {
-            cid: _QuicConnState.restored(server) for cid, server in server_conns
-        }
-        self._reset_queue = list(reset_queue)
-        self._pending_resets = list(pending_resets)
-        self._rng.setstate(rng_state)
+    def _refuses_snapshot(self) -> bool:  # a ticket changes what a reset does
+        return self.resumption or self.stats["migrations"] > 0
 
     def exchange(self, max_rounds: int = 8) -> list[StreamEvent]:
         conn = self._conn
@@ -874,15 +787,6 @@ class AppLayer(ABC):
     ) -> tuple[AbstractSymbol, Mapping[str, int], Mapping[str, int]]:
         """Send one abstract symbol through the stack; see ``SUL._step_impl``."""
 
-    def snapshot(self) -> tuple | None:
-        """Client and server protocol state for a SUL snapshot, or ``None``
-        ("replay")."""
-        return None
-
-    def restore(self, state: tuple) -> None:
-        """Return to a state :meth:`snapshot` returned."""
-        raise NotImplementedError(f"{type(self).__name__} cannot restore snapshots")
-
     def close(self) -> None:
         """Release app resources (most apps hold none)."""
 
@@ -894,6 +798,8 @@ class LayeredSUL(SUL):
     targets keep exposing their protocol objects (``sul.server``,
     ``sul.client``) exactly like the monolithic adapters did.
     """
+
+    __state__ = fields(transport=nested(), app=nested())
 
     def __init__(
         self, transport: Transport, app: AppLayer, name: str | None = None
@@ -908,25 +814,6 @@ class LayeredSUL(SUL):
 
     def _step_impl(self, symbol):
         return self.app.step(symbol)
-
-    def snapshot(self) -> tuple | None:
-        """The network, transport and app states; None when any is None."""
-        transport = self.transport.snapshot()
-        if transport is None:
-            return None
-        app = self.app.snapshot()
-        if app is None:
-            return None
-        network = self.transport.network.snapshot()
-        if network is None:
-            return None
-        return network, transport, app
-
-    def restore(self, state: tuple) -> None:
-        network, transport, app = state
-        self.transport.network.restore(network)
-        self.transport.restore(transport)
-        self.app.restore(app)
 
     def close(self) -> None:
         self.app.close()

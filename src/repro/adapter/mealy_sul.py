@@ -11,12 +11,16 @@ from typing import Mapping
 
 from ..core.alphabet import AbstractSymbol, Alphabet, parse_tcp_symbol
 from ..core.mealy import MealyMachine, mealy_from_table
+from ..core.state import fields
 from ..registry import SUL_REGISTRY
 from .sul import SUL
 
 
 class MealySUL(SUL):
     """Wraps a machine behind the reset/step SUL interface."""
+
+    __state__ = fields("_state")
+    __shared__ = "machine"
 
     def __init__(self, machine: MealyMachine, name: str | None = None) -> None:
         super().__init__(machine.input_alphabet, name=name or machine.name)
@@ -25,13 +29,6 @@ class MealySUL(SUL):
 
     def _reset_impl(self) -> None:
         self._state = self.machine.initial_state
-
-    def snapshot(self) -> tuple:
-        # Wrapped so that a machine state of None is not read as "cannot".
-        return (self._state,)
-
-    def restore(self, state: tuple) -> None:
-        (self._state,) = state
 
     def _step_impl(
         self, symbol: AbstractSymbol

@@ -20,8 +20,9 @@ from ..core.alphabet import (
     QUIC_EMPTY_OUTPUT,
     quic_alphabet,
 )
+from ..core.state import fields, nested
 from ..netsim import LinkConfig, PERFECT_LINK, SimulatedNetwork
-from ..quic.connection import QUICServer, QUICServerConnection
+from ..quic.connection import QUICServer
 from ..quic.impls.google import google_server
 from ..quic.impls.mvfst import mvfst_server
 from ..quic.impls.quiche import quiche_server
@@ -54,6 +55,9 @@ def abstract_response(packets: list[ConcretePacket]) -> QUICOutput:
 class QUICAdapterSUL(SUL):
     """SUL wiring a simulated QUIC server to the reference client."""
 
+    __state__ = fields(server=nested(QUICServer), client=nested(TrackerClient),
+                       network=nested(SimulatedNetwork))
+
     def __init__(
         self,
         server_factory: ServerFactory,
@@ -75,52 +79,6 @@ class QUICAdapterSUL(SUL):
     def _reset_impl(self) -> None:
         self.server.reset()
         self.client.reset()
-
-    def snapshot(self) -> tuple | None:
-        """Per-connection state only, as immutable values: the server's
-        connection and datagram count, the client's connection fields, the
-        network's counters and clock, and the server, client and network
-        RNG states.
-
-        None (replay instead) on a lossy or delayed link, for a
-        stateless-reset probability strictly between 0 and 1 (mvfst), with
-        an ambiguous STREAM abstraction or the retry-port bug, and while
-        the network is not quiescent.
-        """
-        config = self.client.config
-        if (
-            self.network.config != PERFECT_LINK
-            or self.server.profile.stateless_reset_probability not in (0.0, 1.0)
-            or config.ambiguous_stream_abstraction
-            or config.retry_port_bug
-        ):
-            return None
-        network = self.network.snapshot()
-        if network is None:
-            return None
-        connection = self.server.connection
-        return (
-            None if connection is None else connection.snapshot(),
-            self.client.snapshot(),
-            self.server.datagrams_received,
-            self.server.rng.getstate(),
-            self.client.rng.getstate(),
-            network,
-        )
-
-    def restore(self, state: tuple) -> None:
-        connection, client, received, server_rng, client_rng, network = state
-        server = self.server
-        if connection is not None:
-            connection = QUICServerConnection.restored(
-                connection, server.profile, server.table, server.rng, server.wire
-            )
-        server.connection = connection
-        self.client.restore(client)
-        server.datagrams_received = received
-        server.rng.setstate(server_rng)
-        self.client.rng.setstate(client_rng)
-        self.network.restore(network)
 
     def _step_impl(self, symbol):
         if not isinstance(symbol, QUICSymbol):

@@ -16,17 +16,14 @@ keeps a per-SUL transition memo keyed by it: after every physical step
 from an equal state -- in this batch or a later one, whatever the prefix
 -- is answered without a step.
 
-Every simulated target snapshots, into hand-written immutable tuples:
-``MealySUL``, the QUIC SULs, ``tcp``, and the layered ``http2`` and
-``http3`` (network, transport and app state together).  A snapshot is
-refused -- and the batch replays -- on any link but the perfect one,
-while datagrams are in flight, for mvfst-style probabilistic stateless
-resets, the tracker's ambiguous-abstraction and retry-port flags, a
-resuming or migrated QUIC-stream transport, and ``tcp`` with absolute
-sequence numbers.  Learning with the default spec at seed 11, tcp runs
-279 of 2,897 logical steps (2 of 654 resets), http2 526 of 3,152 (1 of
-777), http3 2,721 of 11,286 (4 of 2,166), quic-google 2,407 of 17,321 (2
-of 3,124) and quic-quiche 1,089 of 8,636 (1 of 1,664).
+Every simulated target snapshots (``MealySUL``, QUIC, ``tcp``, ``http2``,
+``http3``) from the ``__state__``/``__shared__`` its classes declare
+(:mod:`repro.core.state`).  A snapshot is refused -- and the batch replays
+-- on any link but the perfect one, while datagrams are in flight, for
+mvfst-style probabilistic stateless resets, the tracker's
+ambiguous-abstraction and retry-port flags, a resuming or migrated
+QUIC-stream transport, and ``tcp`` with absolute sequence numbers.  The
+README ("Batch execution") lists what the seed-11 learns really run.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from typing import Any, Mapping, Sequence
 
 from ..core.alphabet import AbstractSymbol, Alphabet
 from ..core.extended import ConcreteStep
+from ..core import state as schema
 from ..core.oracle_table import OracleTable
 from ..core.trace import Word
 
@@ -110,6 +108,8 @@ class _State:
 class SUL(ABC):
     """An implementation + adapter pair, queryable with abstract words."""
 
+    __shared__ = "input_alphabet name oracle_table stats _states _root _memo_lock"
+
     def __init__(self, input_alphabet: Alphabet, name: str = "sul") -> None:
         self.input_alphabet = input_alphabet
         self.name = name
@@ -135,20 +135,17 @@ class SUL(ABC):
         parameters, concrete output parameters)."""
 
     def snapshot(self) -> Any:
-        """A copy of the current state for :meth:`restore`, or ``None``.
-
-        ``None`` means "cannot": the batch falls back to reset-and-replay.
-        A state is a hashable value of exactly the dynamic state, with
-        configuration and memos left out: two equal snapshots must answer
-        every later step alike, since the transition memo answers one from
-        the other.
+        """The declared state (:mod:`repro.core.state`) as a hashable value
+        for :meth:`restore`, or ``None`` ("cannot": reset and replay).  Two
+        equal snapshots must answer every later step alike, since the
+        transition memo answers one from the other.
         """
-        return None
+        return schema.capture(self)
 
     def restore(self, state: Any) -> None:
         """Return to a state :meth:`snapshot` returned; ``state`` itself
         stays untouched, since it may be restored again."""
-        raise NotImplementedError(f"{type(self).__name__} cannot restore snapshots")
+        schema.restore(self, state)
 
     # -- public interface -------------------------------------------------
     def reset(self) -> None:
@@ -191,9 +188,9 @@ class SUL(ABC):
 
         The base implementation runs the words serially on this instance;
         parallel backends (:class:`repro.adapter.pool.SULPool`) override it.
-        A SUL that overrides :meth:`snapshot` runs the batch as one walk
-        over its prefix trie (:meth:`_walk_trie`) from its post-reset
-        state, taken by a physical reset in the first batch.  A later
+        A SUL that snapshots runs the batch as one walk over its prefix
+        trie (:meth:`_walk_trie`) from its post-reset state, taken by a
+        physical reset in the first batch.  A later
         batch snapshots the state the SUL was left in instead; if that is
         refused (say, a lossy link was set in between), the memo is
         dropped and the batch starts from a reset, and if the post-reset
@@ -201,8 +198,6 @@ class SUL(ABC):
         first one on that reset.
         """
         words = [tuple(word) for word in words]
-        if type(self).snapshot is SUL.snapshot:
-            return [self.query(word) for word in words]
         if not words:
             return []
         stats = self.stats

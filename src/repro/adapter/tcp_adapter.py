@@ -10,6 +10,7 @@ versus the 2,700-line hand-written mapper of prior work.
 from __future__ import annotations
 
 from ..core.alphabet import Alphabet, TCP_NIL, TCPSymbol, tcp_alphabet, tcp_handshake_alphabet
+from ..core.state import fields, nested
 from ..netsim import LinkConfig, PERFECT_LINK, SimulatedNetwork
 from ..registry import SUL_REGISTRY
 from ..tcp.client import TCPClient
@@ -40,6 +41,10 @@ def segment_params(segment: TCPSegment) -> dict[str, int]:
 class TCPAdapterSUL(SUL):
     """SUL wiring a Linux-like TCP server to the reference client."""
 
+    __state__ = fields("_base _server_base", server=nested(TCPServer), client=nested(TCPClient),
+                       network=nested(SimulatedNetwork))
+    __shared__ = "relative_numbers"
+
     def __init__(
         self,
         alphabet: Alphabet | None = None,
@@ -68,33 +73,8 @@ class TCPAdapterSUL(SUL):
         self._base = self.client.iss
         self._server_base = None
 
-    def snapshot(self) -> tuple | None:
-        """Server and client connection state, the rebasing bases and the
-        network.
-
-        None (replay instead) on a lossy or delayed link, while the network
-        is not quiescent, and with absolute numbers: a walk shares one ISS
-        across its batch, so only numbers rebased to the ISS stay those of
-        per-word replay.
-        """
-        if not self.relative_numbers or self.network.config != PERFECT_LINK:
-            return None
-        network = self.network.snapshot()
-        if network is None:
-            return None
-        return (
-            self.server.snapshot(),
-            self.client.snapshot(),
-            self._base,
-            self._server_base,
-            network,
-        )
-
-    def restore(self, state: tuple) -> None:
-        server, client, self._base, self._server_base, network = state
-        self.server.restore(server)
-        self.client.restore(client)
-        self.network.restore(network)
+    def _refuses_snapshot(self) -> bool:  # absolute numbers differ per replayed ISS
+        return not self.relative_numbers
 
     def _step_impl(self, symbol):
         if not isinstance(symbol, TCPSymbol):

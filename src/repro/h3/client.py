@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.state import BYTES, SET, fields, mapping, nested
 from ..quic.varint import VarintError, decode_varint, encode_varint
 from .actions import H3Action
 from .frames import (
@@ -54,6 +55,11 @@ class H3ClientConfig:
 class H3Client:
     """Concretizes abstract symbols and parses per-stream responses."""
 
+    __state__ = fields("next_request_stream open_stream _control_open",
+                       _decoders=mapping(nested(H3FrameDecoder)), _uni_type_buffers=mapping(BYTES),
+                       _uni_type_seen=SET)
+    __shared__ = "config seed _encoder decoder stats"
+
     def __init__(self, config: H3ClientConfig | None = None, seed: int = 10) -> None:
         self.config = config or H3ClientConfig()
         self.seed = seed
@@ -69,36 +75,6 @@ class H3Client:
         self._decoders: dict[int, H3FrameDecoder] = {}
         self._uni_type_buffers: dict[int, bytearray] = {}
         self._uni_type_seen: set[int] = set()
-
-    def snapshot(self) -> tuple:
-        """The connection state :meth:`reset` starts afresh, as immutable
-        values (SUL snapshots); the QPACK codecs keep no state and
-        ``stats`` counts what was processed."""
-        return (
-            self.next_request_stream,
-            self.open_stream,
-            self._control_open,
-            tuple((sid, decoder.snapshot()) for sid, decoder in self._decoders.items()),
-            tuple((sid, bytes(buffer)) for sid, buffer in self._uni_type_buffers.items()),
-            tuple(sorted(self._uni_type_seen)),
-        )
-
-    def restore(self, state: tuple) -> None:
-        (
-            self.next_request_stream,
-            self.open_stream,
-            self._control_open,
-            decoders,
-            uni_type_buffers,
-            uni_type_seen,
-        ) = state
-        self._decoders = {
-            sid: H3FrameDecoder.restored(buffered) for sid, buffered in decoders
-        }
-        self._uni_type_buffers = {
-            sid: bytearray(buffer) for sid, buffer in uni_type_buffers
-        }
-        self._uni_type_seen = set(uni_type_seen)
 
     # -- concretization --------------------------------------------------
     def build(self, kind: str, fin: bool = False) -> tuple[list[H3Action], dict]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..core.state import BYTES, fields
 from ..quic.varint import VarintError, decode_varint, encode_varint
 
 
@@ -83,6 +84,8 @@ class H3Frame:
 class H3FrameDecoder:
     """Incremental frame parser over arbitrarily chunked stream data."""
 
+    __state__ = fields(_buffer=BYTES)
+
     def __init__(self) -> None:
         self._buffer = bytearray()
 
@@ -114,16 +117,6 @@ class H3FrameDecoder:
     def buffered(self) -> int:
         """Bytes held back waiting for the rest of a frame."""
         return len(self._buffer)
-
-    def snapshot(self) -> bytes:
-        """The bytes held back, for a SUL snapshot."""
-        return bytes(self._buffer)
-
-    @classmethod
-    def restored(cls, buffered: bytes) -> "H3FrameDecoder":
-        decoder = cls()
-        decoder._buffer.extend(buffered)
-        return decoder
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..core.state import BYTES, DICT, LIST, fields, mapping, nested
 from ..quic.varint import VarintError, decode_varint, encode_varint
 from .actions import H3Action
 from .frames import (
@@ -71,6 +72,8 @@ class H3ServerConfig:
 
 @dataclass
 class _RequestState:
+    __state__ = fields("headers_seen trailers_seen", headers=LIST, body=BYTES)
+
     headers_seen: bool = False
     trailers_seen: bool = False
     headers: list[tuple[str, str]] = field(default_factory=list)
@@ -79,6 +82,13 @@ class _RequestState:
 
 class H3Server:
     """One HTTP/3 server connection, reset between membership queries."""
+
+    __state__ = fields("state settings_received control_sent last_error max_request_stream"
+                       " drain_boundary _control_type_seen", peer_settings=DICT,
+                       _control_type_buffer=BYTES, _decoders=mapping(nested(H3FrameDecoder)),
+                       _requests=mapping(nested(_RequestState)))
+    # The QPACK codecs keep no state (static table only).
+    __shared__ = "config seed _encoder _qpack_decoder stats"
 
     def __init__(self, config: H3ServerConfig | None = None, seed: int = 8) -> None:
         self.config = config or H3ServerConfig()
@@ -101,52 +111,6 @@ class H3Server:
         self._control_type_seen = False
         self._decoders: dict[int, H3FrameDecoder] = {}
         self._requests: dict[int, _RequestState] = {}
-
-    def snapshot(self) -> tuple:
-        """The connection state :meth:`reset` starts afresh, as immutable
-        values (SUL snapshots).  The QPACK codecs keep no state (static
-        table only) and ``stats`` counts what was processed, so both stay
-        out."""
-        return (
-            self.state,
-            self.settings_received,
-            tuple(self.peer_settings.items()),
-            self.control_sent,
-            self.last_error,
-            self.max_request_stream,
-            self.drain_boundary,
-            bytes(self._control_type_buffer),
-            self._control_type_seen,
-            tuple((sid, decoder.snapshot()) for sid, decoder in self._decoders.items()),
-            tuple(
-                (sid, r.headers_seen, r.trailers_seen, tuple(r.headers), bytes(r.body))
-                for sid, r in self._requests.items()
-            ),
-        )
-
-    def restore(self, state: tuple) -> None:
-        (
-            self.state,
-            self.settings_received,
-            peer_settings,
-            self.control_sent,
-            self.last_error,
-            self.max_request_stream,
-            self.drain_boundary,
-            control_type_buffer,
-            self._control_type_seen,
-            decoders,
-            requests,
-        ) = state
-        self.peer_settings = dict(peer_settings)
-        self._control_type_buffer = bytearray(control_type_buffer)
-        self._decoders = {
-            sid: H3FrameDecoder.restored(buffered) for sid, buffered in decoders
-        }
-        self._requests = {
-            sid: _RequestState(headers_seen, trailers_seen, list(headers), bytearray(body))
-            for sid, headers_seen, trailers_seen, headers, body in requests
-        }
 
     # -- inbound events --------------------------------------------------
     def handle_data(self, stream_id: int, data: bytes, fin: bool) -> list[H3Action]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.state import LIST, fields, nested
 from ..netsim import Address, SimulatedNetwork
 from .frames import (
     CONNECTION_PREFACE,
@@ -54,6 +55,10 @@ class HTTP2ClientConfig:
 
 class HTTP2Client:
     """Protocol-state-tracking client for building concrete frames."""
+
+    __state__ = fields("preface_sent next_stream_id open_stream last_stream_id",
+                       _frames=nested(FrameDecoder), last_response_headers=LIST)
+    __shared__ = "config _network _seed server_address endpoint _encoder _decoder"
 
     def __init__(
         self,
@@ -100,30 +105,6 @@ class HTTP2Client:
     def close(self) -> None:
         if self.endpoint is not None:
             self.endpoint.close()
-
-    def snapshot(self) -> tuple:
-        """The connection state :meth:`reset` starts afresh, as immutable
-        values (SUL snapshots); the HPACK codecs keep no state."""
-        return (
-            self.preface_sent,
-            self.next_stream_id,
-            self.open_stream,
-            self.last_stream_id,
-            self._frames.snapshot(),
-            tuple(self.last_response_headers),
-        )
-
-    def restore(self, state: tuple) -> None:
-        (
-            self.preface_sent,
-            self.next_stream_id,
-            self.open_stream,
-            self.last_stream_id,
-            frames,
-            last_response_headers,
-        ) = state
-        self._frames = FrameDecoder.restored(frames)
-        self.last_response_headers = list(last_response_headers)
 
     # ------------------------------------------------------------------
     # Concretization: abstract frame kind + flags -> valid concrete frame

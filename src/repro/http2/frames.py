@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..core.state import BYTES, fields
+
 #: The 24-octet client connection preface (RFC 9113 section 3.4).
 CONNECTION_PREFACE = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
 
@@ -162,6 +164,8 @@ class Frame:
 class FrameDecoder:
     """Reassembles frames from arbitrary byte-stream chunks."""
 
+    __state__ = fields(_buffer=BYTES)
+
     def __init__(self) -> None:
         self._buffer = bytearray()
 
@@ -184,16 +188,6 @@ class FrameDecoder:
     def buffered(self) -> int:
         """Octets held back waiting for the rest of a frame."""
         return len(self._buffer)
-
-    def snapshot(self) -> bytes:
-        """The bytes held back, for a SUL snapshot."""
-        return bytes(self._buffer)
-
-    @classmethod
-    def restored(cls, buffered: bytes) -> "FrameDecoder":
-        decoder = cls()
-        decoder._buffer.extend(buffered)
-        return decoder
 
 
 # ---------------------------------------------------------------------------

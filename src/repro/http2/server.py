@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..core.state import BYTES, LIST, fields, mapping, nested
 from ..netsim import Datagram, Endpoint, SimulatedNetwork
 from .frames import (
     CONNECTION_PREFACE,
@@ -79,6 +80,12 @@ class ServerStats:
 class HTTP2Server:
     """Single-connection HTTP/2 responder bound to a simulated network."""
 
+    __state__ = fields("state max_client_stream", _preface_buffer=BYTES,
+                       _frames=nested(FrameDecoder), streams=mapping(nested(H2Stream)),
+                       last_request_headers=LIST)
+    # The HPACK codecs keep no state (static table only).
+    __shared__ = "config _network _seed endpoint _encoder _decoder stats"
+
     def __init__(
         self,
         network: SimulatedNetwork | None = None,
@@ -120,34 +127,6 @@ class HTTP2Server:
     def close(self) -> None:
         if self.endpoint is not None:
             self.endpoint.close()
-
-    def snapshot(self) -> tuple:
-        """The connection state :meth:`reset` starts afresh, as immutable
-        values (SUL snapshots).  The HPACK codecs keep no state (static
-        table only) and ``stats`` counts what was processed, so both stay
-        out."""
-        return (
-            self.state,
-            bytes(self._preface_buffer),
-            self._frames.snapshot(),
-            tuple(stream.snapshot() for stream in self.streams.values()),
-            self.max_client_stream,
-            tuple(self.last_request_headers),
-        )
-
-    def restore(self, state: tuple) -> None:
-        (
-            self.state,
-            preface_buffer,
-            frames,
-            streams,
-            self.max_client_stream,
-            last_request_headers,
-        ) = state
-        self._preface_buffer = bytearray(preface_buffer)
-        self._frames = FrameDecoder.restored(frames)
-        self.streams = {stream[0]: H2Stream.restored(stream) for stream in streams}
-        self.last_request_headers = list(last_request_headers)
 
     # ------------------------------------------------------------------
     # Byte-stream processing

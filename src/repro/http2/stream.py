@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 
+from ..core.state import BYTES, fields
 from .frames import ErrorCode
 
 
@@ -48,6 +49,8 @@ class StreamError(Exception):
 
 class H2Stream:
     """One stream's lifecycle, driven by received and sent frames."""
+
+    __state__ = fields("stream_id state trailers_received", received_data=BYTES)
 
     def __init__(self, stream_id: int, state: StreamState = StreamState.IDLE) -> None:
         self.stream_id = stream_id
@@ -155,18 +158,6 @@ class H2Stream:
             if self.state is StreamState.HALF_CLOSED_REMOTE
             else StreamState.HALF_CLOSED_LOCAL
         )
-
-    def snapshot(self) -> tuple:
-        """The stream's state as immutable values (SUL snapshots)."""
-        return (self.stream_id, self.state, bytes(self.received_data), self.trailers_received)
-
-    @classmethod
-    def restored(cls, state: tuple) -> "H2Stream":
-        stream_id, stream_state, received_data, trailers_received = state
-        stream = cls(stream_id, stream_state)
-        stream.received_data.extend(received_data)
-        stream.trailers_received = trailers_received
-        return stream
 
     @property
     def closed(self) -> bool:

@@ -7,9 +7,13 @@ network advances it to the next scheduled event.
 
 from __future__ import annotations
 
+from ..core.state import fields
+
 
 class VirtualClock:
     """Monotonically increasing logical time, measured in seconds."""
+
+    __state__ = fields("_now")
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)

@@ -19,6 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
+from ..core.state import LIST, RNG, VALUE, fixed, fields, nested
 from .clock import VirtualClock
 from .rng import SnapshotRandom
 
@@ -83,6 +84,9 @@ class Endpoint:
     explicit :meth:`receive` calls (client style).
     """
 
+    __state__ = fields(inbox=LIST)
+    __shared__ = "_network address handler closed"
+
     def __init__(self, network: "SimulatedNetwork", address: Address) -> None:
         self._network = network
         self.address = address
@@ -119,6 +123,10 @@ class Endpoint:
 
 class SimulatedNetwork:
     """The shared medium connecting every endpoint in a simulation."""
+
+    __state__ = fields("_sequence _drop_next", stats=fixed(VALUE), clock=nested(VirtualClock),
+                       _queue=LIST, _endpoints=fixed(nested(Endpoint)), _rng=RNG)
+    __shared__ = "config _next_ephemeral"
 
     def __init__(
         self,
@@ -265,32 +273,6 @@ class SimulatedNetwork:
         """Datagrams scheduled but not yet delivered."""
         return len(self._queue)
 
-    # ------------------------------------------------------------------
-    # Snapshots (SUL trie walks)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> tuple | None:
-        """The network's mutable state, or None unless it is quiescent.
-
-        Quiescent means nothing is scheduled and no inbox holds a datagram,
-        so sequence numbers, counters, the drop budget, the clock and the
-        RNG are all the state there is.  Bindings are not captured.
-        """
-        if self._queue or any(e.inbox for e in self._endpoints.values()):
-            return None
-        return (
-            self._sequence,
-            tuple(self.stats.values()),
-            self._drop_next,
-            self.clock.now,
-            self._rng.getstate(),
-        )
-
-    def restore(self, state: tuple) -> None:
-        """Return to a quiescent :meth:`snapshot`."""
-        self._queue.clear()
-        for endpoint in self._endpoints.values():
-            endpoint.inbox.clear()
-        self._sequence, stats, self._drop_next, now, rng_state = state
-        self.stats.update(zip(self.stats, stats))
-        self.clock._now = now  # the one place time may move backwards
-        self._rng.setstate(rng_state)
+    def _refuses_snapshot(self) -> bool:  # unless quiescent on an unimpaired link
+        busy = self._queue or any(e.inbox for e in self._endpoints.values())
+        return bool(busy) or self.config != PERFECT_LINK

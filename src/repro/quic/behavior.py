@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ..core.state import fields
+
 InputKey = tuple[str, tuple[str, ...]]
 
 
@@ -410,6 +412,9 @@ def mvfst_table() -> BehaviorTable:
 @dataclass
 class BehaviorCore:
     """A mutable cursor over a behaviour table (one per connection)."""
+
+    __state__ = fields("state")
+    __shared__ = "table"
 
     table: BehaviorTable
     state: str = field(default="")

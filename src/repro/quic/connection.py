@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 
+from ..core.state import LIST, RNG, VALUE, fields, fixed, nested
 from ..netsim import Datagram, SimulatedNetwork, SnapshotRandom
 from . import crypto
 from .behavior import BehaviorCore, BehaviorTable, OutputSpec, input_key, spec
@@ -72,16 +72,6 @@ class ServerProfile:
     response_size: int = 3 * RESPONSE_CHUNK
 
 
-#: The :class:`QUICServerConnection` fields whose values are immutable
-#: (bytes, keys, transport parameters, ints): snapshots carry them as they are.
-CONNECTION_VALUES = (
-    "scid", "client_cid", "original_dcid", "initial_keys", "handshake_keys",
-    "application_keys", "client_random", "server_random", "client_params",
-    "_request_bytes", "_hello_processed",
-)
-_connection_values = attrgetter(*CONNECTION_VALUES)
-
-
 def _space_for(packet_type: PacketType) -> Space:
     if packet_type is PacketType.INITIAL:
         return Space.INITIAL
@@ -96,6 +86,15 @@ class QUICServerConnection:
     ``profile``, ``rng`` and the wire memo ``wire`` belong to the server
     and are shared by every connection it hosts, restored ones included.
     """
+
+    __state__ = fields("scid client_cid original_dcid initial_keys handshake_keys"
+                       " application_keys client_random server_random client_params _request_bytes"
+                       " _hello_processed", core=nested(BehaviorCore),
+                       spaces=fixed(nested(PacketNumberSpace), keys=Space),
+                       _crypto_queues=fixed(LIST, keys=Space),
+                       _crypto_offsets=fixed(VALUE, keys=Space), recv_stream=nested(ReceiveStream),
+                       send_stream=nested(SendStream))
+    __shared__ = "profile rng wire"
 
     def __init__(
         self,
@@ -128,42 +127,12 @@ class QUICServerConnection:
         self._request_bytes = 0
         self._hello_processed = False
 
-    def snapshot(self) -> tuple:
-        """The connection's state as immutable, hashable values (SUL
-        snapshots).
-
-        :meth:`restored` takes the server's profile, behaviour table, RNG
-        and wire memo, which stay out.
-        """
-        return (
-            self.core.state,
-            _connection_values(self),
-            tuple(space.snapshot() for space in self.spaces.values()),
-            tuple(map(tuple, self._crypto_queues.values())),
-            tuple(self._crypto_offsets.values()),
-            self.recv_stream.snapshot(),
-            self.send_stream.snapshot(),
-        )
-
     @classmethod
-    def restored(
-        cls,
-        state: tuple,
-        profile: ServerProfile,
-        table: BehaviorTable,
-        rng: random.Random,
-        wire: WireMemo,
-    ) -> "QUICServerConnection":
-        core_state, values, spaces, queues, offsets, recv, send = state
+    def shell(cls, server: "QUICServer") -> "QUICServerConnection":
+        """A connection holding ``server``'s shared fields, for a restore to fill."""
         connection = cls.__new__(cls)
-        connection.__dict__.update(zip(CONNECTION_VALUES, values))
-        connection.profile, connection.rng, connection.wire = profile, rng, wire
-        connection.core = BehaviorCore(table, core_state)
-        connection.spaces = dict(zip(Space, map(PacketNumberSpace.restored, spaces)))
-        connection._crypto_queues = dict(zip(Space, map(list, queues)))
-        connection._crypto_offsets = dict(zip(Space, offsets))
-        connection.recv_stream = ReceiveStream.restored(recv)
-        connection.send_stream = SendStream.restored(send)
+        connection.profile, connection.rng, connection.wire, connection.core = (
+            server.profile, server.rng, server.wire, BehaviorCore(server.table))
         return connection
 
     # ------------------------------------------------------------------
@@ -407,6 +376,11 @@ def _closed_state_for(core: BehaviorCore) -> str:
 class QUICServer:
     """A simulated QUIC server bound to the network (the Implementation)."""
 
+    __state__ = fields("datagrams_received",
+                       connection=nested(QUICServerConnection, new=QUICServerConnection.shell),
+                       rng=RNG)
+    __shared__ = "network profile host port wire table endpoint _retry_scid"
+
     def __init__(
         self,
         network: SimulatedNetwork,
@@ -438,6 +412,10 @@ class QUICServer:
 
     def close(self) -> None:
         self.endpoint.close()
+
+    def _refuses_snapshot(self) -> bool:
+        # mvfst: a restored state would replay its stateless-reset draws.
+        return self.profile.stateless_reset_probability not in (0.0, 1.0)
 
     # ------------------------------------------------------------------
     def _handle(self, datagram: Datagram) -> None:

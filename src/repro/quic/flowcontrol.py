@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.state import fields
+
 
 class FlowControlError(Exception):
     """Raised when a peer violates an advertised limit."""
@@ -20,6 +22,8 @@ class FlowControlError(Exception):
 @dataclass
 class SendFlowController:
     """Sender-side credit tracking for one stream or the connection."""
+
+    __state__ = fields("limit sent blocked_at")
 
     limit: int = 0
     sent: int = 0
@@ -63,6 +67,8 @@ class SendFlowController:
 @dataclass
 class ReceiveFlowController:
     """Receiver-side accounting for one stream or the connection."""
+
+    __state__ = fields("limit received")
 
     limit: int = 0
     received: int = 0

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 
+from ...core.state import RNG, fields, fixed, nested
 from ...netsim import Address, Endpoint, SimulatedNetwork, SnapshotRandom
 from .. import crypto
 from ..connection import (
@@ -54,30 +54,6 @@ from ..transport_params import TransportParameters
 from ..wire import WireMemo
 
 REQUEST_CHUNK = 100
-
-#: The per-connection fields :meth:`TrackerClient.reset` rebuilds besides
-#: the packet spaces.  Their values are immutable (ints, bytes, keys,
-#: transport parameters), so a SUL snapshot carries them as they are.
-CONNECTION_FIELDS = (
-    "dcid",
-    "scid",
-    "client_random",
-    "initial_keys",
-    "handshake_keys",
-    "application_keys",
-    "server_random",
-    "server_scid",
-    "server_params",
-    "retry_token",
-    "request_offset",
-    "response_received",
-    "max_stream_data_limit",
-    "max_data_limit",
-    "closed",
-    "saw_stateless_reset",
-    "handshake_complete",
-)
-_connection_values = attrgetter(*CONNECTION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -124,6 +100,14 @@ class TrackerConfig:
 class TrackerClient:
     """The instrumented reference implementation (client role)."""
 
+    __state__ = fields("dcid scid client_random initial_keys handshake_keys application_keys"
+                       " server_random server_scid server_params retry_token request_offset"
+                       " response_received max_stream_data_limit max_data_limit closed"
+                       " saw_stateless_reset handshake_complete",
+                       spaces=fixed(nested(PacketNumberSpace), keys=Space), rng=RNG)
+    __shared__ = ("network server_address config _ambiguity_rng wire _main_endpoint"
+                  " _active_endpoint _extra_endpoints")
+
     def __init__(
         self,
         network: SimulatedNetwork,
@@ -138,8 +122,8 @@ class TrackerClient:
         # Deliberately NOT reset between queries: ambiguity must persist
         # across repeats for the nondeterminism check to observe it.
         self._ambiguity_rng = random.Random(seed + 1)
-        #: Memoised wire functions, kept across :meth:`reset` and
-        #: :meth:`restore` (see :mod:`repro.quic.wire`).
+        #: Memoised wire functions, kept across :meth:`reset` and SUL
+        #: restores (see :mod:`repro.quic.wire`).
         self.wire = WireMemo()
         self._main_endpoint = network.bind(self.config.host, self.config.port)
         self._active_endpoint: Endpoint = self._main_endpoint
@@ -184,19 +168,9 @@ class TrackerClient:
             endpoint.close()
         self._main_endpoint.close()
 
-    def snapshot(self) -> tuple:
-        """The connection's state for a SUL snapshot: the packet spaces'
-        snapshots and the values of :data:`CONNECTION_FIELDS` (the RNG
-        state is captured by the SUL)."""
-        return (
-            tuple(space.snapshot() for space in self.spaces.values()),
-            _connection_values(self),
-        )
-
-    def restore(self, state: tuple) -> None:
-        spaces, values = state
-        self.spaces = dict(zip(Space, map(PacketNumberSpace.restored, spaces)))
-        self.__dict__.update(zip(CONNECTION_FIELDS, values))
+    def _refuses_snapshot(self) -> bool:
+        # The ambiguity RNG is never restored; the bug binds new endpoints.
+        return self.config.ambiguous_stream_abstraction or self.config.retry_port_bug
 
     # ------------------------------------------------------------------
     # Concretization: abstract request -> concrete packet

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..core.state import SET, fields
 from .frames import AckFrame, AckRange
 
 
@@ -24,24 +25,12 @@ class Space(enum.Enum):
 class PacketNumberSpace:
     """Send/receive bookkeeping for one encryption level."""
 
+    __state__ = fields("next_packet_number largest_received largest_acked_by_peer", received=SET)
+
     next_packet_number: int = 0
     received: set[int] = field(default_factory=set)
     largest_received: int = -1
     largest_acked_by_peer: int = -1
-
-    def snapshot(self) -> tuple:
-        """The space's state as immutable values (SUL snapshots)."""
-        return (
-            self.next_packet_number,
-            tuple(sorted(self.received)),
-            self.largest_received,
-            self.largest_acked_by_peer,
-        )
-
-    @classmethod
-    def restored(cls, state: tuple) -> "PacketNumberSpace":
-        next_packet_number, received, largest_received, largest_acked = state
-        return cls(next_packet_number, set(received), largest_received, largest_acked)
 
     def take_packet_number(self) -> int:
         number = self.next_packet_number

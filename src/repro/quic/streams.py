@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.state import BYTES, DICT, fields, nested
 from .flowcontrol import ReceiveFlowController, SendFlowController
 
 
@@ -20,6 +21,8 @@ class StreamError(Exception):
 @dataclass
 class ReceiveStream:
     """Reassembles the peer's bytes for one stream."""
+
+    __state__ = fields("_delivered final_size", flow=nested(ReceiveFlowController), _segments=DICT)
 
     flow: ReceiveFlowController = field(default_factory=ReceiveFlowController)
     _segments: dict[int, bytes] = field(default_factory=dict)
@@ -67,24 +70,6 @@ class ReceiveStream:
         self._delivered = cursor
         return data
 
-    def snapshot(self) -> tuple:
-        """The stream's state as immutable values (SUL snapshots)."""
-        flow = self.flow
-        return (
-            flow.limit,
-            flow.received,
-            tuple(self._segments.items()),
-            self._delivered,
-            self.final_size,
-        )
-
-    @classmethod
-    def restored(cls, state: tuple) -> "ReceiveStream":
-        limit, received, segments, delivered, final_size = state
-        return cls(
-            ReceiveFlowController(limit, received), dict(segments), delivered, final_size
-        )
-
     @property
     def bytes_received(self) -> int:
         return self.flow.received
@@ -97,6 +82,9 @@ class ReceiveStream:
 @dataclass
 class SendStream:
     """Buffers our bytes for one stream and drains under flow control."""
+
+    __state__ = fields("offset fin_queued fin_sent", flow=nested(SendFlowController),
+                       _pending=BYTES)
 
     flow: SendFlowController = field(default_factory=SendFlowController)
     _pending: bytearray = field(default_factory=bytearray)
@@ -133,30 +121,6 @@ class SendStream:
         if fin:
             self.fin_sent = True
         return offset, data, fin
-
-    def snapshot(self) -> tuple:
-        """The stream's state as immutable values (SUL snapshots)."""
-        flow = self.flow
-        return (
-            flow.limit,
-            flow.sent,
-            flow.blocked_at,
-            bytes(self._pending),
-            self.offset,
-            self.fin_queued,
-            self.fin_sent,
-        )
-
-    @classmethod
-    def restored(cls, state: tuple) -> "SendStream":
-        limit, sent, blocked_at, pending, offset, fin_queued, fin_sent = state
-        return cls(
-            SendFlowController(limit, sent, blocked_at),
-            bytearray(pending),
-            offset,
-            fin_queued,
-            fin_sent,
-        )
 
     @property
     def has_pending(self) -> bool:

@@ -8,7 +8,7 @@ functions of their arguments (keys included), so each endpoint -- the
 :class:`~repro.quic.impls.tracker.TrackerClient` and the
 :class:`~repro.quic.connection.QUICServer` -- owns a :class:`WireMemo`:
 bounded ``functools.lru_cache`` wrappers built with the endpoint and
-dropped with it.  ``reset()`` and ``restore()`` keep them, so a memo lives
+dropped with it.  ``reset()`` and SUL restores keep them, so a memo lives
 exactly as long as its SUL and every learn starts cold.
 
 Exceptions are never cached: a tampered tag or malformed bytes raise

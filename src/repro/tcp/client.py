@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..core.state import fields
 from ..netsim import Address, SimulatedNetwork
 from .segment import SEQ_MODULUS, SegmentError, TCPSegment
 
@@ -29,6 +30,9 @@ class ClientConfig:
 
 class TCPClient:
     """Protocol-state-tracking client for building concrete segments."""
+
+    __state__ = fields("iss snd_nxt rcv_nxt")
+    __shared__ = "config _network server_address _rng endpoint"
 
     def __init__(
         self,
@@ -59,13 +63,6 @@ class TCPClient:
 
     def close(self) -> None:
         self.endpoint.close()
-
-    def snapshot(self) -> tuple:
-        """The connection state a SUL snapshot captures."""
-        return (self.iss, self.snd_nxt, self.rcv_nxt)
-
-    def restore(self, state: tuple) -> None:
-        self.iss, self.snd_nxt, self.rcv_nxt = state
 
     # ------------------------------------------------------------------
     # Concretization: abstract flag set -> valid concrete segment

@@ -27,6 +27,7 @@ import enum
 import random
 from dataclasses import dataclass
 
+from ..core.state import fields
 from ..netsim import Datagram, Endpoint, SimulatedNetwork
 from .segment import SEQ_MODULUS, SegmentError, TCPSegment
 
@@ -54,6 +55,9 @@ class TCPServerConfig:
 
 class TCPServer:
     """Single-connection TCP responder bound to a simulated network."""
+
+    __state__ = fields("state _iss snd_nxt rcv_nxt segments_received")
+    __shared__ = "config _network _rng endpoint"  # the RNG is drawn only at reset
 
     def __init__(
         self,
@@ -85,14 +89,6 @@ class TCPServer:
 
     def close(self) -> None:
         self.endpoint.close()
-
-    def snapshot(self) -> tuple:
-        """The connection state a SUL snapshot captures (the RNG is only
-        drawn at :meth:`reset`, so it stays out)."""
-        return (self.state, self._iss, self.snd_nxt, self.rcv_nxt, self.segments_received)
-
-    def restore(self, state: tuple) -> None:
-        self.state, self._iss, self.snd_nxt, self.rcv_nxt, self.segments_received = state
 
     # ------------------------------------------------------------------
     # Packet processing

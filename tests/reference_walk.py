@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Mapping, Sequence
 
-from repro.adapter.sul import SUL
 from repro.core.alphabet import AbstractSymbol
 from repro.core.trace import Word
 
@@ -40,16 +39,14 @@ class PrefixStoreWalk:
 
         The base implementation runs the words serially on this instance;
         parallel backends (:class:`repro.adapter.pool.SULPool`) override it.
-        A SUL that overrides :meth:`snapshot` runs the batch as one walk
-        over its prefix trie (:meth:`_walk_trie`).  The walk starts from
-        the saved post-reset root when there is one, and from a physical
-        reset otherwise; either way :meth:`snapshot` is called there once,
+        A SUL that snapshots runs the batch as one walk over its prefix
+        trie (:meth:`_walk_trie`).  The walk starts from the saved
+        post-reset root when there is one, and from a physical reset
+        otherwise; either way :meth:`snapshot` is called there once,
         and if it refuses, the saved snapshots are dropped and every word
         is reset and replayed, the first one on that reset.
         """
         words = [tuple(word) for word in words]
-        if type(self).snapshot is SUL.snapshot:  # pragma: no cover
-            return [self.query(word) for word in words]
         if not words:
             return []
         root = None

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from repro.core.state import capture, declared, restore
 from repro.netsim import (
     LinkConfig,
     NetworkError,
+    PERFECT_LINK,
     SimulatedNetwork,
     SnapshotRandom,
     VirtualClock,
@@ -204,14 +206,16 @@ class TestSnapshots:
         a.send(b"one", b.address)
         network.run()
         b.receive_all()
-        state = network.snapshot()
+        jitter, network.config = network.config, PERFECT_LINK  # only this link snapshots
+        state = capture(network)
+        network.config = jitter
         before = (dict(network.stats), network.clock.now, network._sequence)
         network.drop_next()
         for payload in (b"lost", b"two", b"three"):
             a.send(payload, b.address)
         network.run()
         later = ([d.payload for d in b.receive_all()], network.clock.now)
-        network.restore(state)
+        restore(network, state)
         assert (dict(network.stats), network.clock.now, network._sequence) == before
         assert network._drop_next == 0
         network.drop_next()
@@ -221,24 +225,32 @@ class TestSnapshots:
         # Same jitter draws: same delivery order and the same final clock.
         assert ([d.payload for d in b.receive_all()], network.clock.now) == later
 
+    def test_impaired_link_cannot_snapshot(self):
+        network, _, _ = self._pair()
+        assert capture(network) is None
+        network.config = PERFECT_LINK
+        assert capture(network) is not None
+
     def test_busy_network_cannot_snapshot(self):
         network, a, b = self._pair()
+        network.config = PERFECT_LINK
         a.send(b"in flight", b.address)
-        assert network.snapshot() is None
+        assert capture(network) is None
         network.run()
-        assert network.snapshot() is None  # undrained inbox
+        assert capture(network) is None  # undrained inbox
         b.receive_all()
-        assert network.snapshot() is not None
+        assert capture(network) is not None
 
     def test_unimpaired_link_leaves_the_rng_undrawn(self):
         network = SimulatedNetwork(seed=4)
         a, b = network.bind("h", 1), network.bind("h", 2)
-        state = network.snapshot()
+        state = capture(network)
         for i in range(5):
             a.send(bytes([i]), b.address)
         network.run()
         assert len(b.receive_all()) == 5
-        assert network.snapshot()[-1] is state[-1]
+        rng = list(declared(SimulatedNetwork).state).index("_rng")
+        assert capture(network)[rng] is state[rng]
         assert network.clock.now == 0.001  # latency, no jitter
 
 

@@ -12,6 +12,7 @@ physical counters may drop.  ``reference_walk.py`` keeps the walk that
 came before the memo (snapshots saved by prefix) to compare with.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -31,15 +32,18 @@ from repro.adapter.pool import SULPool
 from repro.adapter.quic_adapter import QUICAdapterSUL, build_quic_sul
 from repro.adapter.tcp_adapter import TCPAdapterSUL, build_tcp_sul
 from repro.core.alphabet import Alphabet, parse_tcp_symbol, quic_alphabet
+from repro.core import state as schema
 from repro.core.mealy import mealy_from_table
 from repro.framework import Prognosis
+from repro.h3.server import H3Server
+from repro.http2.server import HTTP2Server
 from repro.netsim import PERFECT_LINK, LinkConfig
-from repro.quic.connection import CONNECTION_VALUES
+from repro.quic.connection import QUICServerConnection
 from repro.quic.impls.quiche import quiche_server
-from repro.quic.impls.tracker import CONNECTION_FIELDS
 from repro.quic.packetspace import Space
 from repro.registry import SUL_REGISTRY
 from repro.spec import ExecutorSpec, ExperimentSpec
+from repro.tcp.server import TCPServer
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -417,21 +421,6 @@ def _random_word(rng, symbols, longest):
 
 class TestQUICSnapshots:
     @pytest.mark.parametrize("implementation, options", QUIC_TARGETS)
-    def test_restore_returns_every_snapshotted_field(self, implementation, options):
-        sul = build_quic_sul(implementation, seed=11, **options)
-        symbols = list(sul.input_alphabet.symbols)
-        rng = random.Random(3)
-        for _ in range(8):
-            sul.reset()
-            for symbol in _random_word(rng, symbols, 5):
-                sul.step(symbol)
-            state = sul.snapshot()
-            for symbol in _random_word(rng, symbols, 4):
-                sul.step(symbol)
-            sul.restore(state)
-            assert sul.snapshot() == state
-
-    @pytest.mark.parametrize("implementation, options", QUIC_TARGETS)
     def test_one_snapshot_restores_twice(self, implementation, options):
         # A snapshot must share no list, set or bytearray with the live
         # state.  Like a trie node, it is taken, a first suffix runs on the
@@ -547,56 +536,6 @@ class TestSavedSnapshotsOnTargets:
         assert _logical(walked) == _logical(replayed)
 
 
-#: Per-class attributes a QUIC snapshot captures, and the long-lived rest
-#: (shared profile, endpoints, configuration, the RNG drawn only for the
-#: ambiguous abstraction).  A new attribute must join one side.
-QUIC_FIELDS = [
-    (
-        lambda sul: sul.server,
-        {"connection", "datagrams_received", "rng"},
-        {"network", "profile", "host", "port", "endpoint", "_retry_scid", "wire", "table"},
-    ),
-    (
-        lambda sul: sul.server.connection,
-        {"core", "spaces", "_crypto_queues", "_crypto_offsets", "recv_stream",
-         "send_stream", *CONNECTION_VALUES},
-        {"profile", "rng", "wire"},
-    ),
-    (
-        lambda sul: sul.server.connection.spaces[Space.HANDSHAKE],
-        {"next_packet_number", "received", "largest_received", "largest_acked_by_peer"},
-        set(),
-    ),
-    (
-        lambda sul: sul.client,
-        {"spaces", "rng", *CONNECTION_FIELDS},
-        {"network", "server_address", "config", "_ambiguity_rng", "_main_endpoint",
-         "_active_endpoint", "_extra_endpoints", "wire"},
-    ),
-    (
-        lambda sul: sul.client.spaces[Space.APPLICATION],
-        {"next_packet_number", "received", "largest_received", "largest_acked_by_peer"},
-        set(),
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "part, snapshotted, long_lived",
-    QUIC_FIELDS,
-    ids=["quic-server", "quic-server-connection", "quic-server-space", "tracker-client",
-         "tracker-space"],
-)
-def test_quic_fields_are_classified(part, snapshotted, long_lived):
-    assert not snapshotted & long_lived
-    sul = build_quic_sul("google", seed=11)
-    sul.query(tuple(sul.input_alphabet.symbols[:3]))
-    live = part(sul)
-    assert set(vars(live)) == snapshotted | long_lived
-    sul.restore(sul.snapshot())
-    assert set(vars(part(sul))) == set(vars(live))
-
-
 STREAM_TARGETS = ["tcp", "tcp-no-challenge-ack", "http2", "http2-buggy", "http3", "http3-buggy"]
 LOSSY = LinkConfig(loss_rate=0.1)
 
@@ -616,19 +555,6 @@ class TestStreamWalk:
         assert _logical(walked) == _logical(replayed)
         assert walked.stats.snapshots > 0
         assert walked.stats.physical_steps < walked.stats.steps
-
-    @pytest.mark.parametrize("target", ["tcp", "http2", "http3"])
-    def test_restore_returns_every_snapshotted_field(self, target):
-        sul = SUL_REGISTRY.create(target, seed=11)
-        symbols = list(sul.input_alphabet.symbols)
-        sul.reset()
-        for symbol in symbols[:3]:
-            sul.step(symbol)
-        state = sul.snapshot()
-        for symbol in reversed(symbols):
-            sul.step(symbol)
-        sul.restore(state)
-        assert sul.snapshot() == state
 
 
 class TestStreamSnapshotFallbacks:
@@ -667,110 +593,13 @@ class TestStreamSnapshotFallbacks:
         assert sul.snapshot() is None
 
     def test_transport_and_app_defaults_replay(self):
-        sul = build_http2_sul()
-        sul.transport.snapshot = lambda: None
-        assert sul.snapshot() is None
-        sul = build_http2_sul()
-        sul.app.snapshot = lambda: None
-        assert sul.snapshot() is None
-
-
-#: Per-class attributes a snapshot captures, and the long-lived rest
-#: (configuration, endpoints, stateless codecs, RNGs drawn only at reset,
-#: and cumulative ``stats`` counters).  A new attribute must join one side.
-STREAM_FIELDS = [
-    (
-        lambda sul: sul,
-        "tcp",
-        {"_base", "_server_base"},
-        {"input_alphabet", "name", "oracle_table", "stats", "_states", "_root", "_memo_lock",
-         "network", "server", "client", "relative_numbers"},
-    ),
-    (
-        lambda sul: sul.server,
-        "tcp",
-        {"state", "_iss", "snd_nxt", "rcv_nxt", "segments_received"},
-        {"config", "_network", "_rng", "endpoint"},
-    ),
-    (
-        lambda sul: sul.client,
-        "tcp",
-        {"iss", "snd_nxt", "rcv_nxt"},
-        {"config", "_network", "server_address", "_rng", "endpoint"},
-    ),
-    (
-        lambda sul: sul.server,
-        "http2",
-        {"state", "_preface_buffer", "_frames", "streams", "max_client_stream",
-         "last_request_headers"},
-        {"config", "_network", "_seed", "endpoint", "_encoder", "_decoder", "stats"},
-    ),
-    (
-        lambda sul: sul.client,
-        "http2",
-        {"preface_sent", "next_stream_id", "open_stream", "last_stream_id", "_frames",
-         "last_response_headers"},
-        {"_transport", "config", "_network", "_seed", "server_address", "endpoint",
-         "_encoder", "_decoder"},
-    ),
-    (
-        lambda sul: sul.transport,
-        "http2",
-        {"_client_arq", "_server_arq"},
-        {"_server_handler", "network", "_server_endpoint", "_endpoint"},
-    ),
-    (
-        lambda sul: sul.transport._client_arq,
-        "http2",
-        {"send_offset", "unacked", "pending", "recv_segments", "delivered"},
-        set(),
-    ),
-    (
-        lambda sul: sul.server,
-        "http3",
-        {"state", "settings_received", "peer_settings", "control_sent", "last_error",
-         "max_request_stream", "drain_boundary", "_control_type_buffer",
-         "_control_type_seen", "_decoders", "_requests"},
-        {"config", "seed", "_encoder", "_qpack_decoder", "stats"},
-    ),
-    (
-        lambda sul: sul.client,
-        "http3",
-        {"next_request_stream", "open_stream", "_control_open", "_decoders",
-         "_uni_type_buffers", "_uni_type_seen"},
-        {"config", "seed", "_encoder", "decoder", "stats"},
-    ),
-    (
-        lambda sul: sul.transport,
-        "http3",
-        {"_conn", "_server_conns", "_pending_token", "_reset_queue", "_pending_resets",
-         "last_connection_rounds", "_rng"},
-        # The ticket is only read with resumption, which never snapshots.
-        {"_server_handler", "network", "_server_endpoint", "_client_host", "_endpoint",
-         "resumption", "_ticket", "_server_ticket", "stats"},
-    ),
-    (
-        lambda sul: sul.transport._conn,
-        "http3",
-        {"cid", "next_pn", "received_pns", "unacked", "recv", "send", "fin_reported",
-         "handshaken"},
-        set(),
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "part, target, snapshotted, long_lived",
-    STREAM_FIELDS,
-    ids=[
-        "tcp-adapter", "tcp-server", "tcp-client", "http2-server", "http2-client",
-        "byte-transport", "arq-end", "h3-server", "h3-client", "quic-transport",
-        "quic-connection",
-    ],
-)
-def test_stream_fields_are_classified(part, target, snapshotted, long_lived):
-    assert not snapshotted & long_lived
-    assert set(vars(part(SUL_REGISTRY.create(target)))) == snapshotted | long_lived
+        # A layer whose class declares no state (here: takes its parent's
+        # declaration back) cannot snapshot, so neither can the SUL.
+        for layer in ("transport", "app"):
+            sul = build_http2_sul()
+            part = getattr(sul, layer)
+            part.__class__ = type("Undeclared", (type(part),), {"__state__": None})
+            assert sul.snapshot() is None
 
 
 POOL_FACTORIES = {
@@ -832,6 +661,21 @@ class TestSnapshotValues:
     """A snapshot is a hashable value of exactly the dynamic state: the
     memo interns states by it, and answers one state's transitions from
     another equal one."""
+
+    @pytest.mark.parametrize("target", EVERY_TARGET)
+    def test_restore_returns_every_snapshotted_field(self, target):
+        sul = SUL_REGISTRY.create(target, seed=11)
+        symbols = list(sul.input_alphabet.symbols)
+        rng = random.Random(3)
+        for _ in range(8):
+            sul.reset()
+            for symbol in _random_word(rng, symbols, 5):
+                sul.step(symbol)
+            state = sul.snapshot()
+            for symbol in _random_word(rng, symbols, 4):
+                sul.step(symbol)
+            sul.restore(state)
+            assert sul.snapshot() == state
 
     @pytest.mark.parametrize("target", EVERY_TARGET)
     def test_snapshots_hash(self, target):
@@ -904,6 +748,243 @@ class TestSnapshotValues:
                     sul.restore(state)
                     answers.append((sul._step_impl(symbol), sul.snapshot()))
                 assert answers[0] == answers[1]
+
+
+def _create(target):
+    return SUL_REGISTRY.create(target) if target == "toy" else SUL_REGISTRY.create(target, seed=11)
+
+
+def _walk(obj):
+    """``obj`` and every declared object its state holds, depth first."""
+    yield obj
+    for name, kind in schema.declared(type(obj)).state.items():
+        value = getattr(obj, name)
+        if isinstance(kind, schema.mapping) and isinstance(kind.element, schema.nested):
+            for part in value.values():
+                yield from _walk(part)
+        elif isinstance(kind, schema.nested) and value is not None:
+            yield from _walk(value)
+
+
+def _assert_declared(sul):
+    """Every object the SUL's state holds has each of its attributes
+    declared exactly once, as state or as shared."""
+    for part in _walk(sul):
+        state, shared = schema.declared(type(part)).state, schema.declared(type(part)).shared
+        name = type(part).__name__
+        assert not state.keys() & shared, name
+        assert set(vars(part)) == state.keys() | shared, name
+
+
+class TestDeclaredState:
+    """Each class a snapshot covers declares every attribute as state
+    (captured and restored) or shared (kept); a field left out of the
+    state is caught by the walk."""
+
+    @pytest.mark.parametrize("target", [*EVERY_TARGET, "toy"])
+    def test_every_field_is_declared(self, target):
+        sul = _create(target)
+        sul.reset()
+        _assert_declared(sul)
+        for symbol in sul.input_alphabet.symbols[:3]:
+            sul.step(symbol)
+        _assert_declared(sul)
+        # Objects a restore builds (a QUIC connection, streams, decoders)
+        # carry the same fields as live ones.
+        sibling = _create(target)
+        sibling.reset()
+        sibling.restore(sul.snapshot())
+        _assert_declared(sibling)
+        assert len(list(_walk(sibling))) == len(list(_walk(sul)))
+
+    def test_an_undeclared_field_fails(self, toy_machine):
+        class Annotating(MealySUL):
+            def __init__(self, machine):
+                super().__init__(machine)
+                self.notes = []
+
+        _assert_declared(MealySUL(toy_machine))
+        with pytest.raises(AssertionError, match="Annotating"):
+            _assert_declared(Annotating(toy_machine))
+
+    @pytest.mark.parametrize(
+        "owner, field, target",
+        [
+            (QUICServerConnection, "core", "quic-google"),
+            (TCPServer, "rcv_nxt", "tcp"),
+            (HTTP2Server, "streams", "http2"),
+            (H3Server, "state", "http3"),
+        ],
+        ids=["quic-core", "tcp-rcv-nxt", "http2-streams", "h3-state"],
+    )
+    def test_a_field_moved_to_shared_breaks_the_walk(self, monkeypatch, owner, field, target):
+        # Answers or concrete parameters differ from replay on the batch of
+        # every word of length 3 (``tcp`` only in its parameters).
+        state = vars(owner)["__state__"]
+        monkeypatch.setattr(owner, "__state__", {k: v for k, v in state.items() if k != field})
+        monkeypatch.setattr(owner, "__shared__", f"{vars(owner).get('__shared__', '')} {field}")
+        monkeypatch.setattr(schema, "declared", functools.cache(schema._Schema))
+        walked, replayed = SUL_REGISTRY.create(target, seed=11), SUL_REGISTRY.create(target, seed=11)
+        every_word = list(itertools.product(walked.input_alphabet.symbols, repeat=3))
+        random.Random(len(target)).shuffle(every_word)
+        walk = (walked.query_batch(every_word), _entries(walked))
+        assert walk != (_replay(replayed, every_word), _entries(replayed))
+
+
+def _assert_classified(part, snapshotted, long_lived):
+    """``part`` has exactly the attributes of the table, and its class
+    declares the snapshotted ones as state and the rest as shared."""
+    assert not snapshotted & long_lived
+    assert set(vars(part)) == snapshotted | long_lived
+    declared = schema.declared(type(part))
+    assert set(declared.state) == snapshotted
+    assert declared.shared == long_lived
+
+
+#: Per-class attributes a QUIC snapshot captures, and the long-lived rest
+#: (shared profile, endpoints, configuration, the RNG drawn only for the
+#: ambiguous abstraction).  A new attribute must join one side.
+SPACE_VALUES = {"next_packet_number", "received", "largest_received", "largest_acked_by_peer"}
+QUIC_FIELDS = [
+    (
+        lambda sul: sul.server,
+        {"connection", "datagrams_received", "rng"},
+        {"network", "profile", "host", "port", "endpoint", "_retry_scid", "wire", "table"},
+    ),
+    (
+        lambda sul: sul.server.connection,
+        {"core", "spaces", "_crypto_queues", "_crypto_offsets", "recv_stream", "send_stream",
+         "_hello_processed", "_request_bytes", "client_cid", "client_params", "client_random",
+         "original_dcid", "scid", "server_random", "initial_keys", "handshake_keys",
+         "application_keys"},
+        {"profile", "rng", "wire"},
+    ),
+    (lambda sul: sul.server.connection.spaces[Space.HANDSHAKE], SPACE_VALUES, set()),
+    (
+        lambda sul: sul.client,
+        {"spaces", "rng", "client_random", "closed", "dcid", "handshake_complete", "scid",
+         "max_data_limit", "max_stream_data_limit", "request_offset", "response_received",
+         "retry_token", "saw_stateless_reset", "server_params", "server_random", "server_scid",
+         "initial_keys", "handshake_keys", "application_keys"},
+        {"network", "server_address", "config", "_ambiguity_rng", "_main_endpoint",
+         "_active_endpoint", "_extra_endpoints", "wire"},
+    ),
+    (lambda sul: sul.client.spaces[Space.APPLICATION], SPACE_VALUES, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "part, snapshotted, long_lived",
+    QUIC_FIELDS,
+    ids=["quic-server", "quic-server-connection", "quic-server-space", "tracker-client",
+         "tracker-space"],
+)
+def test_quic_fields_are_classified(part, snapshotted, long_lived):
+    sul = build_quic_sul("google", seed=11)
+    sul.query(tuple(sul.input_alphabet.symbols[:3]))
+    live = part(sul)
+    _assert_classified(live, snapshotted, long_lived)
+    sul.restore(sul.snapshot())
+    assert set(vars(part(sul))) == set(vars(live))
+
+
+#: Per-class attributes a snapshot captures, and the long-lived rest
+#: (configuration, endpoints, stateless codecs, RNGs drawn only at reset,
+#: the memo and cumulative ``stats`` counters).  A new attribute must join
+#: one side.  The simulated network is state: its clock and in-flight
+#: datagrams are restored with the endpoints above it.
+STREAM_FIELDS = [
+    (
+        lambda sul: sul,
+        "tcp",
+        {"_base", "_server_base", "network", "server", "client"},
+        {"input_alphabet", "name", "oracle_table", "stats", "_states", "_root", "_memo_lock",
+         "relative_numbers"},
+    ),
+    (
+        lambda sul: sul.server,
+        "tcp",
+        {"state", "_iss", "snd_nxt", "rcv_nxt", "segments_received"},
+        {"config", "_network", "_rng", "endpoint"},
+    ),
+    (
+        lambda sul: sul.client,
+        "tcp",
+        {"iss", "snd_nxt", "rcv_nxt"},
+        {"config", "_network", "server_address", "_rng", "endpoint"},
+    ),
+    (
+        lambda sul: sul.server,
+        "http2",
+        {"state", "_preface_buffer", "_frames", "streams", "max_client_stream",
+         "last_request_headers"},
+        {"config", "_network", "_seed", "endpoint", "_encoder", "_decoder", "stats"},
+    ),
+    (
+        lambda sul: sul.client,
+        "http2",
+        {"preface_sent", "next_stream_id", "open_stream", "last_stream_id", "_frames",
+         "last_response_headers"},
+        {"_transport", "config", "_network", "_seed", "server_address", "endpoint",
+         "_encoder", "_decoder"},
+    ),
+    (
+        lambda sul: sul.transport,
+        "http2",
+        {"_client_arq", "_server_arq", "network"},
+        {"_server_handler", "_server_endpoint", "_endpoint"},
+    ),
+    (
+        lambda sul: sul.transport._client_arq,
+        "http2",
+        {"send_offset", "unacked", "pending", "recv_segments", "delivered"},
+        set(),
+    ),
+    (
+        lambda sul: sul.server,
+        "http3",
+        {"state", "settings_received", "peer_settings", "control_sent", "last_error",
+         "max_request_stream", "drain_boundary", "_control_type_buffer",
+         "_control_type_seen", "_decoders", "_requests"},
+        {"config", "seed", "_encoder", "_qpack_decoder", "stats"},
+    ),
+    (
+        lambda sul: sul.client,
+        "http3",
+        {"next_request_stream", "open_stream", "_control_open", "_decoders",
+         "_uni_type_buffers", "_uni_type_seen"},
+        {"config", "seed", "_encoder", "decoder", "stats"},
+    ),
+    (
+        lambda sul: sul.transport,
+        "http3",
+        {"_conn", "_server_conns", "_pending_token", "_reset_queue", "_pending_resets",
+         "last_connection_rounds", "_rng", "network"},
+        # The ticket is only read with resumption, which never snapshots.
+        {"_server_handler", "_server_endpoint", "_client_host", "_endpoint",
+         "resumption", "_ticket", "_server_ticket", "stats"},
+    ),
+    (
+        lambda sul: sul.transport._conn,
+        "http3",
+        {"cid", "next_pn", "received_pns", "unacked", "recv", "send", "fin_reported",
+         "handshaken"},
+        set(),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "part, target, snapshotted, long_lived",
+    STREAM_FIELDS,
+    ids=[
+        "tcp-adapter", "tcp-server", "tcp-client", "http2-server", "http2-client",
+        "byte-transport", "arq-end", "h3-server", "h3-client", "quic-transport",
+        "quic-connection",
+    ],
+)
+def test_stream_fields_are_classified(part, target, snapshotted, long_lived):
+    _assert_classified(part(SUL_REGISTRY.create(target)), snapshotted, long_lived)
 
 
 class TestSharedSteps:
