@@ -8,8 +8,9 @@ divergences with concrete witnesses).
 
 from conftest import report, run_once
 
-from repro.analysis.testgen import differential_test, generate_test_suite
+from repro.analysis.testgen import generate_test_suite
 from repro.experiments import make_quic_sul
+from repro.learn.teacher import replay
 
 
 def test_differential_testing_quic(benchmark, quic_quiche):
@@ -17,17 +18,15 @@ def test_differential_testing_quic(benchmark, quic_quiche):
     suite = generate_test_suite(model, "transition-cover")
 
     def run_both():
-        conformance = differential_test(
-            model, make_quic_sul("quiche", seed=321), suite
-        )
-        cross = differential_test(model, make_quic_sul("google", seed=321), suite)
+        conformance = replay(model, make_quic_sul("quiche", seed=321), [suite])
+        cross = replay(model, make_quic_sul("google", seed=321), [suite])
         return conformance, cross
 
     conformance, cross = run_once(benchmark, run_both)
     report(
         "EXT differential testing",
         [
-            ("suite size (transition cover)", "-", conformance.suite_size),
+            ("suite size (transition cover)", "-", conformance.sent),
             ("self-conformance divergences", 0, len(conformance.divergences)),
             ("cross-implementation divergences", "> 0", len(cross.divergences)),
             (

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..core.alphabet import AbstractSymbol
 from ..core.mealy import MealyMachine
 from ..core.trace import Word
-from .equivalence import DifferenceWitness, difference_witness, find_difference
+from .equivalence import DifferenceWitness, difference_witness
 
 
 @dataclass
@@ -72,6 +72,7 @@ def diff_models(
     jointly reachable state pair and keeping distinct shortest diverging
     words (deduplicated by their input word).
     """
+    first = difference_witness(a, b)
     diff = ModelDiff(
         name_a=a.name,
         name_b=b.name,
@@ -79,17 +80,14 @@ def diff_models(
         states_b=b.num_states,
         transitions_a=a.num_transitions,
         transitions_b=b.num_transitions,
-        equivalent=find_difference(a, b) is None,
+        equivalent=first is None,
     )
-    if diff.equivalent:
+    if first is None:
         return diff
-    seen_words: set[Word] = set()
-    first = difference_witness(a, b)
-    if first is not None:
-        diff.witnesses.append(first)
-        seen_words.add(first.word)
+    diff.witnesses.append(first)
+    seen_words: set[Word] = {first.word}
     # Extend each witness by one symbol to surface follow-on divergences.
-    frontier = [w.word for w in diff.witnesses]
+    frontier = [first.word]
     while frontier and len(diff.witnesses) < max_witnesses:
         base = frontier.pop(0)
         for symbol in a.input_alphabet:

@@ -5,14 +5,11 @@ suite derived from implementation A's model, executed against
 implementation B, is a high-quality differential test -- exactly how the
 paper's Issues 1-4 were found.  This module provides the pieces a
 :class:`~repro.campaign.DiffCampaign` assembles into an N x N verdict
-matrix:
+matrix (each cell's suite replay is :func:`repro.learn.teacher.replay`):
 
 * :func:`minimize_witness` -- a ddmin-style trace reducer that shrinks a
   diverging input word to a 1-minimal subsequence while preserving the
   divergence;
-* :func:`cross_replay` -- batched replay of a model-derived suite against
-  a membership oracle, collecting :class:`~repro.analysis.testgen
-  .Divergence` evidence;
 * :class:`CrossVerdict` / :class:`VerdictMatrix` -- one matrix cell and
   the full matrix, each renderable as text and serializable to JSON.
 """
@@ -23,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..core.trace import Word
-from .testgen import Divergence
 
 #: Possible outcomes of one (suite source, replay subject) cell.
 VERDICT_SELF = "self"              # diagonal: model replayed on its own SUL
@@ -95,44 +91,6 @@ def minimize_witness(
                 break
             granularity = min(len(word), granularity * 2)
     return word
-
-
-# ---------------------------------------------------------------------------
-# Cross-replay
-# ---------------------------------------------------------------------------
-
-def cross_replay(
-    model,
-    oracle,
-    suite: Sequence[Word],
-    batch_size: int = 64,
-    max_divergences: int | None = None,
-) -> list[Divergence]:
-    """Replay a model-derived suite against a membership oracle, batched.
-
-    ``model`` predicts the outputs (it was learned from implementation A);
-    ``oracle`` answers them (it fronts implementation B).  Words are
-    submitted ``batch_size`` at a time so a cache layer can dedup and
-    prefix-collapse them and a SUL pool can fan them out.  Divergences are
-    collected in suite order, capped at ``max_divergences``.
-    """
-    divergences: list[Divergence] = []
-    words = [tuple(word) for word in suite]
-    for start in range(0, len(words), max(1, batch_size)):
-        batch = words[start : start + max(1, batch_size)]
-        actuals = oracle.query_batch(batch)
-        for word, actual in zip(batch, actuals):
-            expected = model.run(word)
-            if tuple(actual) != tuple(expected):
-                divergences.append(
-                    Divergence(word=word, expected=tuple(expected), actual=tuple(actual))
-                )
-                if (
-                    max_divergences is not None
-                    and len(divergences) >= max_divergences
-                ):
-                    return divergences
-    return divergences
 
 
 # ---------------------------------------------------------------------------

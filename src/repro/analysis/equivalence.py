@@ -2,7 +2,8 @@
 
 For Mealy machines trace equivalence is decidable in polynomial time [Hunt
 & Rosenkrantz 1977]: run a breadth-first search over the product machine
-and look for a reachable state pair that disagrees on some input's output.
+and look for a reachable state pair that disagrees on some input's output
+(the one product search of :mod:`repro.analysis.product`).
 The witness word -- a concrete example trace showing how two
 implementations differ -- is exactly what Prognosis showed developers in
 Issues 1 and 3.
@@ -10,12 +11,11 @@ Issues 1 and 3.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from ..core.alphabet import AbstractSymbol
 from ..core.mealy import MealyMachine, State
 from ..core.trace import IOTrace, Word
+from .product import shortest_path
 
 
 class AlphabetMismatchError(ValueError):
@@ -32,37 +32,26 @@ def _check_alphabets(a: MealyMachine, b: MealyMachine) -> None:
 def find_difference(a: MealyMachine, b: MealyMachine) -> Word | None:
     """A shortest input word on which the machines' outputs differ, or None.
 
-    BFS over the product automaton; the first disagreeing transition closes
-    the witness.
+    A breadth-first :func:`~repro.analysis.product.shortest_path` over the
+    product machine, where a transition whose two outputs differ leads to
+    one sentinel node, the only node accepted: the witness ends with the
+    differing symbol and is the first such word in (length, alphabet)
+    order.
     """
     _check_alphabets(a, b)
-    start = (a.initial_state, b.initial_state)
-    parents: dict[
-        tuple[State, State], tuple[tuple[State, State], AbstractSymbol]
-    ] = {}
-    seen = {start}
-    queue: deque[tuple[State, State]] = deque([start])
-    while queue:
-        pair = queue.popleft()
-        for symbol in a.input_alphabet:
+    symbols = tuple(a.input_alphabet)
+    differs = object()
+
+    def successors(pair):
+        for symbol in symbols:
             next_a, out_a = a.step(pair[0], symbol)
             next_b, out_b = b.step(pair[1], symbol)
-            if out_a != out_b:
-                # Path back to the start, then reverse: the differing
-                # symbol ends up last.
-                word: list[AbstractSymbol] = [symbol]
-                cursor = pair
-                while cursor != start:
-                    cursor, sym = parents[cursor]
-                    word.append(sym)
-                word.reverse()
-                return tuple(word)
-            next_pair = (next_a, next_b)
-            if next_pair not in seen:
-                seen.add(next_pair)
-                parents[next_pair] = (pair, symbol)
-                queue.append(next_pair)
-    return None
+            yield 1, symbol, out_a, differs if out_a != out_b else (next_a, next_b)
+
+    found = shortest_path(
+        (a.initial_state, b.initial_state), successors, lambda node: node is differs
+    )
+    return None if found is None else found.word
 
 
 def equivalent(a: MealyMachine, b: MealyMachine) -> bool:

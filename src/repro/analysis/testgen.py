@@ -1,19 +1,21 @@
-"""Model-based test generation and differential testing (paper sections 5/7).
+"""Model-based test generation (paper sections 5/7).
 
 A learned model is a test-case factory: its transition cover, W-method
 suite, or random walks exercise exactly the behaviours the model claims,
-and replaying those against *another* implementation is differential
-testing with high-quality inputs -- "something that is typically hard in a
-closed-box setting" (section 7).
+and replaying those against *another* implementation
+(:func:`repro.learn.teacher.replay`) is differential testing with
+high-quality inputs -- "something that is typically hard in a closed-box
+setting" (section 7).  Divergences against the implementation the model
+was learned from are learner bugs; against another implementation they
+are behavioural differences of exactly the kind section 6.2 turns into
+findings.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
-from ..adapter.sul import SUL
 from ..core.mealy import MealyMachine
 from ..core.trace import Word
 
@@ -47,74 +49,3 @@ def generate_test_suite(
         length = rng.randint(1, max_length)
         suite.append(tuple(rng.choice(symbols) for _ in range(length)))
     return suite
-
-
-@dataclass(frozen=True)
-class Divergence:
-    """One test case on which the SUL disagreed with the model."""
-
-    word: Word
-    expected: Word
-    actual: Word
-
-    def render(self) -> str:
-        first = next(
-            i for i, (e, a) in enumerate(zip(self.expected, self.actual)) if e != a
-        )
-        return (
-            f"after {' '.join(str(s) for s in self.word[: first + 1])}: "
-            f"expected {self.expected[first]}, got {self.actual[first]}"
-        )
-
-
-@dataclass
-class DifferentialReport:
-    """The outcome of replaying a model-derived suite against a SUL."""
-
-    suite_size: int
-    divergences: list[Divergence]
-
-    @property
-    def conforms(self) -> bool:
-        return not self.divergences
-
-    @property
-    def divergence_rate(self) -> float:
-        return len(self.divergences) / self.suite_size if self.suite_size else 0.0
-
-    def render(self) -> str:
-        lines = [
-            f"differential test: {self.suite_size} cases, "
-            f"{len(self.divergences)} divergences"
-        ]
-        for divergence in self.divergences[:5]:
-            lines.append(f"  {divergence.render()}")
-        if len(self.divergences) > 5:
-            lines.append(f"  ... and {len(self.divergences) - 5} more")
-        return "\n".join(lines)
-
-
-def differential_test(
-    model: MealyMachine,
-    sul: SUL,
-    suite: Sequence[Word] | None = None,
-    max_divergences: int | None = None,
-) -> DifferentialReport:
-    """Replay a model-derived suite against a (different) implementation.
-
-    Divergences against the implementation the model was learned from are
-    learner bugs; against another implementation they are behavioural
-    differences of exactly the kind section 6.2 turns into findings.
-    """
-    words = list(suite) if suite is not None else generate_test_suite(model)
-    divergences: list[Divergence] = []
-    for word in words:
-        expected = model.run(word)
-        actual = sul.query(word)
-        if actual != expected:
-            divergences.append(
-                Divergence(word=word, expected=expected, actual=actual)
-            )
-            if max_divergences is not None and len(divergences) >= max_divergences:
-                break
-    return DifferentialReport(suite_size=len(words), divergences=divergences)

@@ -17,7 +17,7 @@ The subsystem closes the loop from *analysis* to *adversary*:
 """
 
 from .automata import ATTACK_REGISTRY, AttackerAutomaton, Move, resolve_attacker
-from .fuzzer import FuzzDivergence, FuzzReport, fuzz_frontier
+from .fuzzer import FuzzReport, fuzz_frontier
 from .replay import (
     VERDICT_CONFIRMED,
     VERDICT_DIVERGED,
@@ -34,7 +34,6 @@ __all__ = [
     "AttackReport",
     "AttackStrategy",
     "AttackerAutomaton",
-    "FuzzDivergence",
     "FuzzReport",
     "Move",
     "ReplayResult",

@@ -23,35 +23,9 @@ import random
 from dataclasses import dataclass, field
 
 from ..core.mealy import MealyMachine
-from ..core.trace import IOTrace, Word, render_word
+from ..core.trace import Word, render_word
 from ..learn.passive import PartialMealyMachine
-
-
-@dataclass(frozen=True)
-class FuzzDivergence:
-    """One input word where the live SUL contradicted the model."""
-
-    word: Word
-    expected: Word
-    observed: Word
-
-    @property
-    def trace(self) -> IOTrace:
-        return IOTrace(self.word, self.observed)
-
-    def to_dict(self) -> dict:
-        return {
-            "word": [str(s) for s in self.word],
-            "expected": [str(s) for s in self.expected],
-            "observed": [str(s) for s in self.observed],
-        }
-
-    def render(self) -> str:
-        return (
-            f"{render_word(self.word)}: model predicted "
-            f"{render_word(self.expected)}, live answered "
-            f"{render_word(self.observed)}"
-        )
+from ..learn.teacher import Divergence, replay
 
 
 @dataclass
@@ -62,7 +36,7 @@ class FuzzReport:
     budget: int
     words_sent: int
     frontier_prefixes: int
-    divergences: list[FuzzDivergence] = field(default_factory=list)
+    divergences: list[Divergence] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -125,9 +99,10 @@ def fuzz_frontier(
 
     Generates up to ``budget`` distinct words (frontier access word +
     random suffix of 1..``max_suffix`` alphabet symbols, seeded RNG,
-    round-robin over prefixes), replays them in one ``query_batch``
-    through whatever executor backs ``oracle``, and reports every word
-    whose live outputs contradict ``model.run``.
+    round-robin over prefixes), replays them as one batch
+    (:func:`~repro.learn.teacher.replay`) through whatever executor backs
+    ``oracle``, and reports every word whose live outputs contradict the
+    model.
     """
     alphabet = sorted(model.input_alphabet, key=str)
     prefixes = _frontier_prefixes(model, partial)
@@ -158,16 +133,11 @@ def fuzz_frontier(
         seen.add(word)
         words.append(word)
 
-    answers = oracle.query_batch([list(word) for word in words])
-    divergences = [
-        FuzzDivergence(word=word, expected=model.run(word), observed=tuple(live))
-        for word, live in zip(words, answers)
-        if tuple(live) != model.run(word)
-    ]
+    found = replay(model, oracle, [words])
     return FuzzReport(
         seed=seed,
         budget=budget,
-        words_sent=len(words),
+        words_sent=found.sent,
         frontier_prefixes=len(prefixes),
-        divergences=divergences,
+        divergences=found.divergences,
     )

@@ -342,9 +342,7 @@ def run_attacks(
             entries.append((len(entries), result.live_trace))
         if report.fuzz is not None:
             for divergence in report.fuzz.divergences:
-                entries.append(
-                    (len(entries), IOTrace(divergence.word, divergence.observed))
-                )
+                entries.append((len(entries), divergence.trace))
         if entries:
             path = Path(corpus_out)
             path.parent.mkdir(parents=True, exist_ok=True)

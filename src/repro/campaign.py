@@ -46,7 +46,6 @@ from .analysis.difftest import (
     VERDICT_SELF,
     CrossVerdict,
     VerdictMatrix,
-    cross_replay,
     minimize_witness,
 )
 from .analysis.equivalence import find_difference
@@ -61,7 +60,7 @@ from .core.mealy import MealyMachine
 from .core.trace import Word
 from .framework import LearningReport, Prognosis
 from .learn.cache import CachedMembershipOracle, CacheInconsistencyError, QueryCache
-from .learn.teacher import SULMembershipOracle
+from .learn.teacher import SULMembershipOracle, chunks, replay
 from .registry import SUL_REGISTRY, load_builtins, resolve_property_suite
 from .spec import ExperimentSpec, PropertiesSpec, SpecError, build_sul
 
@@ -652,13 +651,12 @@ class DiffCampaign:
         col_oracle = self._replay_oracle(col_run.spec, campaign)
         row_oracle: CachedMembershipOracle | None = None
         try:
-            divergences = cross_replay(
+            divergences = replay(
                 row_run.model,
                 col_oracle,
-                suite,
-                batch_size=row_run.spec.batch_size,
-                max_divergences=self.max_divergences,
-            )
+                chunks(suite, row_run.spec.batch_size),
+                stop_after=self.max_divergences,
+            ).divergences
             cell = CrossVerdict(
                 row=row,
                 col=col,

@@ -200,8 +200,9 @@ class _Schema:
         return lines
 
 
-#: A class's merged ``state`` (name -> kind) and ``shared``, and its functions.
-declared = functools.cache(_Schema)
+#: A class's merged ``state`` (name -> kind) and ``shared``, and its functions;
+#: bounded well above the few dozen classes that declare ``__state__``.
+declared = functools.lru_cache(maxsize=256)(_Schema)
 
 
 def capture(obj: Any) -> Any:

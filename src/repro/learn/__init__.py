@@ -41,12 +41,15 @@ from .passive import (
 )
 from .teacher import (
     CountingOracle,
+    Divergence,
     EquivalenceOracle,
     MembershipOracle,
     OracleStats,
+    Replay,
     SULMembershipOracle,
     mq_suffix,
     mq_suffix_batch,
+    replay,
 )
 from .ttt import DiscriminationTree, TTTLearner
 
@@ -60,6 +63,7 @@ __all__ = [
     "CorpusStats",
     "CountingOracle",
     "Decomposition",
+    "Divergence",
     "DiscriminationTree",
     "EquivalenceOracle",
     "FixedWordsEquivalenceOracle",
@@ -75,6 +79,7 @@ __all__ = [
     "PerfectEquivalenceOracle",
     "QueryCache",
     "RandomWordEquivalenceOracle",
+    "Replay",
     "SULMembershipOracle",
     "TTTLearner",
     "TraceConflictError",
@@ -91,6 +96,7 @@ __all__ = [
     "prefix_tree_from_cache",
     "read_jsonl_corpus",
     "record_full_corpus",
+    "replay",
     "rivest_schapire",
     "rpni_mealy",
     "seed_cache_from_traces",

@@ -34,20 +34,7 @@ from typing import Iterable, Iterator, Sequence
 from ..core.mealy import MealyMachine
 from ..core.trace import Word
 from ..registry import EQ_ORACLE_REGISTRY
-from .teacher import MembershipOracle
-
-
-def _shrink(word: Word, actual: Word, predicted: Word) -> Word:
-    """Trim a counterexample at the first output divergence."""
-    for index, (a, p) in enumerate(zip(actual, predicted)):
-        if a != p:
-            return word[: index + 1]
-    return word
-
-
-def _chunks(words: Sequence[Word], size: int) -> Iterator[Sequence[Word]]:
-    for start in range(0, len(words), size):
-        yield words[start : start + size]
+from .teacher import MembershipOracle, chunks, replay
 
 
 class AttributionMixin:
@@ -57,8 +44,8 @@ class AttributionMixin:
     ``counterexamples_found``; :meth:`attribution` packages them in the
     shape :class:`~repro.framework.LearningReport.eq_attribution` reports,
     replacing the ``getattr`` duck-typing the framework used to do.  The
-    word-testing oracles (random, W-method, fixed) share one checking
-    loop, :meth:`_first_counterexample`, over their ``oracle``.
+    word-testing oracles (random, W-method, fixed) check their batches
+    with :meth:`_first_counterexample`, over their ``oracle``.
     """
 
     name: str = "eq"
@@ -76,18 +63,14 @@ class AttributionMixin:
     def _first_counterexample(
         self, hypothesis: MealyMachine, batches: Iterable[Sequence[Word]]
     ) -> Word | None:
-        """Query each batch and check it in order; the first counterexample,
-        shrunk, or None.  Predictions come from one
-        :meth:`~repro.core.mealy.MealyMachine.run_all` walk per batch.
-        """
-        for batch in batches:
-            actuals = self.oracle.query_batch(batch)
-            self.words_submitted += len(batch)
-            for word, actual, predicted in zip(batch, actuals, hypothesis.run_all(batch)):
-                if actual != predicted:
-                    self.counterexamples_found += 1
-                    return _shrink(word, actual, predicted)
-        return None
+        """The first counterexample of :func:`~repro.learn.teacher.replay`
+        over ``batches``, shrunk to its first differing output, or None."""
+        found = replay(hypothesis, self.oracle, batches, stop_after=1)
+        self.words_submitted += found.sent
+        if found.conforms:
+            return None
+        self.counterexamples_found += 1
+        return found.divergences[0].prefix
 
 
 @EQ_ORACLE_REGISTRY.register("random")
@@ -157,7 +140,7 @@ class WMethodEquivalenceOracle(AttributionMixin):
     def find_counterexample(self, hypothesis: MealyMachine) -> Word | None:
         suite = hypothesis.w_method_suite(self.extra_states)
         self.last_suite_size = len(suite)
-        return self._first_counterexample(hypothesis, _chunks(suite, self.batch_size))
+        return self._first_counterexample(hypothesis, chunks(suite, self.batch_size))
 
 
 class ChainedEquivalenceOracle:
@@ -222,7 +205,7 @@ class FixedWordsEquivalenceOracle(AttributionMixin):
         self.counterexamples_found = 0
 
     def find_counterexample(self, hypothesis: MealyMachine) -> Word | None:
-        return self._first_counterexample(hypothesis, _chunks(self.words, self.batch_size))
+        return self._first_counterexample(hypothesis, chunks(self.words, self.batch_size))
 
 
 class PerfectEquivalenceOracle(AttributionMixin):

@@ -25,6 +25,7 @@ from pathlib import Path
 from ..analysis.diff import ModelDiff, diff_models
 from ..core.mealy import MealyMachine
 from ..framework import LearningReport, Prognosis
+from ..learn.teacher import chunks, replay
 from ..spec import ExperimentSpec
 from .model_store import ModelStore
 from .query_store import QueryStore
@@ -94,34 +95,6 @@ class IncrementalResult:
         }
 
 
-def _revalidate(
-    prognosis: Prognosis, baseline: MealyMachine, batch_size: int
-) -> tuple[bool, int, int]:
-    """Replay the baseline's own W-method suite against the live SUL.
-
-    Returns ``(matches, words_checked, sul_queries_spent)``.  The suite
-    with ``extra_states=0`` covers every transition of the stored model,
-    so an unchanged SUL answers every word exactly as the model predicts.
-    The words go to the oracle below the cache layer: an answer from the
-    store, a shared trie or a corpus would only check the store against
-    itself.
-    """
-    suite = baseline.w_method_suite(extra_states=0)
-    live = prognosis.cache_oracle.inner
-    before = prognosis.sul.stats.queries
-    matches = True
-    for start in range(0, len(suite), batch_size):
-        batch = suite[start : start + batch_size]
-        answers = live.query_batch(batch)
-        for word, outputs in zip(batch, answers):
-            if tuple(outputs) != tuple(baseline.run(word)):
-                matches = False
-                break
-        if not matches:
-            break
-    return matches, len(suite), prognosis.sul.stats.queries - before
-
-
 def incremental_learn(
     spec: ExperimentSpec,
     store_path: str | Path,
@@ -164,9 +137,20 @@ def incremental_learn(
                 baseline_model.input_alphabet
             ) == tuple(prognosis.oracle.input_alphabet)
             if compatible:
-                matches, words, sul_queries = _revalidate(
-                    prognosis, baseline_model, working.batch_size
-                )
+                # The stored model's own W-method suite covers every one of
+                # its transitions.  It goes to the oracle below the cache
+                # layer: an answer from the store, a shared trie or a corpus
+                # would only check the store against itself.
+                suite = baseline_model.w_method_suite(extra_states=0)
+                before = prognosis.sul.stats.queries
+                matches = replay(
+                    baseline_model,
+                    prognosis.cache_oracle.inner,
+                    chunks(suite, working.batch_size),
+                    stop_after=1,
+                ).conforms
+                words = len(suite)
+                sul_queries = prognosis.sul.stats.queries - before
             # Drift in the spec's own lineage: its stored rows came from a
             # SUL that no longer answers the same way, so they must not
             # answer the re-learn.

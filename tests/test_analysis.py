@@ -1,7 +1,11 @@
 """Tests for the analysis module: equivalence, diff, statistics, visualize."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis import equivalence as equivalence_module
 from repro.analysis.diff import behavioural_summary, diff_models
 from repro.analysis.equivalence import (
     AlphabetMismatchError,
@@ -28,6 +32,25 @@ def mutate_output(machine, state, symbol, new_output):
     target, _ = table[(state, symbol)]
     table[(state, symbol)] = (target, new_output)
     return MealyMachine(machine.initial_state, machine.input_alphabet, table, "mutant")
+
+
+_SYMBOLS = (SYN, ACK)
+_ALPHABET = Alphabet.of(list(_SYMBOLS))
+
+
+@st.composite
+def small_machine(draw):
+    """A machine of 1-3 states over ``_ALPHABET`` with two outputs."""
+    count = draw(st.integers(min_value=1, max_value=3))
+    table = {
+        (state, symbol): (
+            draw(st.integers(min_value=0, max_value=count - 1)),
+            draw(st.sampled_from([SYNACK, NIL])),
+        )
+        for state in range(count)
+        for symbol in _SYMBOLS
+    }
+    return MealyMachine(0, _ALPHABET, table, "small")
 
 
 class TestEquivalence:
@@ -65,6 +88,21 @@ class TestEquivalence:
         assert sizes == [1, 1, 2]  # s0 and s0b collapse
 
 
+@given(small_machine(), small_machine())
+@settings(max_examples=80, deadline=None)
+def test_find_difference_is_the_first_diverging_word(a, b):
+    """The witness is the first diverging word in (length, alphabet) order,
+    and None exactly when no word up to length |A|*|B| diverges (a longer
+    shortest witness would revisit a state pair)."""
+    words = (
+        word
+        for length in range(1, a.num_states * b.num_states + 1)
+        for word in itertools.product(_SYMBOLS, repeat=length)
+    )
+    first = next((word for word in words if a.run(word) != b.run(word)), None)
+    assert find_difference(a, b) == first
+
+
 class TestDiff:
     def test_diff_reports_sizes(self, toy_machine, redundant_machine):
         diff = diff_models(toy_machine, redundant_machine)
@@ -80,6 +118,21 @@ class TestDiff:
         assert not diff.equivalent
         assert 1 <= len(diff.witnesses) <= 3
         assert "divergence" in diff.render()
+
+    def test_diff_searches_the_product_once(self, toy_machine, ab_alphabet, monkeypatch):
+        syn, ack = ab_alphabet.symbols
+        mutant = mutate_output(toy_machine, "s1", ack, SYNACK)
+        calls = []
+        search = equivalence_module.shortest_path
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence_module, "shortest_path", counted)
+        diff = diff_models(toy_machine, mutant)
+        assert len(calls) == 1
+        assert diff.witnesses[0].word == find_difference(toy_machine, mutant)
 
     def test_behavioural_summary_constant_output_detection(self, toy_machine, ab_alphabet):
         syn, ack = ab_alphabet.symbols

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.adapter.mealy_sul import MealySUL, toy_machine
+from repro.adapter.pool import SULPool
 from repro.analysis.difftest import (
     VERDICT_AGREE,
     VERDICT_DIVERGE,
@@ -18,15 +19,15 @@ from repro.analysis.difftest import (
     VERDICT_INCOMPATIBLE,
     VERDICT_SELF,
     CrossVerdict,
-    cross_replay,
     minimize_witness,
 )
 from repro.analysis.equivalence import find_difference
+from repro.analysis.testgen import generate_test_suite
 from repro.campaign import DiffCampaign, run_difftest
 from repro.core.alphabet import Alphabet
 from repro.core.mealy import MealyMachine
 from repro.learn.cache import CachedMembershipOracle
-from repro.learn.teacher import SULMembershipOracle
+from repro.learn.teacher import SULMembershipOracle, chunks, replay
 from repro.registry import SUL_REGISTRY
 from repro.spec import ExperimentSpec, SpecError
 
@@ -136,24 +137,30 @@ class TestMinimizeWitness:
 
 
 # ---------------------------------------------------------------------------
-# cross_replay
+# Cross-replay (one suite replayed on another implementation)
 # ---------------------------------------------------------------------------
 
 def oracle_over(machine: MealyMachine) -> CachedMembershipOracle:
     return CachedMembershipOracle(SULMembershipOracle(MealySUL(machine)))
 
 
+def mutant_sul() -> MealySUL:
+    return MealySUL(toy_mutant_machine(), name="toy-mutant")
+
+
 class TestCrossReplay:
     def test_identical_machines_agree(self):
         reference = toy_machine()
         suite = reference.w_method_suite()
-        assert cross_replay(reference, oracle_over(reference), suite) == []
+        found = replay(reference, oracle_over(reference), chunks(suite, 64))
+        assert found.conforms
+        assert found.sent == len(suite)
 
     def test_mutant_divergences_found_in_suite_order(self):
         reference = toy_machine()
         mutant = toy_mutant_machine()
         suite = reference.w_method_suite()
-        divergences = cross_replay(reference, oracle_over(mutant), suite)
+        divergences = replay(reference, oracle_over(mutant), chunks(suite, 64)).divergences
         assert divergences
         positions = [suite.index(d.word) for d in divergences]
         assert positions == sorted(positions)
@@ -165,18 +172,32 @@ class TestCrossReplay:
         reference = toy_machine()
         mutant = toy_mutant_machine()
         suite = reference.w_method_suite()
-        one = cross_replay(reference, oracle_over(mutant), suite, batch_size=1)
-        big = cross_replay(reference, oracle_over(mutant), suite, batch_size=500)
-        assert [d.word for d in one] == [d.word for d in big]
+        one = replay(reference, oracle_over(mutant), chunks(suite, 1))
+        big = replay(reference, oracle_over(mutant), chunks(suite, 500))
+        assert one == big
 
     def test_max_divergences_caps(self):
         reference = toy_machine()
         mutant = toy_mutant_machine()
         suite = reference.w_method_suite()
-        capped = cross_replay(
-            reference, oracle_over(mutant), suite, max_divergences=2
-        )
-        assert len(capped) == 2
+        capped = replay(reference, oracle_over(mutant), [suite], stop_after=2)
+        assert len(capped.divergences) == 2
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_pooled_replay_equals_serial(self, backend):
+        """One replay of a mutant finds the same divergences and sends the
+        same words on every pool backend."""
+        reference = toy_machine()
+        suite = generate_test_suite(reference, "random", num_random=60, seed=5)
+        serial = replay(reference, mutant_sul(), chunks(suite, 16))
+        assert serial.divergences
+        pool = SULPool(mutant_sul, workers=2, backend=backend)
+        try:
+            pooled = replay(reference, pool, chunks(suite, 16))
+        finally:
+            pool.close()
+        assert pooled.sent == serial.sent == len(suite)
+        assert pooled.divergences == serial.divergences
 
 
 # ---------------------------------------------------------------------------

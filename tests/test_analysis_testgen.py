@@ -2,12 +2,10 @@
 
 
 from repro.adapter.mealy_sul import MealySUL
-from repro.analysis.testgen import (
-    differential_test,
-    generate_test_suite,
-)
+from repro.analysis.testgen import generate_test_suite
 from repro.core.alphabet import Alphabet, parse_tcp_symbol
 from repro.core.mealy import MealyMachine
+from repro.learn.teacher import replay
 
 
 def mutate(machine, state, symbol, new_output):
@@ -102,7 +100,9 @@ class TestSuiteEdgeCases:
 
 class TestDifferentialTesting:
     def test_conforming_sul_passes(self, toy_machine):
-        report = differential_test(toy_machine, MealySUL(toy_machine))
+        suite = generate_test_suite(toy_machine)
+        report = replay(toy_machine, MealySUL(toy_machine), [suite])
+        assert report.sent == len(suite)
         assert report.conforms
         assert report.divergence_rate == 0.0
 
@@ -110,26 +110,30 @@ class TestDifferentialTesting:
         syn, ack = ab_alphabet.symbols
         synack, _ = out_symbols
         mutant = mutate(toy_machine, "s1", ack, synack)
-        report = differential_test(toy_machine, MealySUL(mutant))
+        report = replay(
+            toy_machine, MealySUL(mutant), [generate_test_suite(toy_machine)]
+        )
         assert not report.conforms
         divergence = report.divergences[0]
         assert divergence.expected != divergence.actual
-        assert "expected" in divergence.render()
+        assert divergence.expected[divergence.first] != divergence.actual[divergence.first]
+        assert divergence.prefix == divergence.word[: divergence.first + 1]
+        assert "model predicted" in divergence.render()
 
     def test_max_divergences_caps_collection(self, toy_machine, ab_alphabet, out_symbols):
         syn, ack = ab_alphabet.symbols
         synack, _ = out_symbols
         mutant = mutate(toy_machine, "s0", ack, synack)
         suite = generate_test_suite(toy_machine, "random", num_random=50, seed=4)
-        report = differential_test(
-            toy_machine, MealySUL(mutant), suite, max_divergences=2
-        )
+        report = replay(toy_machine, MealySUL(mutant), [suite], stop_after=2)
         assert len(report.divergences) == 2
 
     def test_report_rendering(self, toy_machine, ab_alphabet, out_symbols):
         syn, ack = ab_alphabet.symbols
         synack, _ = out_symbols
         mutant = mutate(toy_machine, "s0", ack, synack)
-        report = differential_test(toy_machine, MealySUL(mutant))
+        report = replay(
+            toy_machine, MealySUL(mutant), [generate_test_suite(toy_machine)]
+        )
         text = report.render()
         assert "divergences" in text

@@ -84,8 +84,9 @@ class TestDivergences:
         assert not report.ok
         divergence = report.divergences[0]
         assert RST in divergence.expected
-        assert RST not in divergence.observed
-        assert divergence.trace.outputs == divergence.observed
+        assert RST not in divergence.actual
+        assert divergence.trace.outputs == divergence.actual
+        assert divergence.to_dict()["actual"] == [str(s) for s in divergence.actual]
         assert "live answered" in divergence.render()
 
 

@@ -131,6 +131,22 @@ class TestEquivalenceOracles:
         prefix = cex[:-1]
         assert oracle.query(prefix) == hypothesis.run(prefix)
 
+    def test_random_batches_are_drawn_lazily(self, toy_machine, ab_alphabet, cached_oracle_for):
+        """A counterexample in the first batch costs one batch of draws:
+        a batch is drawn only after the previous one was checked."""
+        syn, ack = ab_alphabet.symbols
+        oracle = cached_oracle_for(toy_machine)
+        hypothesis = MealyMachine(
+            "q", ab_alphabet, {("q", syn): ("q", NIL), ("q", ack): ("q", NIL)}
+        )
+        eq = RandomWordEquivalenceOracle(oracle, num_words=320, seed=3, batch_size=32)
+        twin = RandomWordEquivalenceOracle(oracle, num_words=320, seed=3, batch_size=32)
+        first_batch = next(twin._batches())
+        assert any(oracle.query(word) != hypothesis.run(word) for word in first_batch)
+        assert eq.find_counterexample(hypothesis) is not None
+        assert eq.words_submitted == 32
+        assert eq.rng.getstate() == twin.rng.getstate()
+
     def test_fixed_words_oracle(self, toy_machine, ab_alphabet, cached_oracle_for):
         syn, ack = ab_alphabet.symbols
         oracle = cached_oracle_for(toy_machine)
