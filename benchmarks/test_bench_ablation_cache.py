@@ -4,13 +4,19 @@ from conftest import report, run_once
 
 from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.framework import Prognosis
+from repro.spec import ExperimentSpec
 
 
 def test_ablation_cache_on_off(benchmark):
     def run_both():
-        cached = Prognosis(TCPAdapterSUL(seed=3), use_cache=True, name="cached")
+        cached = Prognosis(
+            ExperimentSpec(target="tcp", name="cached"), sul=TCPAdapterSUL(seed=3)
+        )
         cached_report = cached.learn()
-        uncached = Prognosis(TCPAdapterSUL(seed=3), use_cache=False, name="uncached")
+        uncached = Prognosis(
+            ExperimentSpec(target="tcp", middleware=[], name="uncached"),
+            sul=TCPAdapterSUL(seed=3),
+        )
         uncached_report = uncached.learn()
         return cached_report, uncached_report
 

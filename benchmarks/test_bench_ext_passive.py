@@ -13,6 +13,7 @@ from conftest import report, run_once
 from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.core.trace import IOTrace
 from repro.framework import Prognosis
+from repro.spec import ExperimentSpec
 from repro.learn.passive import rpni_mealy, seed_cache_from_traces
 
 
@@ -32,10 +33,14 @@ def test_passive_bootstrap(benchmark):
         log_source = TCPAdapterSUL(seed=55)
         logs = _log_sessions(log_source)
 
-        plain = Prognosis(TCPAdapterSUL(seed=3), name="active-only")
+        plain = Prognosis(
+            ExperimentSpec(target="tcp", name="active-only"), sul=TCPAdapterSUL(seed=3)
+        )
         plain_report = plain.learn()
 
-        boosted = Prognosis(TCPAdapterSUL(seed=3), name="log-boosted")
+        boosted = Prognosis(
+            ExperimentSpec(target="tcp", name="log-boosted"), sul=TCPAdapterSUL(seed=3)
+        )
         seed_cache_from_traces(boosted.cache_oracle.cache, logs)
         boosted_report = boosted.learn()
 

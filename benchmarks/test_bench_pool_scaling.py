@@ -33,13 +33,14 @@ from pathlib import Path
 from conftest import report, run_once
 
 from repro.adapter.mealy_sul import MealySUL
+from repro.adapter.pool import SULPool
 from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.framework import Prognosis
 from repro.learn.cache import CachedMembershipOracle
 from repro.learn.equivalence import WMethodEquivalenceOracle
 from repro.learn.teacher import SULMembershipOracle
 from repro.registry import RegistryFactory
-from repro.spec import ExperimentSpec
+from repro.spec import ComponentSpec, ExperimentSpec
 
 STEP_LATENCY = 0.0003  # 0.3 ms per exchanged symbol
 POOL_WORKERS = 4
@@ -102,13 +103,13 @@ def _socket_sul_factory():
 
 
 def _learn_on(kind, workers, sul_factory, name):
-    prognosis = Prognosis(
-        sul_factory=sul_factory,
-        workers=workers,
-        executor=kind,
-        extra_states=MATRIX_EXTRA_STATES,
+    spec = ExperimentSpec(
+        target=name,
+        equivalence=[ComponentSpec("wmethod", {"extra_states": MATRIX_EXTRA_STATES})],
         name=name,
     )
+    pool = SULPool(sul_factory, workers, name=name, backend=kind)
+    prognosis = Prognosis(spec, sul=pool)
     start = time.perf_counter()
     try:
         learning_report = prognosis.learn()

@@ -8,9 +8,8 @@ the ~1k traces the learned models make it sufficient to check.
 Run:  python examples/learn_quic_models.py
 """
 
-from repro.analysis import side_by_side, summary
+from repro.analysis import diff_models, side_by_side, summary
 from repro.experiments import learn_quic, quic_trace_reduction
-from repro.framework import Prognosis
 
 
 def main() -> None:
@@ -23,7 +22,7 @@ def main() -> None:
         print(" ", quiche.report.summary())
 
     print()
-    diff = Prognosis.compare(google.model, quiche.model, max_witnesses=3)
+    diff = diff_models(google.model, quiche.model, max_witnesses=3)
     print(diff.render())
 
     print()

@@ -7,17 +7,17 @@ is exactly Fig. 3(b).
 Run:  python examples/quickstart.py
 """
 
-from repro import Prognosis
-from repro.adapter.tcp_adapter import TCPAdapterSUL
-from repro.analysis import transition_table
+from repro import ExperimentSpec, Prognosis
+from repro.analysis import check_property, parse_ltl, transition_table
 from repro.core.alphabet import parse_tcp_symbol
 
 
 def main() -> None:
-    # The SUL: a simulated Linux-like TCP server plus the instrumented
-    # reference client acting as the concretization oracle.  The context
-    # manager releases the SUL's resources when learning is done.
-    with Prognosis(TCPAdapterSUL(seed=3), name="tcp-linux") as prognosis:
+    # The "tcp" target: a simulated Linux-like TCP server plus the
+    # instrumented reference client acting as the concretization oracle.
+    # The context manager releases the SUL's resources when learning is done.
+    spec = ExperimentSpec(target="tcp", name="tcp-linux")
+    with Prognosis(spec) as prognosis:
         report = prognosis.learn()
         print(report.summary())
         print()
@@ -32,9 +32,9 @@ def main() -> None:
         print(f"{ack} -> {outputs[1]}")
 
         # Check a safety property: a reset listener never SYN+ACKs.
-        violation = prognosis.check(
+        violation = check_property(
             report.model,
-            "G ((out ~ RST) -> X (out != ACK+SYN(?,?,0)))",
+            parse_ltl("G ((out ~ RST) -> X (out != ACK+SYN(?,?,0)))"),
             depth=6,
         )
         print(f"safety property: {'violated: ' + violation.render() if violation else 'holds'}")

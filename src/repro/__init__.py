@@ -3,21 +3,27 @@
 A reproduction of "Prognosis: Closed-Box Analysis of Network Protocol
 Implementations" (Ferreira, Brewton, D'Antoni, Silva -- SIGCOMM 2021).
 
-Quickstart::
+Quickstart (a serializable spec; components resolve from the registries)::
 
-    from repro import Prognosis
-    from repro.adapter.tcp_adapter import TCPAdapterSUL
+    from repro import ExperimentSpec, Prognosis
 
-    with Prognosis(TCPAdapterSUL()) as prognosis:
+    with Prognosis(ExperimentSpec(target="tcp")) as prognosis:
         report = prognosis.learn()
     print(report.summary())          # 6 states, 42 transitions
     print(report.model.to_dot())     # appendix-style GraphViz rendering
 
-Declarative (serializable specs, registry-resolved components)::
+A ready SUL (a custom implementation or a ``SULPool``) goes in as
+``sul=``; the spec still configures the learner, oracles and cache::
 
-    from repro import Campaign, ExperimentSpec
+    from repro.adapter.tcp_adapter import TCPAdapterSUL
 
-    report = Prognosis.from_spec(ExperimentSpec(target="tcp")).learn()
+    spec = ExperimentSpec(target="tcp")  # with sul=, target is a label
+    report = Prognosis(spec, sul=TCPAdapterSUL(seed=3)).learn()
+
+A campaign runs a grid of specs::
+
+    from repro import Campaign
+
     results = Campaign.grid(
         targets=("tcp", "quic-google"), learners=("ttt", "lstar")
     ).run()

@@ -2,9 +2,6 @@
 
 Gives the framework the shape of a releasable tool:
 
-* ``learn``      -- learn a model of a registered SUL target, print/export it
-* ``compare``    -- learn two SULs and diff their models
-* ``check``      -- model-check an LTLf property against a learned model
 * ``properties`` -- run a registered property suite (tcp, quic, http2,
   toy, plug-ins) and/or ad-hoc LTLf formulas against learned models;
   accepts targets, whole families and spec files, and emits
@@ -40,10 +37,6 @@ from typing import Sequence
 
 from .registry import LEARNER_REGISTRY, SUL_REGISTRY, load_builtins
 
-#: The classic paper targets (kept for scripts importing this tuple; the
-#: parser itself accepts every registered SUL target).
-TARGETS = ("tcp", "quic-google", "quic-quiche", "quic-mvfst")
-
 
 def _known_targets() -> tuple[str, ...]:
     load_builtins()
@@ -53,56 +46,6 @@ def _known_targets() -> tuple[str, ...]:
 def _known_learners() -> tuple[str, ...]:
     load_builtins()
     return tuple(sorted(LEARNER_REGISTRY.names()))
-
-
-def _learn(target: str, learner: str = "ttt"):
-    """Learn one target; returns an Experiment the caller must close."""
-    from .experiments import learn_quic, learn_tcp_full
-
-    if target == "tcp":
-        return learn_tcp_full(learner=learner)
-    if target in TARGETS:
-        return learn_quic(target.split("-", 1)[1], learner=learner)
-    # Any other registered target runs through the generic spec path.
-    from .experiments.base import Experiment
-    from .spec import ExperimentSpec
-
-    return Experiment.run(ExperimentSpec(target=target, learner=learner))
-
-
-def _cmd_learn(args: argparse.Namespace) -> int:
-    from .analysis.visualize import transition_table
-
-    with _learn(args.target, args.learner) as experiment:
-        print(experiment.report.summary())
-        if args.table:
-            print(transition_table(experiment.model))
-        if args.dot:
-            with open(args.dot, "w") as handle:
-                handle.write(experiment.model.to_dot())
-            print(f"wrote {args.dot}")
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from .framework import Prognosis
-
-    with _learn(args.a) as first, _learn(args.b) as second:
-        diff = Prognosis.compare(first.model, second.model)
-    print(diff.render())
-    return 0 if diff.equivalent else 1
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    with _learn(args.target) as experiment:
-        violation = experiment.prognosis.check(
-            experiment.model, args.formula, depth=args.depth
-        )
-    if violation is None:
-        print(f"property holds (depth {args.depth})")
-        return 0
-    print(f"property violated: {violation.trace.render()}")
-    return 1
 
 
 def _executor_spec(kind: str | None, timeout_s: float | None = None):
@@ -620,33 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Prognosis: closed-box protocol model learning and analysis",
-        epilog="verbs: learn (model a SUL), compare, check, properties, "
-        "issues, run, passive (bulk-trace corpora), sweep, difftest, "
+        epilog="verbs: properties (check a model), issues, run, "
+        "passive (bulk-trace corpora), sweep (learn a grid of targets), "
+        "difftest (diff implementations), "
         "attack (synthesize + confirm attacker strategies), ci, store",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     targets = _known_targets()
     learners = _known_learners()
-
-    learn = sub.add_parser("learn", help="learn a model of a registered SUL")
-    learn.add_argument("target", choices=targets)
-    learn.add_argument("--learner", choices=learners, default="ttt")
-    learn.add_argument("--dot", help="write a GraphViz rendering to this file")
-    learn.add_argument(
-        "--table", action="store_true", help="print the transition table"
-    )
-    learn.set_defaults(func=_cmd_learn)
-
-    compare = sub.add_parser("compare", help="diff the models of two SULs")
-    compare.add_argument("a", choices=targets)
-    compare.add_argument("b", choices=targets)
-    compare.set_defaults(func=_cmd_compare)
-
-    check = sub.add_parser("check", help="model-check an LTLf property")
-    check.add_argument("target", choices=targets)
-    check.add_argument("formula", help='e.g. "G (out != NIL)"')
-    check.add_argument("--depth", type=int, default=6)
-    check.set_defaults(func=_cmd_check)
 
     properties = sub.add_parser(
         "properties",

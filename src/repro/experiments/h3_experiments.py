@@ -22,8 +22,6 @@ connection-ID routed address migration, and 0-RTT session resumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..spec import ComponentSpec, ExperimentSpec
 from .base import Experiment
 
@@ -34,18 +32,13 @@ EXPECTED_H3_TRANSITIONS = 70
 EXPECTED_H3_BUGGY_STATES = 7
 
 
-@dataclass
-class H3Experiment(Experiment):
-    """One complete HTTP/3 learning run plus its framework object."""
-
-
 def learn_http3(
     seed: int = 8,
     learner: str = "ttt",
     extra_states: int = 1,
     workers: int = 1,
     goaway_teardown_bug: bool = False,
-) -> H3Experiment:
+) -> Experiment:
     """Learn the in-process HTTP/3 server over the 7-symbol frame alphabet.
 
     ``goaway_teardown_bug`` seeds the RFC 9114 section 5.2 violation
@@ -56,7 +49,7 @@ def learn_http3(
     target_params: dict = {"seed": seed}
     if goaway_teardown_bug:
         target_params["goaway_teardown_bug"] = True
-    return H3Experiment.run(
+    return Experiment.run(
         ExperimentSpec(
             target="http3",
             target_params=target_params,

@@ -13,8 +13,6 @@ property check pins to the offending transition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..spec import ComponentSpec, ExperimentSpec
 from .base import Experiment
 
@@ -25,18 +23,13 @@ EXPECTED_HTTP2_TRANSITIONS = 35
 EXPECTED_HTTP2_BUGGY_STATES = 4
 
 
-@dataclass
-class HTTP2Experiment(Experiment):
-    """One complete HTTP/2 learning run plus its framework object."""
-
-
 def learn_http2(
     seed: int = 9,
     learner: str = "ttt",
     extra_states: int = 1,
     workers: int = 1,
     rst_on_closed_bug: bool = False,
-) -> HTTP2Experiment:
+) -> Experiment:
     """Learn the in-process HTTP/2 server over the 7-symbol frame alphabet.
 
     ``rst_on_closed_bug`` seeds the section 5.1 violation;
@@ -46,7 +39,7 @@ def learn_http2(
     target_params: dict = {"seed": seed}
     if rst_on_closed_bug:
         target_params["rst_on_closed_bug"] = True
-    return HTTP2Experiment.run(
+    return Experiment.run(
         ExperimentSpec(
             target="http2",
             target_params=target_params,

@@ -20,8 +20,10 @@ from ..learn.nondeterminism import (
 from ..learn.teacher import SULMembershipOracle
 from ..quic.impls.mvfst import MVFST_RESET_PROBABILITY
 from ..quic.impls.tracker import TrackerConfig
+from ..spec import ExperimentSpec
 from ..synth.synthesizer import SynthesisResult
-from .quic_experiments import QUICExperiment, learn_quic, make_quic_sul
+from .base import Experiment
+from .quic_experiments import learn_quic, make_quic_sul
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +34,8 @@ from .quic_experiments import QUICExperiment, learn_quic, make_quic_sul
 class Issue1Result:
     """Model-size divergence between strict and lenient implementations."""
 
-    strict: QUICExperiment
-    lenient: QUICExperiment
+    strict: Experiment
+    lenient: Experiment
     diff: ModelDiff
 
     @property
@@ -117,8 +119,8 @@ def issue2_nondeterminism(seed: int = 5, samples: int = 200) -> Issue2Result:
 
 @dataclass
 class Issue3Result:
-    buggy: QUICExperiment
-    fixed: QUICExperiment
+    buggy: Experiment
+    fixed: Experiment
     diff: ModelDiff
 
     @property
@@ -130,7 +132,7 @@ class Issue3Result:
         return _can_establish(self.fixed)
 
 
-def _can_establish(experiment: QUICExperiment) -> bool:
+def _can_establish(experiment: Experiment) -> bool:
     """Does any handshake trace in the model produce a HANDSHAKE_DONE?"""
     ch = parse_quic_symbol("INITIAL(?,?)[CRYPTO]")
     hc = parse_quic_symbol("HANDSHAKE(?,?)[ACK,CRYPTO]")
@@ -230,7 +232,8 @@ def issue4_stream_data_blocked(seed: int = 5) -> Issue4Result:
         return QUICServer(network, profile, seed=seed + 11)
 
     fixed_sul = QUICAdapterSUL(fixed_factory, seed=seed)
-    with Prognosis(fixed_sul, name="quic-google-fixed") as fixed_prognosis:
+    fixed_spec = ExperimentSpec(target="quic-google-fixed", name="quic-google-fixed")
+    with Prognosis(fixed_spec, sul=fixed_sul) as fixed_prognosis:
         fixed_report = fixed_prognosis.learn()
         fixed_synthesis = _synthesize_sdb(fixed_prognosis, fixed_report.model)
     return Issue4Result(

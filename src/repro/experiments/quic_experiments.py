@@ -12,7 +12,7 @@ against the ``quic-<implementation>`` registry targets.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from ..adapter.quic_adapter import QUICAdapterSUL, build_quic_sul
 from ..analysis.statistics import TraceReduction, trace_reduction
@@ -30,10 +30,6 @@ PAPER_QUICHE_QUERIES = 12_301
 PAPER_TOTAL_TRACES = 329_554_456
 PAPER_GOOGLE_MODEL_TRACES = 1210
 PAPER_QUICHE_MODEL_TRACES = 715
-
-@dataclass
-class QUICExperiment(Experiment):
-    """One complete QUIC learning run plus its framework object."""
 
 
 def make_quic_sul(
@@ -60,7 +56,7 @@ def learn_quic(
     tracker_config: TrackerConfig | None = None,
     nondeterminism_policy: NondeterminismPolicy | None = None,
     workers: int = 1,
-) -> QUICExperiment:
+) -> Experiment:
     """Learn one QUIC implementation's model.
 
     Raises :class:`NondeterminismError` for mvfst (with the default
@@ -88,7 +84,7 @@ def learn_quic(
             )
         )
     middleware.append(ComponentSpec("cache"))
-    return QUICExperiment.run(
+    return Experiment.run(
         ExperimentSpec(
             target=f"quic-{implementation}",
             target_params=target_params,
@@ -101,6 +97,6 @@ def learn_quic(
     )
 
 
-def quic_trace_reduction(experiment: QUICExperiment) -> TraceReduction:
+def quic_trace_reduction(experiment: Experiment) -> TraceReduction:
     """E5: raw trace count vs model test-suite size for one model."""
     return trace_reduction(experiment.model, max_length=10)

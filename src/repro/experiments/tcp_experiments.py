@@ -13,8 +13,6 @@ run`` and :class:`~repro.campaign.Campaign` use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.mealy import MealyMachine
 from ..core.alphabet import parse_tcp_symbol
 from ..spec import ComponentSpec, ExperimentSpec
@@ -26,21 +24,16 @@ PAPER_TCP_TRANSITIONS = 42
 PAPER_TCP_QUERIES = 4726
 
 
-@dataclass
-class TCPExperiment(Experiment):
-    """One complete TCP learning run plus its framework object."""
-
-
 def learn_tcp_full(
     seed: int = 3, learner: str = "ttt", extra_states: int = 1, workers: int = 1
-) -> TCPExperiment:
+) -> Experiment:
     """E3: learn the 7-symbol model of the Linux-like stack.
 
     ``workers > 1`` runs the membership-query batches on a pool of
     identically-seeded adapter instances (same learned model, parallel
     execution).
     """
-    return TCPExperiment.run(
+    return Experiment.run(
         ExperimentSpec(
             target="tcp",
             target_params={"seed": seed},
@@ -52,9 +45,9 @@ def learn_tcp_full(
     )
 
 
-def learn_tcp_handshake(seed: int = 3, workers: int = 1) -> TCPExperiment:
+def learn_tcp_handshake(seed: int = 3, workers: int = 1) -> Experiment:
     """E1: learn the Fig. 3(b) fragment over the 2-symbol alphabet."""
-    return TCPExperiment.run(
+    return Experiment.run(
         ExperimentSpec(
             target="tcp-handshake",
             target_params={"seed": seed},
@@ -65,7 +58,7 @@ def learn_tcp_handshake(seed: int = 3, workers: int = 1) -> TCPExperiment:
 
 
 def synthesize_handshake_registers(
-    experiment: TCPExperiment | None = None,
+    experiment: Experiment | None = None,
     registers: tuple[str, ...] = ("r",),
 ) -> SynthesisResult | None:
     """E2: recover the sequence-number logic of Fig. 3(c).

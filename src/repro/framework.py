@@ -1,43 +1,29 @@
 """The Prognosis facade: learning + synthesis + analysis in one object.
 
-This is the thin, backward-compatible front of the spec API: a
-:class:`Prognosis` can be built the classic way (pass a SUL and keyword
-knobs) or from a declarative :class:`~repro.spec.ExperimentSpec`
-(:meth:`Prognosis.from_spec`); both paths assemble the identical pipeline
-through :func:`repro.spec.assemble`, so a spec run and a hand-wired run
-learn byte-identical models.  Construct, call :meth:`learn`, then hand the
-learned model to the analysis helpers or :meth:`synthesize` richer
-register machines from the Oracle Table.  ``Prognosis`` is a context
-manager; use ``with`` (or call :meth:`close`) so pooled SULs release
-their worker threads.
+A :class:`Prognosis` is built from a declarative
+:class:`~repro.spec.ExperimentSpec`, the one way to configure a learn:
+:func:`repro.spec.assemble` resolves every component from the
+registries, or wraps a ready SUL passed as ``sul=``.  Construct, call
+:meth:`learn`, then hand the learned model to the analysis helpers or
+:meth:`synthesize` richer register machines from the Oracle Table.
+``Prognosis`` is a context manager; use ``with`` (or call :meth:`close`)
+so pooled SULs release their worker threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Sequence
 
-from .adapter.pool import SULPool
 from .adapter.sul import SUL
-from .analysis.diff import ModelDiff, diff_models
-from .analysis.ltl import parse_ltl
-from .analysis.properties import PropertyViolation, check_property
-from .analysis.statistics import TraceReduction, trace_reduction
 from .core.extended import ConcreteStep
 from .core.mealy import MealyMachine
 from .core.trace import Word
 from .learn.cache import CachedMembershipOracle, QueryCache
 from .learn.lstar import LearningResult
-from .learn.nondeterminism import MajorityVoteOracle, NondeterminismPolicy
-from .spec import ComponentSpec, ExecutorSpec, ExperimentSpec, assemble
+from .learn.nondeterminism import MajorityVoteOracle
+from .spec import ExperimentSpec, assemble
 from .synth.synthesizer import SynthesisResult, synthesize, synthesize_with_cegis
-
-LearnerKind = Literal["ttt", "lstar"]
-EqKind = Literal["wmethod", "random", "random+wmethod"]
-
-#: The target key recorded on specs synthesized from a directly-passed SUL
-#: instance (such specs describe the pipeline but cannot rebuild the SUL).
-CUSTOM_TARGET = "<custom-sul>"
 
 
 @dataclass
@@ -163,97 +149,43 @@ class LearningReport:
 
 
 class Prognosis:
-    """The framework: a SUL plus a configured learning pipeline.
+    """The framework: a SUL plus the learning pipeline a spec describes.
 
-    Three ways in:
-
-    * classic -- pass a ready ``sul`` instance (serial execution);
-    * pooled -- pass a ``sul_factory`` with ``workers=N`` to fan
-      membership-query batches across a
-      :class:`~repro.adapter.pool.SULPool` of N identical instances (the
-      factory must build identically-seeded instances so pooled and serial
-      runs learn the same model); ``executor`` picks the pool backend
-      (``"thread"`` default, ``"process"`` for CPU-bound SULs -- the
-      factory must then be picklable -- or ``"serial"``), ``timeout_s``
-      bounds one shard on supervised backends;
-    * declarative -- :meth:`from_spec` resolves every component from the
-      registries, which is what campaigns and the ``repro run`` CLI use.
-
-    ``batch_size`` bounds how many words the equivalence oracles submit
-    per batch.  The object is a context manager; leaving the ``with``
+    ``Prognosis(spec)`` builds the spec's target from the registries on
+    its executor (serial, or a thread/process pool for ``workers > 1``
+    or an ``executor`` section); campaigns and the CLI take this path.
+    ``Prognosis(spec, sul=...)`` learns a ready SUL instead -- a custom
+    implementation, or a caller-built :class:`~repro.adapter.pool.SULPool`
+    -- and ``spec.target`` is then only a label.  The spec is validated
+    either way.  ``shared_cache`` pre-warms the cache middleware with
+    observations from earlier runs of the same SUL (campaign cross-run
+    sharing).  The object is a context manager; leaving the ``with``
     block releases pooled worker threads and simulated sockets.
     """
 
     def __init__(
         self,
-        sul: SUL | None = None,
-        learner: LearnerKind = "ttt",
-        equivalence: EqKind = "wmethod",
-        extra_states: int = 1,
-        use_cache: bool = True,
-        nondeterminism_policy: NondeterminismPolicy | None = None,
-        random_words: int = 300,
-        seed: int = 0,
-        name: str | None = None,
-        workers: int = 1,
-        sul_factory: Callable[[], SUL] | None = None,
-        batch_size: int = 64,
+        spec: ExperimentSpec,
         *,
-        executor: str | None = None,
-        timeout_s: float | None = None,
-        spec: ExperimentSpec | None = None,
+        sul: SUL | None = None,
         shared_cache: QueryCache | None = None,
     ) -> None:
-        if spec is not None:
-            if sul is not None or sul_factory is not None:
-                raise ValueError("pass either a spec or a sul/sul_factory, not both")
-            self.spec = spec.validate()
-            pipeline = assemble(spec, shared_cache=shared_cache)
-        else:
-            if workers < 1:
-                raise ValueError(f"need at least one worker, got {workers}")
-            if sul_factory is not None:
-                if sul is not None:
-                    raise ValueError(
-                        "pass either a sul or a sul_factory, not both"
-                    )
-                sul = SULPool(
-                    sul_factory,
-                    workers=workers,
-                    name=name,
-                    backend=executor or "thread",
-                    timeout_s=timeout_s,
-                )
-            elif sul is None:
-                raise ValueError("Prognosis needs a sul or a sul_factory")
-            elif executor is not None:
-                raise ValueError(
-                    "an executor backend needs a sul_factory "
-                    "(workers are built per thread/process)"
-                )
-            elif workers > 1:
-                raise ValueError(
-                    "workers > 1 needs a sul_factory (one SUL instance per worker)"
-                )
-            self.spec = self._legacy_spec(
-                learner=learner,
-                equivalence=equivalence,
-                extra_states=extra_states,
-                use_cache=use_cache,
-                nondeterminism_policy=nondeterminism_policy,
-                random_words=random_words,
-                seed=seed,
-                name=name,
-                workers=workers,
-                batch_size=batch_size,
-                executor=executor,
-                timeout_s=timeout_s,
+        if not isinstance(spec, ExperimentSpec):
+            raise TypeError(
+                f"Prognosis takes an ExperimentSpec, got {type(spec).__name__}; "
+                "pass a ready SUL as sul="
             )
-            pipeline = assemble(self.spec, sul=sul, shared_cache=shared_cache)
+        self.spec = spec.validate(lookup_target=sul is None)
+        if sul is not None and (spec.workers > 1 or spec.executor is not None):
+            raise ValueError(
+                "a ready sul runs as given; pass a SULPool as sul= instead "
+                "of spec workers/executor"
+            )
+        pipeline = assemble(spec, sul=sul, shared_cache=shared_cache)
 
         self.sul = pipeline.sul
-        self.workers = self.spec.effective_executor().workers
-        self.name = self.spec.name or pipeline.sul.name
+        self.workers = getattr(pipeline.sul, "workers", 1)
+        self.name = spec.name or pipeline.sul.name
         self.base_oracle = pipeline.base_oracle
         self.oracle = pipeline.oracle
         self.middleware = pipeline.middleware
@@ -269,73 +201,12 @@ class Prognosis:
         self.learner = pipeline.learner
         self.corpus_stats = pipeline.corpus_stats
 
-    @staticmethod
-    def _legacy_spec(
-        *,
-        learner: str,
-        equivalence: str,
-        extra_states: int,
-        use_cache: bool,
-        nondeterminism_policy: NondeterminismPolicy | None,
-        random_words: int,
-        seed: int,
-        name: str | None,
-        workers: int,
-        batch_size: int,
-        executor: str | None = None,
-        timeout_s: float | None = None,
-    ) -> ExperimentSpec:
-        """Translate the classic keyword knobs into spec component lists."""
-        wmethod = ComponentSpec("wmethod", {"extra_states": extra_states})
-        random = ComponentSpec("random", {"num_words": random_words})
-        if equivalence == "wmethod":
-            eq_chain = [wmethod]
-        elif equivalence == "random":
-            eq_chain = [random]
-        else:  # "random+wmethod" (and historically any other value)
-            eq_chain = [random, wmethod]
-        middleware = []
-        if nondeterminism_policy is not None:
-            middleware.append(
-                ComponentSpec(
-                    "majority-vote",
-                    {
-                        "min_repeats": nondeterminism_policy.min_repeats,
-                        "max_repeats": nondeterminism_policy.max_repeats,
-                        "certainty": nondeterminism_policy.certainty,
-                    },
-                )
-            )
-        if use_cache:
-            middleware.append(ComponentSpec("cache"))
-        return ExperimentSpec(
-            target=CUSTOM_TARGET,
-            learner=learner,
-            equivalence=eq_chain,
-            middleware=middleware,
-            workers=workers,
-            seed=seed,
-            batch_size=batch_size,
-            name=name,
-            executor=(
-                None
-                if executor is None
-                else ExecutorSpec(kind=executor, timeout_s=timeout_s)
-            ),
-        )
-
     @classmethod
     def from_spec(
-        cls,
-        spec: ExperimentSpec,
-        shared_cache: QueryCache | None = None,
+        cls, spec: ExperimentSpec, shared_cache: QueryCache | None = None
     ) -> "Prognosis":
-        """Build the framework from a declarative experiment spec.
-
-        ``shared_cache`` pre-warms the cache middleware with observations
-        from earlier runs of the same SUL (campaign cross-run sharing).
-        """
-        return cls(spec=spec, shared_cache=shared_cache)
+        """The constructor, for callers that build from a spec alone."""
+        return cls(spec, shared_cache=shared_cache)
 
     # ------------------------------------------------------------------
     def learn(self) -> LearningReport:
@@ -483,12 +354,6 @@ class Prognosis:
         )
 
     # ------------------------------------------------------------------
-    def check(
-        self, model: MealyMachine, formula: str, depth: int = 8
-    ) -> PropertyViolation | None:
-        """Check a textual LTLf property against a learned model."""
-        return check_property(model, parse_ltl(formula), depth)
-
     def check_properties(
         self,
         model: MealyMachine,
@@ -524,12 +389,3 @@ class Prognosis:
             minimize=minimize,
             target=self.name,
         )
-
-    def reduction(self, model: MealyMachine, max_length: int = 10) -> TraceReduction:
-        """The section 6.2.2 trace-space reduction statistic."""
-        return trace_reduction(model, max_length=max_length)
-
-    @staticmethod
-    def compare(a: MealyMachine, b: MealyMachine, max_witnesses: int = 5) -> ModelDiff:
-        """Diff two learned models (the Issue 1 / Issue 3 analysis)."""
-        return diff_models(a, b, max_witnesses=max_witnesses)

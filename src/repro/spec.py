@@ -600,8 +600,12 @@ class ExperimentSpec:
         return ExperimentSpec(**data)
 
     # -- validation --------------------------------------------------------
-    def validate(self) -> "ExperimentSpec":
-        """Check registry membership and knob ranges; returns ``self``."""
+    def validate(self, *, lookup_target: bool = True) -> "ExperimentSpec":
+        """Check registry membership and knob ranges; returns ``self``.
+
+        ``lookup_target=False`` skips only the ``target`` registry lookup:
+        a facade given a ready SUL keeps ``target`` as a label.
+        """
         load_builtins()
         if self.workers < 1:
             raise SpecError(f"need at least one worker, got {self.workers}")
@@ -642,7 +646,7 @@ class ExperimentSpec:
         if self.attack is not None:
             self.attack.validate()
         for registry, keys in (
-            (SUL_REGISTRY, [self.target]),
+            (SUL_REGISTRY, [self.target] if lookup_target else []),
             (LEARNER_REGISTRY, [self.learner]),
             (EQ_ORACLE_REGISTRY, [e.kind for e in self.equivalence]),
             (MIDDLEWARE_REGISTRY, [m.kind for m in self.middleware]),
@@ -727,7 +731,7 @@ def assemble(
 ) -> AssembledPipeline:
     """Build the full pipeline a spec describes.
 
-    ``sul`` substitutes a ready instance (the facade's legacy path);
+    ``sul`` substitutes a ready instance (``Prognosis(spec, sul=...)``);
     otherwise the target registry builds it.  The first ``cache``
     middleware layer is seeded from its sources in a fixed order: the
     ``shared_cache`` trie (campaign cross-run sharing), the spec's

@@ -58,8 +58,10 @@ class TestRemark31RandomSequenceNumbers:
             sul.query((syn, ack))
         # Learn a tiny skeleton for the synthesis sketch.
         from repro.framework import Prognosis
+        from repro.spec import ExperimentSpec
 
-        model = Prognosis(sul, name="hs").learn().model
+        spec = ExperimentSpec(target="tcp-handshake", name="hs")
+        model = Prognosis(spec, sul=sul).learn().model
         return model, sul.oracle_table.concrete_traces()
 
     def test_raw_sequence_numbers_do_not_generalize(self):

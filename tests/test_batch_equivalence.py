@@ -6,11 +6,17 @@ transitions, and the same counterexample sequence as the serial run --
 parallelism may only change wall-clock, never what is learned.
 """
 
+import pytest
+
 from repro.adapter.mealy_sul import MealySUL
+from repro.adapter.pool import SULPool
 from repro.experiments.quic_experiments import learn_quic
 from repro.experiments.tcp_experiments import learn_tcp_full, learn_tcp_handshake
 from repro.framework import Prognosis
 from repro.learn.equivalence import ChainedEquivalenceOracle
+from repro.spec import ComponentSpec, ExperimentSpec
+
+CHAINED = [ComponentSpec("random"), ComponentSpec("wmethod")]
 
 
 class TestPooledEqualsSerial:
@@ -37,15 +43,12 @@ class TestPooledEqualsSerial:
 
     def test_toy_machine_all_learners(self, toy_machine, assert_identical_models):
         for learner in ("ttt", "lstar"):
+            spec = ExperimentSpec(target="toy", learner=learner)
             serial = Prognosis(
-                sul_factory=lambda: MealySUL(toy_machine),
-                workers=1,
-                learner=learner,
+                spec, sul=SULPool(lambda: MealySUL(toy_machine), workers=1)
             ).learn()
             pooled = Prognosis(
-                sul_factory=lambda: MealySUL(toy_machine),
-                workers=4,
-                learner=learner,
+                spec, sul=SULPool(lambda: MealySUL(toy_machine), workers=4)
             ).learn()
             assert_identical_models(serial.model, pooled.model)
             assert serial.counterexamples == pooled.counterexamples
@@ -53,14 +56,19 @@ class TestPooledEqualsSerial:
 
 class TestReportPlumbing:
     def test_eq_attribution_single_oracle(self, toy_machine):
-        report = Prognosis(MealySUL(toy_machine)).learn()
+        report = Prognosis(
+            ExperimentSpec(target="toy"), sul=MealySUL(toy_machine)
+        ).learn()
         assert "wmethod" in report.eq_attribution
         stats = report.eq_attribution["wmethod"]
         assert stats["words_submitted"] > 0
         assert stats["counterexamples_found"] == len(report.counterexamples)
 
     def test_eq_attribution_chained(self, toy_machine):
-        prognosis = Prognosis(MealySUL(toy_machine), equivalence="random+wmethod")
+        prognosis = Prognosis(
+            ExperimentSpec(target="toy", equivalence=CHAINED),
+            sul=MealySUL(toy_machine),
+        )
         report = prognosis.learn()
         assert set(report.eq_attribution) == {"random", "wmethod"}
         assert isinstance(prognosis.equivalence_oracle, ChainedEquivalenceOracle)
@@ -73,7 +81,10 @@ class TestReportPlumbing:
         assert report.eq_attribution["random"]["words_submitted"] > 0
 
     def test_last_found_by_names_the_finder(self, toy_machine):
-        prognosis = Prognosis(MealySUL(toy_machine), equivalence="random+wmethod")
+        prognosis = Prognosis(
+            ExperimentSpec(target="toy", equivalence=CHAINED),
+            sul=MealySUL(toy_machine),
+        )
         report = prognosis.learn()
         chained = prognosis.equivalence_oracle
         if report.counterexamples:
@@ -84,9 +95,9 @@ class TestReportPlumbing:
         assert report.prefix_collapsed > 0
 
     def test_workers_require_factory(self, toy_machine):
-        import pytest
-
+        # Spec workers build a pool from the target registry; a ready SUL
+        # is one instance, so parallelism there needs a caller-built pool.
         with pytest.raises(ValueError):
-            Prognosis(MealySUL(toy_machine), workers=4)
-        with pytest.raises(ValueError):
+            Prognosis(ExperimentSpec(target="toy", workers=4), sul=MealySUL(toy_machine))
+        with pytest.raises(TypeError):
             Prognosis()

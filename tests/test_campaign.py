@@ -243,7 +243,10 @@ class TestGridMatchesDirectCalls:
             if target == "tcp"
             else make_quic_sul("google")
         )
-        with Prognosis(sul, learner=learner, name=name) as direct:
+        # The campaign built its SUL from the registry; the direct run is
+        # handed an equal ready instance, so the spec target is a label.
+        spec = ExperimentSpec(target=target, learner=learner, name=name)
+        with Prognosis(spec, sul=sul) as direct:
             direct_report = direct.learn()
         assert result.model.to_dict() == direct_report.model.to_dict()
         assert result.model.to_dot() == direct_report.model.to_dot()

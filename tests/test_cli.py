@@ -1,7 +1,7 @@
 """Tests for the command-line interface.
 
 Every subcommand has a smoke test; the heavy protocol targets are covered
-once (``compare``/``properties`` on QUIC), everything else drives the
+once (``difftest``/``properties`` on QUIC), everything else drives the
 registered ``toy`` target or monkeypatched experiment drivers so the
 suite stays fast.
 """
@@ -21,17 +21,17 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_learn_args(self):
-        args = build_parser().parse_args(["learn", "tcp", "--table"])
-        assert args.target == "tcp"
-        assert args.table
+        args = build_parser().parse_args(["sweep", "--target", "tcp", "--out", "d"])
+        assert args.target == ["tcp"]
+        assert args.out == "d"
 
     def test_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["learn", "spdy"])
+            build_parser().parse_args(["sweep", "--target", "spdy"])
 
     def test_registry_targets_accepted(self):
-        args = build_parser().parse_args(["learn", "toy"])
-        assert args.target == "toy"
+        args = build_parser().parse_args(["sweep", "--target", "toy"])
+        assert args.target == ["toy"]
 
     def test_issue_number_validated(self):
         with pytest.raises(SystemExit):
@@ -63,51 +63,66 @@ class TestParser:
 
 
 class TestCommands:
+    """Learning, checking and comparing one target or a pair of them."""
+
     def test_learn_tcp_prints_summary(self, capsys, tmp_path):
-        dot_path = tmp_path / "tcp.dot"
-        code = main(["learn", "tcp", "--dot", str(dot_path), "--table"])
+        code = main(["sweep", "--target", "tcp", "--out", str(tmp_path)])
         captured = capsys.readouterr().out
         assert code == 0
-        assert "6 states" in captured
-        assert dot_path.read_text().startswith("digraph")
+        assert "6 states, 42 transitions" in captured
+        (run_dir,) = tmp_path.iterdir()
+        assert (run_dir / "model.dot").read_text().startswith("digraph")
+        assert (run_dir / "model.json").exists()
 
     def test_check_holding_property(self, capsys):
-        code = main(["check", "tcp", "G (in ~ SYN -> out != BOGUS)", "--depth", "3"])
+        code = main(
+            ["properties", "tcp", "--exact", "--depth", "3",
+             "--formula", "G (in ~ SYN -> out != BOGUS)"]
+        )
         assert code == 0
         assert "holds" in capsys.readouterr().out
 
     def test_check_violated_property(self, capsys):
-        code = main(["check", "tcp", "G (out == NIL)", "--depth", "3"])
+        code = main(
+            ["properties", "tcp", "--exact", "--depth", "3",
+             "--formula", "G (out == NIL)"]
+        )
+        out = capsys.readouterr().out
         assert code == 1
-        assert "violated" in capsys.readouterr().out
+        assert "VIOLATED" in out
+        assert "witness:" in out
 
     def test_compare_differing_models(self, capsys):
-        code = main(["compare", "quic-google", "quic-quiche"])
+        code = main(["difftest", "quic-google", "quic-quiche", "--fail-on-diverge"])
         out = capsys.readouterr().out
         assert code == 1  # models differ
-        assert "states" in out
+        assert "12 states" in out and "8 states" in out
+        assert "2 divergent pairs" in out  # each suite exposes the other
 
 
 class TestSmokeToyTarget:
     """Fast end-to-end smoke tests against the registered toy SUL."""
 
     def test_learn_toy(self, capsys):
-        code = main(["learn", "toy", "--table"])
+        code = main(["sweep", "--target", "toy"])
         out = capsys.readouterr().out
         assert code == 0
         assert "3 states" in out
 
     def test_learn_toy_lstar(self, capsys):
-        code = main(["learn", "toy", "--learner", "lstar"])
+        code = main(["sweep", "--target", "toy", "--learner", "lstar"])
         assert code == 0
         assert "3 states" in capsys.readouterr().out
 
     def test_compare_toy_with_itself(self, capsys):
-        code = main(["compare", "toy", "toy"])
+        code = main(["difftest", "toy", "toy", "--fail-on-diverge"])
         assert code == 0  # equivalent models
+        assert "0 divergent pairs" in capsys.readouterr().out
 
     def test_check_toy(self, capsys):
-        code = main(["check", "toy", "G (out != BOGUS)", "--depth", "3"])
+        code = main(
+            ["properties", "toy", "--depth", "3", "--formula", "G (out != BOGUS)"]
+        )
         assert code == 0
         assert "holds" in capsys.readouterr().out
 
@@ -633,9 +648,8 @@ class TestStoreCommand:
 class TestAttackCommand:
     def test_help_epilog_lists_every_verb(self):
         text = build_parser().format_help()
-        for verb in ("learn", "compare", "check", "properties", "issues",
-                     "run", "passive", "sweep", "difftest", "attack", "ci",
-                     "store"):
+        for verb in ("properties", "issues", "run", "passive", "sweep",
+                     "difftest", "attack", "ci", "store"):
             assert verb in text
 
     def test_family_confirms_and_spares_the_conformant_variant(self, capsys):

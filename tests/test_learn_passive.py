@@ -17,6 +17,7 @@ from repro.learn.passive import (
     seed_cache_from_traces,
 )
 from repro.learn.teacher import SULMembershipOracle
+from repro.spec import ExperimentSpec
 
 SYN = TCPSymbol.make(["SYN"])
 ACK = TCPSymbol.make(["ACK"])
@@ -226,11 +227,15 @@ class TestPartialMachineEdgeCases:
 class TestBootstrap:
     def test_seeding_reduces_sul_queries(self, toy_machine, ab_alphabet):
         # Active learning without logs.
-        plain = Prognosis(MealySUL(toy_machine), name="plain")
+        plain = Prognosis(
+            ExperimentSpec(target="toy", name="plain"), sul=MealySUL(toy_machine)
+        )
         plain_report = plain.learn()
 
         # Active learning with the cache seeded from logs.
-        boosted = Prognosis(MealySUL(toy_machine), name="boosted")
+        boosted = Prognosis(
+            ExperimentSpec(target="toy", name="boosted"), sul=MealySUL(toy_machine)
+        )
         inserted = seed_cache_from_traces(
             boosted.cache_oracle.cache, logged_traces(toy_machine, num=100)
         )

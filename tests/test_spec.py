@@ -354,7 +354,9 @@ class TestAssembly:
     def test_spec_learn_matches_legacy_learn(self, toy_machine):
         with Prognosis.from_spec(ExperimentSpec(target="toy")) as spec_run:
             spec_report = spec_run.learn()
-        with Prognosis(MealySUL(toy_machine, name="toy")) as legacy_run:
+        with Prognosis(
+            ExperimentSpec(target="toy"), sul=MealySUL(toy_machine, name="toy")
+        ) as legacy_run:
             legacy_report = legacy_run.learn()
         assert spec_report.model.to_dict() == legacy_report.model.to_dict()
         assert spec_report.sul_queries == legacy_report.sul_queries
@@ -369,25 +371,32 @@ class TestPrognosisFacade:
         assert p.sul._executor._pool is None
 
     def test_spec_and_sul_are_exclusive(self):
+        # A ready sul runs as given, so it excludes the spec's own pool.
         with pytest.raises(ValueError):
             Prognosis(
-                MealySUL(toy_machine()), spec=ExperimentSpec(target="toy")
+                ExperimentSpec(target="toy", workers=2), sul=MealySUL(toy_machine())
             )
 
     def test_legacy_spec_recorded(self, toy_machine):
-        prognosis = Prognosis(MealySUL(toy_machine), equivalence="random+wmethod")
+        spec = ExperimentSpec(
+            target="toy", equivalence=[ComponentSpec("random"), ComponentSpec("wmethod")]
+        )
+        prognosis = Prognosis(spec, sul=MealySUL(toy_machine))
+        assert prognosis.spec is spec
         assert prognosis.spec.learner == "ttt"
         assert [c.kind for c in prognosis.spec.equivalence] == ["random", "wmethod"]
         assert [c.kind for c in prognosis.spec.middleware] == ["cache"]
 
     def test_attribution_method_used(self, toy_machine):
-        prognosis = Prognosis(MealySUL(toy_machine))
+        prognosis = Prognosis(ExperimentSpec(target="toy"), sul=MealySUL(toy_machine))
         report = prognosis.learn()
         assert report.eq_attribution == prognosis.equivalence_oracle.attribution()
         assert "wmethod" in report.eq_attribution
 
     def test_report_to_dict_is_jsonable(self, toy_machine):
-        report = Prognosis(MealySUL(toy_machine)).learn()
+        report = Prognosis(
+            ExperimentSpec(target="toy"), sul=MealySUL(toy_machine)
+        ).learn()
         data = json.loads(json.dumps(report.to_dict()))
         assert data["num_states"] == 3
         assert data["eq_attribution"]["wmethod"]["words_submitted"] > 0
