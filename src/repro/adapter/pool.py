@@ -122,7 +122,7 @@ class SULPool(SUL):
                 sul.share_memo(suls[0])
             self._executor = build_executor(backend, workers)
             self._run_shard = lambda shard: _run_shard(self._suls[shard[0]], shard)
-        super().__init__(suls[0].input_alphabet, name=name or f"{suls[0].name}-pool")
+        super().__init__(suls[0].input_alphabet, name=name or suls[0].name)
         self._suls = suls
         #: What each worker's shards cost, and what the single-SUL
         #: interface cost the parent-side instance; their sum is the pool's

@@ -171,10 +171,7 @@ class Campaign:
         share_cache: bool = True,
         store: str | Path | None = None,
     ) -> None:
-        self.specs = [
-            spec if isinstance(spec, ExperimentSpec) else ExperimentSpec.from_dict(spec)
-            for spec in specs
-        ]
+        self.specs = [ExperimentSpec.from_dict(spec) for spec in specs]
         if store is not None:
             self.specs = [
                 spec if spec.store is not None else spec.clone(store=str(store))
@@ -428,10 +425,7 @@ class DiffCampaign:
         max_length: int = 10,
         store: str | Path | None = None,
     ) -> None:
-        self.specs = [
-            spec if isinstance(spec, ExperimentSpec) else ExperimentSpec.from_dict(spec)
-            for spec in specs
-        ]
+        self.specs = [ExperimentSpec.from_dict(spec) for spec in specs]
         if len(self.specs) < 1:
             raise SpecError("a diff campaign needs at least one spec")
         names = [spec.display_name() for spec in self.specs]

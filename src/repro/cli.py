@@ -48,15 +48,6 @@ def _known_learners() -> tuple[str, ...]:
     return tuple(sorted(LEARNER_REGISTRY.names()))
 
 
-def _executor_spec(kind: str | None, timeout_s: float | None = None):
-    """An :class:`~repro.spec.ExecutorSpec` for CLI flags (or ``None``)."""
-    from .spec import ExecutorSpec
-
-    if kind is None:
-        return None
-    return ExecutorSpec(kind=kind, timeout_s=timeout_s)
-
-
 def _expand_member_specs(
     members: Sequence[str],
     learner: str = "ttt",
@@ -75,7 +66,7 @@ def _expand_member_specs(
     from pathlib import Path
 
     from .registry import resolve_targets
-    from .spec import ExperimentSpec
+    from .spec import ExecutorSpec, ExperimentSpec
 
     load_builtins()
     families = SUL_REGISTRY.families()
@@ -90,7 +81,7 @@ def _expand_member_specs(
                     seed=seed,
                     workers=sul_workers,
                     name=member,
-                    executor=_executor_spec(executor),
+                    executor=executor,
                 )
             )
             continue
@@ -103,7 +94,7 @@ def _expand_member_specs(
             if spec.name is None:
                 spec.name = path.stem
             if executor is not None:  # the CLI flag overrides the file
-                spec.executor = _executor_spec(executor)
+                spec.executor = ExecutorSpec(executor)
             specs.append(spec)
             continue
         known = ", ".join(sorted(set(families) | set(SUL_REGISTRY.names())))
@@ -225,7 +216,7 @@ def _cmd_issues(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .campaign import run_spec
-    from .spec import ExperimentSpec, SpecError
+    from .spec import ExecutorSpec, ExperimentSpec, SpecError
 
     try:
         spec = ExperimentSpec.from_file(args.spec)
@@ -233,7 +224,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot load spec {args.spec}: {error}", file=sys.stderr)
         return 2
     if args.executor is not None:  # the CLI flag overrides the file
-        spec.executor = _executor_spec(args.executor)
+        spec.executor = ExecutorSpec(args.executor)
     try:
         spec.validate()
     except (SpecError, KeyError) as error:
@@ -267,7 +258,7 @@ def _cmd_passive(args: argparse.Namespace) -> int:
         middleware=["cache"],
         corpus=args.corpus,
         store=args.store,
-        executor=_executor_spec(args.executor),
+        executor=args.executor,
     )
     try:
         spec.validate()
@@ -325,7 +316,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = ExperimentSpec(
             target="toy",
             workers=args.sul_workers,
-            executor=_executor_spec(args.executor),
+            executor=args.executor,
         )
     campaign = Campaign.grid(
         targets=args.target,

@@ -44,8 +44,9 @@ class CacheInconsistencyError(Exception):
         self.word = word
         self.cached = cached
         self.fresh = fresh
+        rendered = " ".join(str(symbol) for symbol in word)
         super().__init__(
-            f"nondeterministic SUL: on {word} cache says {cached}, SUL says {fresh}"
+            f"nondeterministic SUL: on {rendered} cache says {cached}, SUL says {fresh}"
         )
 
 

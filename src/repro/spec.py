@@ -17,9 +17,10 @@ stored next to its artifacts, diffed, and replayed byte-identically::
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from typing import ClassVar, Iterable, Mapping, Self
 
 from .adapter.executor import EXECUTOR_KINDS
 from .adapter.pool import SULPool
@@ -43,43 +44,87 @@ class SpecError(ValueError):
     """A malformed or unsatisfiable experiment specification."""
 
 
+class SpecSection:
+    """The one spec codec: every section's JSON form, copy and key checks.
+
+    Each section is a dataclass deriving from this class, so each of its
+    field names is written once, in the dataclass; the codec reads them
+    back with :func:`dataclasses.fields`.  ``SHORTHAND`` names the field
+    a bare string fills in dict/JSON form (``"cache"`` ==
+    ``{"kind": "cache"}``).  Range and registry checks on the values stay
+    in each section's own ``validate``.
+    """
+
+    SHORTHAND: ClassVar[str | None] = None
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data) -> Self:
+        """A section from an instance, a shorthand string or a mapping."""
+        if isinstance(data, cls):
+            return data
+        if isinstance(data, str) and cls.SHORTHAND is not None:
+            data = {cls.SHORTHAND: data}
+        if not isinstance(data, Mapping):
+            raise SpecError(f"{_label(cls)} spec must be a mapping, got {data!r}")
+        _check_keys(cls, data)
+        for spec_field in fields(cls):
+            required = spec_field.default is MISSING and spec_field.default_factory is MISSING
+            if required and spec_field.name not in data:
+                raise SpecError(f"{_label(cls)} spec needs a {spec_field.name!r}")
+        return cls(**data)
+
+    def clone(self, **overrides) -> Self:
+        """An independent copy with ``overrides`` applied (grid expansion)."""
+        _check_keys(type(self), overrides)
+        return replace(copy.deepcopy(self), **overrides)
+
+
+def _label(section: type) -> str:
+    return section.__name__.removesuffix("Spec").lower()
+
+
+def _check_keys(section: type, data: Mapping) -> None:
+    unknown = set(data) - {spec_field.name for spec_field in fields(section)}
+    if unknown:
+        raise SpecError(f"unknown {_label(section)} spec keys: {sorted(unknown)}")
+
+
+def _as_list(section: type, name: str, value) -> list:
+    """``value`` as a new list; a bare string or mapping is refused rather
+    than iterated into its characters or keys."""
+    if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
+        raise SpecError(
+            f"{_label(section)} spec {name!r} must be a list, got {value!r}"
+        )
+    return list(value)
+
+
+def _optional(section: type[SpecSection], value):
+    return None if value is None else section.from_dict(value)
+
+
 @dataclass
-class ComponentSpec:
+class ComponentSpec(SpecSection):
     """One registry-keyed component plus its constructor params.
 
-    Used for equivalence-oracle chain entries and middleware layers.  In
-    dict/JSON form a bare string is accepted as shorthand for a component
-    with default params (``"cache"`` == ``{"kind": "cache", "params": {}}``).
+    Used for equivalence-oracle chain entries and middleware layers.  A
+    bare string is a component with default params.
     """
+
+    SHORTHAND = "kind"
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: str | Mapping) -> "ComponentSpec":
-        if isinstance(data, str):
-            return cls(kind=data)
-        if isinstance(data, ComponentSpec):
-            return cls(kind=data.kind, params=dict(data.params))
-        if not isinstance(data, Mapping) or "kind" not in data:
-            raise SpecError(f"malformed component spec: {data!r}")
-        unknown = set(data) - {"kind", "params"}
-        if unknown:
-            raise SpecError(f"unknown component spec keys: {sorted(unknown)}")
-        return cls(kind=data["kind"], params=dict(data.get("params") or {}))
-
-    def clone(self) -> "ComponentSpec":
-        return ComponentSpec(kind=self.kind, params=dict(self.params))
-
-
-_PROPERTIES_FIELDS = {"suite", "depth", "formulas", "include_probes", "minimize"}
+    def __post_init__(self) -> None:
+        self.params = dict(self.params or {})
 
 
 @dataclass
-class PropertiesSpec:
+class PropertiesSpec(SpecSection):
     """The declarative ``properties`` section of an experiment spec.
 
     Describes which property checks run against the learned model:
@@ -98,36 +143,8 @@ class PropertiesSpec:
     include_probes: bool = False
     minimize: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "depth": self.depth,
-            "formulas": list(self.formulas),
-            "include_probes": self.include_probes,
-            "minimize": self.minimize,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "PropertiesSpec | Mapping | None") -> "PropertiesSpec | None":
-        if data is None or isinstance(data, PropertiesSpec):
-            return data
-        if not isinstance(data, Mapping):
-            raise SpecError(f"properties spec must be a mapping, got {data!r}")
-        unknown = set(data) - _PROPERTIES_FIELDS
-        if unknown:
-            raise SpecError(f"unknown properties spec keys: {sorted(unknown)}")
-        fields = dict(data)
-        fields["formulas"] = list(fields.get("formulas") or [])
-        return cls(**fields)
-
-    def clone(self) -> "PropertiesSpec":
-        return PropertiesSpec(
-            suite=self.suite,
-            depth=self.depth,
-            formulas=list(self.formulas),
-            include_probes=self.include_probes,
-            minimize=self.minimize,
-        )
+    def __post_init__(self) -> None:
+        self.formulas = _as_list(PropertiesSpec, "formulas", self.formulas or [])
 
     def validate(self) -> "PropertiesSpec":
         from .registry import PROPERTY_REGISTRY
@@ -139,61 +156,31 @@ class PropertiesSpec:
         return self
 
 
-_EXECUTOR_FIELDS = {"kind", "workers", "timeout_s"}
-
-
 @dataclass
-class ExecutorSpec:
+class ExecutorSpec(SpecSection):
     """The declarative ``executor`` section of an experiment spec.
 
     ``kind`` picks the :mod:`repro.adapter.executor` backend (``serial``,
     ``thread`` or ``process``), ``workers`` overrides the spec-level
     worker count (``None`` inherits it), and ``timeout_s`` bounds one
     shard's execution on backends that supervise their workers (the
-    ``process`` pool and the remote-SUL boundary).  In dict/JSON form a
-    bare string is shorthand for a kind with inherited knobs
-    (``"process"`` == ``{"kind": "process"}``).
+    ``process`` pool and the remote-SUL boundary).  A bare string is a
+    kind with inherited knobs (``"process"`` == ``{"kind": "process"}``).
 
     The executor deliberately does not contribute to
     :meth:`ExperimentSpec.sul_fingerprint`: it changes how fast answers
     arrive, never what they are.
     """
 
+    SHORTHAND = "kind"
+
     kind: str = "thread"
     workers: int | None = None
     timeout_s: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "workers": self.workers,
-            "timeout_s": self.timeout_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "ExecutorSpec | str | Mapping | None") -> "ExecutorSpec | None":
-        if data is None or isinstance(data, ExecutorSpec):
-            return data
-        if isinstance(data, str):
-            return cls(kind=data)
-        if not isinstance(data, Mapping):
-            raise SpecError(f"executor spec must be a mapping, got {data!r}")
-        unknown = set(data) - _EXECUTOR_FIELDS
-        if unknown:
-            raise SpecError(f"unknown executor spec keys: {sorted(unknown)}")
-        return cls(**dict(data))
-
-    def clone(self) -> "ExecutorSpec":
-        return ExecutorSpec(
-            kind=self.kind, workers=self.workers, timeout_s=self.timeout_s
-        )
-
-
-_STORE_FIELDS = {"path", "flush_every"}
-
 
 @dataclass
-class StoreSpec:
+class StoreSpec(SpecSection):
     """The declarative ``store`` section of an experiment spec.
 
     ``path`` locates the sqlite :class:`~repro.store.query_store
@@ -201,36 +188,18 @@ class StoreSpec:
     ``cache`` middleware layer from the store's rows for the spec's
     :meth:`~ExperimentSpec.sul_fingerprint` and appends the run's new
     observations back, so observations warm-start across processes and
-    days.  ``flush_every`` batches appended rows per transaction.  In
-    dict/JSON form a bare string is shorthand for a path with default
-    knobs.
+    days.  ``flush_every`` batches appended rows per transaction.  A
+    bare string is a path with default knobs.
 
     Like the executor, the store deliberately does not contribute to
     the SUL fingerprint: it changes where answers come *from*, never
     what they are.
     """
 
+    SHORTHAND = "path"
+
     path: str
     flush_every: int = 256
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "flush_every": self.flush_every}
-
-    @classmethod
-    def from_dict(cls, data: "StoreSpec | str | Mapping | None") -> "StoreSpec | None":
-        if data is None or isinstance(data, StoreSpec):
-            return data
-        if isinstance(data, str):
-            return cls(path=data)
-        if not isinstance(data, Mapping) or "path" not in data:
-            raise SpecError(f"store spec needs a 'path', got {data!r}")
-        unknown = set(data) - _STORE_FIELDS
-        if unknown:
-            raise SpecError(f"unknown store spec keys: {sorted(unknown)}")
-        return cls(**{key: data[key] for key in data})
-
-    def clone(self) -> "StoreSpec":
-        return StoreSpec(path=self.path, flush_every=self.flush_every)
 
     def validate(self) -> "StoreSpec":
         if not self.path:
@@ -242,11 +211,8 @@ class StoreSpec:
         return self
 
 
-_CORPUS_FIELDS = {"path", "skip_conflicts", "max_traces"}
-
-
 @dataclass
-class CorpusSpec:
+class CorpusSpec(SpecSection):
     """The declarative ``corpus`` section of an experiment spec.
 
     ``path`` locates a JSONL trace corpus (see
@@ -256,44 +222,19 @@ class CorpusSpec:
     SUL -- and with a ``store`` section the accepted traces persist.
     ``skip_conflicts`` makes a trace that contradicts anything seeded
     before it a counted finding rather than an error; ``max_traces``
-    bounds the accepted traces.  In dict/JSON form a bare string is
-    shorthand for a path with default knobs.
+    bounds the accepted traces.  A bare string is a path with default
+    knobs.
 
     Like the executor and the store, the corpus deliberately does not
     contribute to the SUL fingerprint: it changes where answers come
     *from*, never what they are.
     """
 
+    SHORTHAND = "path"
+
     path: str
     skip_conflicts: bool = True
     max_traces: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "skip_conflicts": self.skip_conflicts,
-            "max_traces": self.max_traces,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "CorpusSpec | str | Mapping | None") -> "CorpusSpec | None":
-        if data is None or isinstance(data, CorpusSpec):
-            return data
-        if isinstance(data, str):
-            return cls(path=data)
-        if not isinstance(data, Mapping) or "path" not in data:
-            raise SpecError(f"corpus spec needs a 'path', got {data!r}")
-        unknown = set(data) - _CORPUS_FIELDS
-        if unknown:
-            raise SpecError(f"unknown corpus spec keys: {sorted(unknown)}")
-        return cls(**{key: data[key] for key in data})
-
-    def clone(self) -> "CorpusSpec":
-        return CorpusSpec(
-            path=self.path,
-            skip_conflicts=self.skip_conflicts,
-            max_traces=self.max_traces,
-        )
 
     def validate(self) -> "CorpusSpec":
         if not self.path:
@@ -305,18 +246,8 @@ class CorpusSpec:
         return self
 
 
-_ATTACK_FIELDS = {
-    "attacker",
-    "objective",
-    "budget",
-    "fuzz",
-    "max_suffix",
-    "corpus_out",
-}
-
-
 @dataclass
-class AttackSpec:
+class AttackSpec(SpecSection):
     """The declarative ``attack`` section of an experiment spec.
 
     Opting in makes a campaign run :func:`repro.attack.replay.run_attacks`
@@ -327,13 +258,15 @@ class AttackSpec:
     automaton applicable to the target); ``objective`` is an optional
     LTLf formula the attack trace must *violate*; ``budget`` and
     ``max_suffix`` bound the fuzzer; ``corpus_out`` writes confirmed
-    attacks (and fuzz divergences) as a JSONL corpus.  In dict/JSON form
-    a bare string is shorthand for an attacker key with default knobs.
+    attacks (and fuzz divergences) as a JSONL corpus.  A bare string is
+    an attacker key with default knobs.
 
     Like the executor, the section never contributes to the SUL
     fingerprint: attacks change what is *asked* after learning, not what
     the system answers.
     """
+
+    SHORTHAND = "attacker"
 
     attacker: str | None = None
     objective: str | None = None
@@ -341,39 +274,6 @@ class AttackSpec:
     fuzz: bool = False
     max_suffix: int = 4
     corpus_out: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "attacker": self.attacker,
-            "objective": self.objective,
-            "budget": self.budget,
-            "fuzz": self.fuzz,
-            "max_suffix": self.max_suffix,
-            "corpus_out": self.corpus_out,
-        }
-
-    @classmethod
-    def from_dict(cls, data: "AttackSpec | str | Mapping | None") -> "AttackSpec | None":
-        if data is None or isinstance(data, AttackSpec):
-            return data
-        if isinstance(data, str):
-            return cls(attacker=data)
-        if not isinstance(data, Mapping):
-            raise SpecError(f"attack spec must be a mapping, got {data!r}")
-        unknown = set(data) - _ATTACK_FIELDS
-        if unknown:
-            raise SpecError(f"unknown attack spec keys: {sorted(unknown)}")
-        return cls(**{key: data[key] for key in data})
-
-    def clone(self) -> "AttackSpec":
-        return AttackSpec(
-            attacker=self.attacker,
-            objective=self.objective,
-            budget=self.budget,
-            fuzz=self.fuzz,
-            max_suffix=self.max_suffix,
-            corpus_out=self.corpus_out,
-        )
 
     def validate(self) -> "AttackSpec":
         if self.budget < 1:
@@ -408,27 +308,8 @@ def default_middleware() -> list[ComponentSpec]:
     return [ComponentSpec("cache")]
 
 
-_SPEC_FIELDS = {
-    "target",
-    "target_params",
-    "learner",
-    "learner_params",
-    "equivalence",
-    "middleware",
-    "workers",
-    "seed",
-    "batch_size",
-    "name",
-    "properties",
-    "executor",
-    "store",
-    "corpus",
-    "attack",
-}
-
-
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(SpecSection):
     """A complete, serializable description of one learning experiment.
 
     ``target`` / ``learner`` name :data:`repro.registry.SUL_REGISTRY` /
@@ -458,13 +339,19 @@ class ExperimentSpec:
     attack: AttackSpec | None = None
 
     def __post_init__(self) -> None:
-        self.equivalence = [ComponentSpec.from_dict(e) for e in self.equivalence]
-        self.middleware = [ComponentSpec.from_dict(m) for m in self.middleware]
-        self.properties = PropertiesSpec.from_dict(self.properties)
-        self.executor = ExecutorSpec.from_dict(self.executor)
-        self.store = StoreSpec.from_dict(self.store)
-        self.corpus = CorpusSpec.from_dict(self.corpus)
-        self.attack = AttackSpec.from_dict(self.attack)
+        self.equivalence = [
+            ComponentSpec.from_dict(entry)
+            for entry in _as_list(ExperimentSpec, "equivalence", self.equivalence)
+        ]
+        self.middleware = [
+            ComponentSpec.from_dict(layer)
+            for layer in _as_list(ExperimentSpec, "middleware", self.middleware)
+        ]
+        self.properties = _optional(PropertiesSpec, self.properties)
+        self.executor = _optional(ExecutorSpec, self.executor)
+        self.store = _optional(StoreSpec, self.store)
+        self.corpus = _optional(CorpusSpec, self.corpus)
+        self.attack = _optional(AttackSpec, self.attack)
 
     # -- identity ----------------------------------------------------------
     def display_name(self) -> str:
@@ -498,59 +385,12 @@ class ExperimentSpec:
         if self.executor is None:
             kind = "thread" if self.workers > 1 else "serial"
             return ExecutorSpec(kind=kind, workers=self.workers)
-        workers = (
-            self.workers if self.executor.workers is None else self.executor.workers
-        )
-        return ExecutorSpec(
-            kind=self.executor.kind,
-            workers=workers,
-            timeout_s=self.executor.timeout_s,
+        workers = self.executor.workers
+        return replace(
+            self.executor, workers=self.workers if workers is None else workers
         )
 
     # -- serialization -----------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "target_params": dict(self.target_params),
-            "learner": self.learner,
-            "learner_params": dict(self.learner_params),
-            "equivalence": [e.to_dict() for e in self.equivalence],
-            "middleware": [m.to_dict() for m in self.middleware],
-            "workers": self.workers,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "name": self.name,
-            "properties": (
-                None if self.properties is None else self.properties.to_dict()
-            ),
-            "executor": (
-                None if self.executor is None else self.executor.to_dict()
-            ),
-            "store": (
-                None if self.store is None else self.store.to_dict()
-            ),
-            "corpus": (
-                None if self.corpus is None else self.corpus.to_dict()
-            ),
-            "attack": (
-                None if self.attack is None else self.attack.to_dict()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ExperimentSpec":
-        if not isinstance(data, Mapping):
-            raise SpecError(f"experiment spec must be a mapping, got {data!r}")
-        if "target" not in data:
-            raise SpecError("experiment spec needs a 'target'")
-        unknown = set(data) - _SPEC_FIELDS
-        if unknown:
-            raise SpecError(f"unknown experiment spec keys: {sorted(unknown)}")
-        fields = dict(data)
-        fields.setdefault("target_params", {})
-        fields.setdefault("learner_params", {})
-        return cls(**fields)
-
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
@@ -563,41 +403,6 @@ class ExperimentSpec:
         """Load a spec from a JSON file (the CLI ``run``/``difftest`` path)."""
         with open(path) as handle:
             return cls.from_json(handle.read())
-
-    def clone(self, **overrides) -> "ExperimentSpec":
-        """An independent copy with ``overrides`` applied (grid expansion)."""
-        data = {
-            "target": self.target,
-            "target_params": dict(self.target_params),
-            "learner": self.learner,
-            "learner_params": dict(self.learner_params),
-            "equivalence": [e.clone() for e in self.equivalence],
-            "middleware": [m.clone() for m in self.middleware],
-            "workers": self.workers,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "name": self.name,
-            "properties": (
-                None if self.properties is None else self.properties.clone()
-            ),
-            "executor": (
-                None if self.executor is None else self.executor.clone()
-            ),
-            "store": (
-                None if self.store is None else self.store.clone()
-            ),
-            "corpus": (
-                None if self.corpus is None else self.corpus.clone()
-            ),
-            "attack": (
-                None if self.attack is None else self.attack.clone()
-            ),
-        }
-        unknown = set(overrides) - _SPEC_FIELDS
-        if unknown:
-            raise SpecError(f"unknown experiment spec keys: {sorted(unknown)}")
-        data.update(overrides)
-        return ExperimentSpec(**data)
 
     # -- validation --------------------------------------------------------
     def validate(self, *, lookup_target: bool = True) -> "ExperimentSpec":

@@ -50,6 +50,23 @@ class TestQueryCache:
         with pytest.raises(CacheInconsistencyError):
             cache.insert((syn,), (nil,))
 
+    def test_conflict_message_shows_symbol_labels(self):
+        """The error names the word and both outputs by their labels, not
+        by the dataclass reprs of every symbol."""
+        from repro.core.alphabet import parse_quic_output, quic_alphabet
+
+        word = tuple(quic_alphabet().symbols[:5])
+        first = [parse_quic_output("{}")] * 5
+        second = first[:4] + [parse_quic_output("{STATELESS_RESET(?,?)[]}")]
+        cache = QueryCache()
+        cache.insert(word, first)
+        with pytest.raises(CacheInconsistencyError) as caught:
+            cache.insert(word, second)
+        message = str(caught.value)
+        assert " ".join(symbol.label for symbol in word) in message
+        assert "cache says {}, SUL says {STATELESS_RESET(?,?)[]}" in message
+        assert "QUICSymbol(" not in message and "QUICOutput(" not in message
+
     def test_insert_rejects_a_length_mismatch(self, ab_alphabet, out_symbols):
         """A word and outputs of different lengths are no observation;
         zipping them would store a truncated one for a word never asked."""

@@ -300,6 +300,21 @@ class TestExecutorSpec:
         assert pooled_report.model.to_dict() == serial_report.model.to_dict()
         assert pooled_report.sul_queries == serial_report.sul_queries
 
+    @pytest.mark.parametrize("target", ["toy", "tcp"])
+    def test_unnamed_spec_learns_one_model_on_every_executor(self, target):
+        """Without a spec ``name`` the model is named after the SUL, and a
+        pool carries its workers' name, so the executor never shows in
+        the learned model."""
+        models = []
+        for executor, workers in (("serial", 1), ("thread", 2), ("process", 2)):
+            spec = ExperimentSpec(target=target, workers=workers, executor=executor)
+            with Prognosis(spec) as prognosis:
+                models.append(prognosis.learn().model)
+        serial = models[0]
+        for pooled in models[1:]:
+            assert pooled.to_dict() == serial.to_dict()
+            assert pooled.to_dot() == serial.to_dot()
+
 
 class TestAssembly:
     def test_pipeline_layers_match_spec(self):
