@@ -21,21 +21,21 @@ The pool runs on a pluggable :class:`~repro.adapter.executor
   reference.
 
 Every backend runs the same shard function: it returns the shard's
-outputs, Oracle-Table entries and :class:`~repro.adapter.sul.SULStats`
-delta, which the pool merges.  Results are always returned in submission
-order, worker Oracle Tables are merged into the pool's table after every
-batch, and the pool's stats are the sum of the workers' deltas and the
-parent-side instance's -- so the accounting the paper tables report
-(queries, steps, resets) is identical whether a run was serial, threaded
-or process-parallel, and so is the learned model.
+distinct concrete steps once, each word as indices into them, and its
+:class:`~repro.adapter.sul.SULStats` delta, and the pool rebuilds the
+entries in its own Oracle Table in batch order.  The pool's stats are
+the sum of the workers' deltas and the parent-side instance's -- so the
+accounting the paper tables report (queries, steps, resets), the Oracle
+Table and the learned model are identical whether a run was serial,
+threaded or process-parallel.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..core.alphabet import AbstractSymbol
-from ..core.oracle_table import OracleEntry
+from ..core.extended import ConcreteStep
 from ..core.trace import Word
 from .executor import ProcessExecutor, build_executor
 from .sul import SUL, SULStats
@@ -49,20 +49,34 @@ def _measured(sul: SUL, fn: Callable, *args) -> tuple[object, dict[str, int]]:
     return result, {key: after[key] - before[key] for key in after}
 
 
-def _run_shard(
-    sul: SUL, shard: tuple[int, Sequence[Word]]
-) -> tuple[list[tuple[Word, OracleEntry | None]], dict[str, int]]:
-    """Run shard ``(index, words)`` as one batch on a worker's SUL.
+class _Shard(NamedTuple):
+    """One worker's part of a batch, named in errors by its words' labels."""
 
-    A trie walk where the SUL can snapshot.  Returns the per-word
-    ``(outputs, oracle entry)`` pairs plus the stats delta the shard cost,
-    which the pool adds to that worker's account.  Module-level, hence
-    picklable: a worker process runs it on its private SUL.
+    index: int
+    words: list[Word]
+
+    def __repr__(self) -> str:
+        return f"shard {self.index}: " + " | ".join(" ".join(map(str, w)) for w in self.words)
+
+
+def _run_shard(sul: SUL, shard: _Shard) -> tuple[list[ConcreteStep], list, dict[str, int]]:
+    """Run ``shard`` as one batch on a worker's SUL (a trie walk where it
+    can snapshot) and clear the worker's Oracle Table.  Returns the
+    shard's distinct steps in first-use order (their symbols unpickle to
+    the parent's interned ones), each word as a tuple of indices into
+    them (a list of its outputs where the SUL recorded no entry) and the
+    stats delta.  Module-level, hence picklable.
     """
-    _, words = shard
-    answers, delta = _measured(sul, sul.query_batch, words)
-    outcomes = [(outputs, sul.oracle_table.lookup(word)) for outputs, word in zip(answers, words)]
-    return outcomes, delta
+    answers, delta = _measured(sul, sul.query_batch, shard.words)
+    entries = [sul.oracle_table.lookup(word) for word in shard.words]
+    sul.oracle_table.clear()
+    steps = {id(step): step for entry in entries if entry is not None for step in entry.steps}
+    index_of = {key: index for index, key in enumerate(steps)}
+    ids_per_word = [
+        list(outputs) if entry is None else tuple(index_of[id(step)] for step in entry.steps)
+        for outputs, entry in zip(answers, entries)
+    ]
+    return list(steps.values()), ids_per_word, delta
 
 
 class SULPool(SUL):
@@ -121,7 +135,7 @@ class SULPool(SUL):
             for sul in suls[1:]:
                 sul.share_memo(suls[0])
             self._executor = build_executor(backend, workers)
-            self._run_shard = lambda shard: _run_shard(self._suls[shard[0]], shard)
+            self._run_shard = lambda shard: _run_shard(self._suls[shard.index], shard)
         super().__init__(suls[0].input_alphabet, name=name or suls[0].name)
         self._suls = suls
         #: What each worker's shards cost, and what the single-SUL
@@ -136,22 +150,20 @@ class SULPool(SUL):
         words = [tuple(word) for word in words]
         if not words:
             return []
-        results: list[tuple[Word, OracleEntry | None]] = [None] * len(words)  # type: ignore[list-item]
         parts = self._shards(words)
-        shards = [
-            (index, [words[position] for position in part]) for index, part in enumerate(parts)
-        ]
+        shards = [_Shard(index, [words[p] for p in part]) for index, part in enumerate(parts)]
+        results: list = [None] * len(words)  # per word: (its shard's steps, its step ids)
         payloads = self._executor.map(self._run_shard, shards)
-        for index, (outcomes, delta) in enumerate(payloads):
-            self._worker_stats[index].add(delta)
-            for position, outcome in zip(parts[index], outcomes):
-                results[position] = outcome
-
-        answers: list[Word] = []
-        for outputs, entry in results:
-            if entry is not None:
-                self.oracle_table.merge(entry)
-            answers.append(outputs)
+        for part, (steps, ids_per_word, delta), stats in zip(parts, payloads, self._worker_stats):
+            stats.add(delta)
+            for position, ids in zip(part, ids_per_word):
+                results[position] = steps, ids
+        answers = [
+            tuple(ids)  # the worker SUL recorded no entry
+            if type(ids) is list
+            else self.oracle_table.record_steps(word, map(steps.__getitem__, ids)).abstract.outputs
+            for word, (steps, ids) in zip(words, results)
+        ]
         self._refresh_stats()
         return answers
 

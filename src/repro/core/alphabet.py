@@ -20,6 +20,7 @@ symbols always share a label.
 
 from __future__ import annotations
 
+import copyreg
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -565,6 +566,12 @@ _SYMBOL_PARSERS = {
     "raw": lambda text: AbstractSymbol(label=text),
 }
 
+#: The kind of each built-in symbol class, in ``_SYMBOL_PARSERS`` order.
+_SYMBOL_KINDS = dict(
+    zip([TCPSymbol, QUICSymbol, QUICOutput, HTTP2Symbol, HTTP2Output, H3Symbol, H3Output],
+        _SYMBOL_PARSERS)
+)
+
 
 def serialize_symbol(symbol: AbstractSymbol) -> dict:
     """A JSON-able ``{"kind", "text"}`` encoding of an abstract symbol.
@@ -573,23 +580,19 @@ def serialize_symbol(symbol: AbstractSymbol) -> dict:
     prints), so serialized models stay human-readable; ``kind`` picks the
     parser that reconstructs the structured symbol.
     """
-    if isinstance(symbol, TCPSymbol):
-        kind = "tcp"
-    elif isinstance(symbol, QUICOutput):
-        kind = "quic-output"
-    elif isinstance(symbol, QUICSymbol):
-        kind = "quic"
-    elif isinstance(symbol, HTTP2Output):
-        kind = "http2-output"
-    elif isinstance(symbol, HTTP2Symbol):
-        kind = "http2"
-    elif isinstance(symbol, H3Output):
-        kind = "h3-output"
-    elif isinstance(symbol, H3Symbol):
-        kind = "h3"
-    else:
-        kind = "raw"
+    kind = _SYMBOL_KINDS.get(type(symbol)) or next(
+        (kind for cls, kind in _SYMBOL_KINDS.items() if isinstance(symbol, cls)), "raw")
     return {"kind": kind, "text": symbol.label}
+
+
+def _reduce_symbol(symbol: AbstractSymbol) -> tuple:
+    """A built-in symbol pickles as its parser and label: it unpickles interned."""
+    return _SYMBOL_PARSERS[_SYMBOL_KINDS[type(symbol)]], (symbol.label,)
+
+
+# Registered per exact class: raw symbols and subclasses pickle by value.
+for _symbol_class in _SYMBOL_KINDS:
+    copyreg.pickle(_symbol_class, _reduce_symbol)
 
 
 def deserialize_symbol(data: Mapping) -> AbstractSymbol:

@@ -87,6 +87,10 @@ class ConcreteStep:
             if type(params) is not FrozenDict:
                 object.__setattr__(self, name, FrozenDict(params))
 
+    def __reduce__(self):  # plain dicts pickle smaller; __post_init__ refreezes
+        params = dict(self.input_params), dict(self.output_params)
+        return type(self), (self.input_symbol, self.output_symbol, *params)
+
 
 class ExtendedMealyMachine:
     """A Mealy machine whose transitions update registers and emit values."""

@@ -76,15 +76,8 @@ class OracleTable:
     ) -> OracleEntry:
         """:meth:`record` a query from its (read-only, shareable) steps."""
         steps = tuple(steps)
-        outputs = tuple(step.output_symbol for step in steps)
-        return self.merge(OracleEntry(IOTrace(tuple(inputs), outputs), steps))
-
-    def merge(self, entry: OracleEntry) -> OracleEntry:
-        """Adopt an entry recorded by another table (e.g. a pool worker).
-
-        Same overwrite/eviction semantics as :meth:`record`.
-        """
-        key = entry.abstract.inputs
+        key = tuple(inputs)
+        entry = OracleEntry(IOTrace(key, tuple(step.output_symbol for step in steps)), steps)
         if (
             self._max_entries is not None
             and key not in self._entries

@@ -20,7 +20,8 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from typing import ClassVar, Iterable, Mapping, Self
+from functools import lru_cache
+from typing import ClassVar, Iterable, Mapping, Self, get_args, get_origin, get_type_hints
 
 from .adapter.executor import EXECUTOR_KINDS
 from .adapter.pool import SULPool
@@ -57,6 +58,15 @@ class SpecSection:
 
     SHORTHAND: ClassVar[str | None] = None
 
+    def __post_init__(self) -> None:
+        """Refuse a value not of its field's annotated type (checked after
+        a section's own ``__post_init__`` expanded its shorthand forms)."""
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if not _is_of(value, _field_types(type(self))[spec_field.name]):
+                raise SpecError(f"{_label(type(self))} spec {spec_field.name!r} must be "
+                                f"{spec_field.type}, got {value!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -92,6 +102,20 @@ def _check_keys(section: type, data: Mapping) -> None:
         raise SpecError(f"unknown {_label(section)} spec keys: {sorted(unknown)}")
 
 
+_field_types = lru_cache(maxsize=16)(get_type_hints)
+
+
+def _is_of(value, hint) -> bool:
+    """Whether ``value`` has the annotated type (an int is a float, a bool no number)."""
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_is_of(item, get_args(hint)[0]) for item in value)
+    if get_args(hint):  # a union
+        return any(_is_of(value, arg) for arg in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _as_list(section: type, name: str, value) -> list:
     """``value`` as a new list; a bare string or mapping is refused rather
     than iterated into its characters or keys."""
@@ -120,7 +144,9 @@ class ComponentSpec(SpecSection):
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.params = dict(self.params or {})
+        self.params = self.params or {}
+        super().__post_init__()
+        self.params = dict(self.params)
 
 
 @dataclass
@@ -145,6 +171,7 @@ class PropertiesSpec(SpecSection):
 
     def __post_init__(self) -> None:
         self.formulas = _as_list(PropertiesSpec, "formulas", self.formulas or [])
+        super().__post_init__()
 
     def validate(self) -> "PropertiesSpec":
         from .registry import PROPERTY_REGISTRY
@@ -352,6 +379,7 @@ class ExperimentSpec(SpecSection):
         self.store = _optional(StoreSpec, self.store)
         self.corpus = _optional(CorpusSpec, self.corpus)
         self.attack = _optional(AttackSpec, self.attack)
+        super().__post_init__()
 
     # -- identity ----------------------------------------------------------
     def display_name(self) -> str:

@@ -6,9 +6,10 @@ from unittest import mock
 import pytest
 
 from repro.adapter.mealy_sul import MealySUL
-from repro.adapter.executor import ThreadExecutor
-from repro.adapter.pool import SULPool
+from repro.adapter.executor import ExecutorError, ThreadExecutor
+from repro.adapter.pool import SULPool, _run_shard, _Shard
 from repro.adapter.tcp_adapter import TCPAdapterSUL
+from repro.core.alphabet import AbstractSymbol
 from repro.learn.teacher import SULMembershipOracle
 
 
@@ -255,3 +256,68 @@ class TestSULPoolBackends:
         assert pool.stats.resets == 3  # 2 shipped from workers + 1 parent
         assert pool.stats.steps == 3
         pool.close()
+
+
+class _UnrecordedSUL(MealySUL):
+    """Answers a batch without recording Oracle-Table entries."""
+
+    def query_batch(self, words):
+        self.stats.queries += len(words)
+        return [self.machine.run(word) for word in words]
+
+
+class TestShardWireFormat:
+    """A shard comes back as its distinct steps and each word's indices
+    into them; the parent rebuilds the entries into the pool's table."""
+
+    def test_a_shard_ships_each_step_once_and_clears_the_worker_table(self):
+        sul = TCPAdapterSUL(seed=3)
+        syn, synack = sul.input_alphabet.symbols[:2]
+        words = [(syn,), (syn, synack), (syn,)]
+        steps, ids_per_word, delta = _run_shard(sul, _Shard(0, words))
+        assert ids_per_word == [(0,), (0, 1), (0,)]
+        assert [step.input_symbol for step in steps] == [syn, synack]
+        assert delta["queries"] == 3
+        assert len(sul.oracle_table) == 0
+
+    def test_words_through_one_step_share_it_in_the_pool_table(self, any_backend):
+        pool = SULPool(partial(TCPAdapterSUL, seed=3), workers=2, backend=any_backend)
+        single = TCPAdapterSUL(seed=3)
+        syn, synack = pool.input_alphabet.symbols[:2]
+        # Two shards: (syn,) (syn, synack) | (synack,) (synack, syn)
+        words = [(synack, syn), (syn,), (synack,), (syn, synack)]
+        try:
+            assert pool.query_batch(words) == single.query_batch(words)
+            table = pool.oracle_table
+            assert [table.lookup(word) for word in words] == [
+                single.oracle_table.lookup(word) for word in words
+            ]
+            assert table.lookup((syn,)).steps[0] is table.lookup((syn, synack)).steps[0]
+            assert table.lookup((synack,)).steps[0] is table.lookup((synack, syn)).steps[0]
+            assert table.lookup((syn, synack)).steps[1].input_symbol is synack
+            assert all(len(sul.oracle_table) == 0 for sul in pool._suls)
+        finally:
+            pool.close()
+
+    def test_a_sul_that_records_no_entry_still_answers(self, toy_machine, ab_alphabet, any_backend):
+        syn, ack = ab_alphabet.symbols
+        words = [(syn,), (syn, ack), (ack, syn, syn), (syn, ack, ack)]
+        pool = SULPool(lambda: _UnrecordedSUL(toy_machine), workers=2, backend=any_backend)
+        try:
+            assert pool.query_batch(words) == [toy_machine.run(word) for word in words]
+            assert len(pool.oracle_table) == 0
+            assert pool.stats.queries == len(words)
+        finally:
+            pool.close()
+
+    def test_a_failing_shard_is_named_by_its_words_labels(self, any_backend):
+        pool = SULPool(partial(TCPAdapterSUL, seed=3), workers=2, backend=any_backend)
+        syn, _, ack = pool.input_alphabet.symbols[:3]
+        try:
+            with pytest.raises(ExecutorError) as excinfo:
+                pool.query_batch([(syn,), (ack, AbstractSymbol("BOGUS"))])
+        finally:
+            pool.close()
+        assert excinfo.value.failures == [
+            (1, "shard 1: ACK(?,?,0) BOGUS", "TypeError: TCP adapter got non-TCP symbol: BOGUS")
+        ]

@@ -1,11 +1,15 @@
 """Unit tests for extended (register) Mealy machines."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.alphabet import Alphabet, TCPSymbol, parse_tcp_symbol
 from repro.core.extended import (
     ConcreteStep,
     ExtendedMealyMachine,
+    FrozenDict,
     TransitionAnnotation,
 )
 from repro.core.mealy import mealy_from_table
@@ -124,3 +128,22 @@ class TestConstTerm:
         )
         steps = [_step(SYN, SYNACK, sn=1, an=2)]
         assert machine.execute(steps) == [{"msd": 0}]
+
+
+class TestConcreteStepPickling:
+    """A step crosses a process boundary as its constructor arguments."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip_is_an_equal_read_only_step(self, protocol):
+        step = ConcreteStep(SYN, SYNACK, {"sn": 41, "an": 0}, {"an": 42})
+        copied = pickle.loads(pickle.dumps(step, protocol))
+        assert copied == step and hash(copied) == hash(step)
+        assert type(copied.input_params) is type(copied.output_params) is FrozenDict
+        assert copied.input_symbol is parse_tcp_symbol("SYN(?,?,0)")
+        with pytest.raises(TypeError):
+            copied.output_params["an"] = 0
+
+    def test_deepcopy_is_an_equal_step(self):
+        step = ConcreteStep(SYN, NIL, {}, {"an": 1})
+        copied = copy.deepcopy(step)
+        assert copied == step and type(copied.output_params) is FrozenDict

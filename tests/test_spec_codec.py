@@ -278,3 +278,35 @@ def test_compact_json_of_the_mapping_forms():
         'null}, "attack": {"attacker": null, "objective": "G (out == NIL)", '
         '"budget": 5, "fuzz": true, "max_suffix": 2, "corpus_out": "o.jsonl"}}'
     )
+
+
+@pytest.mark.parametrize(
+    "data, section, name",
+    [
+        ({"target_params": None}, "experiment", "target_params"),
+        ({"seed": "x"}, "experiment", "seed"),
+        ({"batch_size": 2.5}, "experiment", "batch_size"),
+        ({"name": 5}, "experiment", "name"),
+        ({"workers": "2"}, "experiment", "workers"),
+        ({"workers": True}, "experiment", "workers"),
+        ({"executor": {"workers": "2"}}, "executor", "workers"),
+        ({"executor": {"timeout_s": "5"}}, "executor", "timeout_s"),
+        ({"executor": {"timeout_s": False}}, "executor", "timeout_s"),
+        ({"properties": {"include_probes": 1}}, "properties", "include_probes"),
+        ({"properties": {"formulas": ["G (out == NIL)", 3]}}, "properties", "formulas"),
+        ({"middleware": [{"kind": "cache", "params": "abc"}]}, "component", "params"),
+        ({"store": {"path": 7}}, "store", "path"),
+    ],
+)
+def test_values_of_the_wrong_type_are_refused(data, section, name):
+    with pytest.raises(SpecError, match=f"^{section} spec '{name}' must be "):
+        ExperimentSpec.from_json(json.dumps({"target": "tcp", **data}))
+
+
+def test_an_int_is_a_float_and_none_an_optional():
+    spec = ExperimentSpec.from_dict(
+        {"target": "tcp", "executor": {"timeout_s": 5, "workers": None}, "name": None}
+    )
+    assert spec.validate().executor.timeout_s == 5
+    with pytest.raises(SpecError, match="'seed' must be int"):
+        ExperimentSpec(target="tcp").clone(seed=1.0)

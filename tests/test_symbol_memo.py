@@ -6,8 +6,10 @@ label.  Malformed text must still raise on every call, and a warm start
 from the store or a corpus must learn the model a cold learn does.
 """
 
+import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,3 +169,54 @@ def test_warm_starts_learn_the_cold_model(target, tmp_path):
     assert warm.sul_queries == seeded.sul_queries == 0
     dicts = [json.dumps(r.model.to_dict(), sort_keys=True) for r in reports]
     assert dicts[0] == dicts[1] == dicts[2]
+
+
+#: One interned symbol of each of the seven built-in kinds.
+INTERNED = [
+    alphabet.parse_tcp_symbol("ACK+SYN(?,?,0)"),
+    alphabet.parse_quic_symbol("INITIAL(?,?)[CRYPTO]"),
+    alphabet.parse_quic_output("{HANDSHAKE(?,?)[CRYPTO],INITIAL(?,?)[ACK,CRYPTO]}"),
+    alphabet.parse_http2_symbol("HEADERS[END_HEADERS,END_STREAM]"),
+    alphabet.parse_http2_output("HEADERS[END_HEADERS]+DATA[END_STREAM]"),
+    alphabet.parse_h3_symbol("HEADERS[FIN]"),
+    alphabet.parse_h3_output("{HEADERS+DATA[FIN],SETTINGS}"),
+]
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _TaggedTCPSymbol(TCPSymbol):
+    """A caller's subclass: not a built-in kind, so it pickles by value."""
+
+    __hash__ = AbstractSymbol.__hash__
+
+    tag: str = ""
+
+
+def test_interned_cover_every_builtin_kind():
+    assert {type(symbol) for symbol in INTERNED} == set(alphabet._SYMBOL_KINDS)
+
+
+@pytest.mark.parametrize("symbol", INTERNED, ids=lambda symbol: type(symbol).__name__)
+def test_pickling_and_copying_return_the_interned_symbol(symbol):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(symbol, protocol)) is symbol
+    assert copy.deepcopy(symbol) is symbol
+    assert copy.copy(symbol) is symbol
+    rebuilt = dataclasses.replace(symbol)
+    assert rebuilt is not symbol and pickle.loads(pickle.dumps(rebuilt)) is symbol
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [AbstractSymbol("BOGUS"), _TaggedTCPSymbol(label="SYN(?,?,0)", flags=("SYN",), tag="t")],
+    ids=["raw", "subclass"],
+)
+def test_other_symbols_pickle_by_value(symbol):
+    for copied in (pickle.loads(pickle.dumps(symbol)), copy.deepcopy(symbol)):
+        assert type(copied) is type(symbol)
+        assert dataclasses.astuple(copied) == dataclasses.astuple(symbol)
+
+
+def test_a_subclass_still_serializes_as_its_builtin_kind():
+    symbol = _TaggedTCPSymbol(label="SYN(?,?,0)", flags=("SYN",))
+    assert serialize_symbol(symbol) == {"kind": "tcp", "text": "SYN(?,?,0)"}
