@@ -21,10 +21,9 @@ violation vanish.
 
 Protocol suites are registry citizens: decorate a factory with
 :func:`repro.registry.register_properties` and ``repro properties
-<target>``, campaigns and :meth:`repro.framework.Prognosis
-.check_properties` all discover it by target name (exact key first,
-then the ``-``-separated family stem, so ``quic`` covers
-``quic-google``).
+<target>``, campaigns and :func:`repro.campaign.evaluate_spec_properties`
+all discover it by target name (exact key first, then the
+``-``-separated family stem, so ``quic`` covers ``quic-google``).
 """
 
 from __future__ import annotations

@@ -61,7 +61,13 @@ from .core.trace import Word
 from .framework import LearningReport, Prognosis
 from .learn.cache import CachedMembershipOracle, CacheInconsistencyError, QueryCache
 from .learn.teacher import SULMembershipOracle, chunks, replay
-from .registry import SUL_REGISTRY, load_builtins, resolve_property_suite
+from .registry import (
+    SUL_REGISTRY,
+    known_targets,
+    load_builtins,
+    resolve_property_suite,
+    resolve_targets,
+)
 from .spec import ExperimentSpec, PropertiesSpec, SpecError, build_sul
 
 
@@ -119,6 +125,52 @@ class RunResult:
 
 def _safe_name(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text)
+
+
+def member_specs(
+    members: str | Sequence[str],
+    *,
+    base: ExperimentSpec | None = None,
+    exact: bool = False,
+) -> list[ExperimentSpec]:
+    """The run specs a list of targets, families and spec files names.
+
+    The one resolution every multi-target verb and campaign shares:
+
+    * a registered target or family resolves through
+      :func:`repro.registry.resolve_targets` (family expansion, the
+      sole-argument rule, ``exact``, dedup); each target clones ``base``
+      (everything else: learner, seed, chain, workers, executor) and is
+      named after itself;
+    * every other member is loaded as an ExperimentSpec JSON file; a file
+      without a ``name`` takes its stem, and an ``executor`` on ``base``
+      overrides the file's own;
+    * an unknown name raises :class:`~repro.spec.SpecError` naming every
+      registered target and family.
+    """
+    members = [members] if isinstance(members, str) else list(members)
+    template = base if base is not None else ExperimentSpec(target="toy")
+    specs = []
+    for member in resolve_targets(members, exact=exact, allow_unknown=True):
+        path = Path(member)
+        if member in SUL_REGISTRY:
+            specs.append(template.clone(target=member, name=member))
+        elif path.suffix == ".json" or path.exists():
+            try:
+                spec = ExperimentSpec.from_file(path)
+            except (OSError, ValueError) as error:
+                raise SpecError(f"cannot load spec {member}: {error}") from None
+            if spec.name is None:
+                spec.name = path.stem
+            if template.executor is not None:
+                spec.executor = template.executor.clone()
+            specs.append(spec)
+        else:
+            raise SpecError(
+                f"unknown target {member!r} (not a registered target, "
+                f"family, or spec file); known: {known_targets()}"
+            )
+    return specs
 
 
 def evaluate_spec_properties(
@@ -351,6 +403,14 @@ def run_spec(
 # Differential conformance campaigns
 # ---------------------------------------------------------------------------
 
+#: Test-suite shape derived from every learned model: W-method depth
+#: beyond the model's own states, and the ``random`` kind's word count
+#: and longest word.
+SUITE_EXTRA_STATES = 0
+SUITE_RANDOM_WORDS = 100
+SUITE_MAX_LENGTH = 10
+
+
 @dataclass
 class DiffTestResult:
     """Everything a differential conformance campaign produced."""
@@ -403,11 +463,12 @@ class DiffCampaign:
     *other* implementation in batched form through the cached oracle
     stack, and reduces each divergence to a minimized witness.  The
     diagonal replays each suite against its own SUL -- a divergence there
-    is a learner bug, not a protocol finding.
+    is a learner bug, not a protocol finding.  Runs always share their
+    caches per fingerprint: the replay oracles are warmed from them.
 
     ::
 
-        result = DiffCampaign.family("quic", workers=4).run()
+        result = DiffCampaign(member_specs("quic"), workers=4).run()
         print(result.matrix.render())
     """
 
@@ -418,11 +479,7 @@ class DiffCampaign:
         kinds: Sequence[SuiteKind] = ("wmethod",),
         workers: int = 1,
         output_dir: str | Path | None = None,
-        share_cache: bool = True,
         max_divergences: int = 25,
-        extra_states: int = 0,
-        num_random: int = 100,
-        max_length: int = 10,
         store: str | Path | None = None,
     ) -> None:
         self.specs = [ExperimentSpec.from_dict(spec) for spec in specs]
@@ -440,46 +497,8 @@ class DiffCampaign:
         self.kinds = tuple(kinds) or ("wmethod",)
         self.workers = workers
         self.output_dir = Path(output_dir) if output_dir is not None else None
-        self.share_cache = share_cache
         self.max_divergences = max_divergences
-        self.extra_states = extra_states
-        self.num_random = num_random
-        self.max_length = max_length
         self.store = store
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def family(
-        cls,
-        targets: str | Sequence[str],
-        learner: str = "ttt",
-        seed: int = 0,
-        base: ExperimentSpec | None = None,
-        **campaign_kwargs,
-    ) -> "DiffCampaign":
-        """A campaign over a registered target family (or explicit list).
-
-        A string names a family from :meth:`repro.registry.Registry
-        .families` (``"quic"`` expands to every ``quic-*`` target); a
-        sequence names targets directly.  ``base`` supplies everything
-        else (equivalence chain, middleware, per-run workers).
-        """
-        load_builtins()
-        if isinstance(targets, str):
-            families = SUL_REGISTRY.families()
-            try:
-                targets = families[targets]
-            except KeyError:
-                known = ", ".join(sorted(families)) or "<none>"
-                raise SpecError(
-                    f"unknown SUL family {targets!r}; registered families: {known}"
-                ) from None
-        template = base if base is not None else ExperimentSpec(target="toy")
-        specs = [
-            template.clone(target=target, learner=learner, seed=seed, name=target)
-            for target in targets
-        ]
-        return cls(specs, **campaign_kwargs)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -507,7 +526,6 @@ class DiffCampaign:
             output_dir=(
                 self.output_dir / "runs" if self.output_dir is not None else None
             ),
-            share_cache=self.share_cache,
             store=self.store,
         )
         runs = campaign.run()
@@ -565,9 +583,9 @@ class DiffCampaign:
             suite = generate_test_suite(
                 model,
                 kind,
-                extra_states=self.extra_states,
-                num_random=self.num_random,
-                max_length=self.max_length,
+                extra_states=SUITE_EXTRA_STATES,
+                num_random=SUITE_RANDOM_WORDS,
+                max_length=SUITE_MAX_LENGTH,
                 seed=seed,
             )
             words.update(dict.fromkeys(tuple(word) for word in suite))
@@ -761,32 +779,15 @@ class DiffCampaign:
 
 
 def run_difftest(
-    targets: str | Sequence[str | ExperimentSpec | Mapping],
+    members: str | Sequence[str],
+    *,
+    base: ExperimentSpec | None = None,
+    exact: bool = False,
     **campaign_kwargs,
 ) -> DiffTestResult:
-    """One-call differential campaign (the ``repro difftest`` entry point).
-
-    ``targets`` is a family name, or a mixed list of target keys and
-    ready :class:`~repro.spec.ExperimentSpec` objects / dicts.
-    """
-    if isinstance(targets, str):
-        return DiffCampaign.family(targets, **campaign_kwargs).run()
-    specs: list[ExperimentSpec | Mapping] = []
-    family_kwargs = {
-        key: campaign_kwargs.pop(key, default)
-        for key, default in (("learner", "ttt"), ("seed", 0), ("base", None))
-    }
-    template = family_kwargs["base"] or ExperimentSpec(target="toy")
-    for target in targets:
-        if isinstance(target, str):
-            specs.append(
-                template.clone(
-                    target=target,
-                    learner=family_kwargs["learner"],
-                    seed=family_kwargs["seed"],
-                    name=target,
-                )
-            )
-        else:
-            specs.append(target)
+    """One-call differential campaign over the specs
+    :func:`member_specs` resolves from ``members`` (a family name, or
+    targets, families and spec files); ``campaign_kwargs`` go to
+    :class:`DiffCampaign`."""
+    specs = member_specs(members, base=base, exact=exact)
     return DiffCampaign(specs, **campaign_kwargs).run()

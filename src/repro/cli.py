@@ -48,76 +48,24 @@ def _known_learners() -> tuple[str, ...]:
     return tuple(sorted(LEARNER_REGISTRY.names()))
 
 
-def _expand_member_specs(
-    members: Sequence[str],
-    learner: str = "ttt",
-    seed: int = 0,
-    sul_workers: int = 1,
-    exact: bool = False,
-    executor: str | None = None,
-) -> tuple[list, str | None]:
-    """Expand families/targets/spec files into a list of experiment specs.
+def _member_specs(args: argparse.Namespace, **fields) -> list:
+    """The specs a verb's ``targets`` name (:func:`repro.campaign.member_specs`):
+    each registered target clones one base spec of the verb's ``--learner``,
+    ``--seed`` and ``fields``.  Raises :class:`~repro.spec.SpecError`."""
+    from .campaign import member_specs
+    from .spec import ExperimentSpec
 
-    Name resolution (family expansion, sole-argument rule, ``exact``,
-    dedup) is :func:`repro.registry.resolve_targets`; this wrapper adds
-    the spec-file fallback for path-like arguments.  Returns
-    ``(specs, None)`` on success or ``(None, error message)``.
-    """
-    from pathlib import Path
-
-    from .registry import resolve_targets
-    from .spec import ExecutorSpec, ExperimentSpec
-
-    load_builtins()
-    families = SUL_REGISTRY.families()
-    expanded = resolve_targets(members, exact=exact, allow_unknown=True)
-    specs = []
-    for member in expanded:
-        if member in SUL_REGISTRY:
-            specs.append(
-                ExperimentSpec(
-                    target=member,
-                    learner=learner,
-                    seed=seed,
-                    workers=sul_workers,
-                    name=member,
-                    executor=executor,
-                )
-            )
-            continue
-        path = Path(member)
-        if path.suffix == ".json" or path.exists():
-            try:
-                spec = ExperimentSpec.from_file(path)
-            except (OSError, ValueError) as error:
-                return None, f"cannot load spec {member}: {error}"
-            if spec.name is None:
-                spec.name = path.stem
-            if executor is not None:  # the CLI flag overrides the file
-                spec.executor = ExecutorSpec(executor)
-            specs.append(spec)
-            continue
-        known = ", ".join(sorted(set(families) | set(SUL_REGISTRY.names())))
-        return None, (
-            f"unknown target {member!r} (not a registered target, "
-            f"family, or spec file); known: {known}"
-        )
-    return specs, None
+    base = ExperimentSpec(target="toy", learner=args.learner, seed=args.seed, **fields)
+    return member_specs(args.targets, base=base, exact=args.exact)
 
 
 def _cmd_properties(args: argparse.Namespace) -> int:
     from .analysis.property_api import resolve_properties
     from .campaign import Campaign
+    from .registry import RegistryError
     from .spec import PropertiesSpec, SpecError
 
-    specs, error = _expand_member_specs(
-        args.targets, learner=args.learner, seed=args.seed, exact=args.exact
-    )
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    from .registry import RegistryError
-
+    specs = _member_specs(args)
     formulas = args.formula or []
     for spec in specs:
         if spec.properties is None:
@@ -341,17 +289,7 @@ def _cmd_difftest(args: argparse.Namespace) -> int:
     from .campaign import DiffCampaign
     from .spec import SpecError
 
-    specs, error = _expand_member_specs(
-        args.targets,
-        learner=args.learner,
-        seed=args.seed,
-        sul_workers=args.sul_workers,
-        exact=args.exact,
-        executor=args.executor,
-    )
-    if error is not None:
-        print(f"difftest: {error}", file=sys.stderr)
-        return 2
+    specs = _member_specs(args, workers=args.sul_workers, executor=args.executor)
     try:
         campaign = DiffCampaign(
             specs,
@@ -385,19 +323,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
     from .attack.automata import resolve_attacker
     from .campaign import Campaign
-    from .registry import RegistryError, attacks_for, resolve_targets
+    from .registry import RegistryError, attacks_for
     from .spec import AttackSpec, SpecError
 
+    specs = _member_specs(args, workers=args.sul_workers, executor=args.executor)
     if args.list:
-        load_builtins()
-        try:
-            expanded = resolve_targets(args.targets, exact=args.exact)
-        except RegistryError as error:
-            print(error.args[0], file=sys.stderr)
-            return 2
-        for target in expanded:
-            names = attacks_for(target)
-            print(f"{target}: {', '.join(names) if names else '<none>'}")
+        for spec in specs:
+            names = attacks_for(spec.target)
+            print(f"{spec.display_name()}: {', '.join(names) if names else '<none>'}")
         return 0
 
     if args.attacker is not None:
@@ -407,17 +340,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             print(error.args[0], file=sys.stderr)
             return 2
 
-    specs, error = _expand_member_specs(
-        args.targets,
-        learner=args.learner,
-        seed=args.seed,
-        sul_workers=args.workers,
-        exact=args.exact,
-        executor=args.executor,
-    )
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     for spec in specs:
         corpus_out = None
         if args.out:
@@ -438,7 +360,9 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             print(f"invalid configuration: {error}", file=sys.stderr)
             return 2
 
-    campaign = Campaign(specs, output_dir=args.out, store=args.store)
+    campaign = Campaign(
+        specs, workers=args.workers, output_dir=args.out, store=args.store
+    )
     failed = False
     for result in campaign.run():
         if not result.ok:
@@ -460,12 +384,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     from .campaign import _safe_name
     from .store import incremental_learn
 
-    specs, error = _expand_member_specs(
-        args.targets, learner=args.learner, seed=args.seed, exact=args.exact
-    )
-    if error is not None:
-        print(f"ci: {error}", file=sys.stderr)
-        return 2
+    specs = _member_specs(args)
     out = Path(args.out) if args.out else None
     drifted = failed = False
     for spec in specs:
@@ -563,22 +482,34 @@ def build_parser() -> argparse.ArgumentParser:
     targets = _known_targets()
     learners = _known_learners()
 
-    properties = sub.add_parser(
-        "properties",
-        help="run a registered property suite (and ad-hoc LTLf formulas) "
-        "against learned models",
-    )
-    properties.add_argument(
+    # What to run, for every verb over a list of members (properties,
+    # difftest, attack, ci): resolved by repro.campaign.member_specs.
+    members = argparse.ArgumentParser(add_help=False)
+    members.add_argument(
         "targets",
         nargs="+",
         metavar="target|family|spec.json",
-        help="a registered target, a family (e.g. 'quic'), or an "
-        "ExperimentSpec JSON file (mixable); suites resolve by target "
-        "name, then family stem",
+        help="registered targets, families (e.g. 'quic': every quic-* "
+        "target) and ExperimentSpec JSON files, mixable; a family stem "
+        "that is also a target (http2, tcp) expands only when named alone",
     )
-    properties.add_argument("--learner", choices=learners, default="ttt")
+    members.add_argument("--learner", choices=learners, default="ttt")
+    members.add_argument("--seed", type=int, default=0)
+    members.add_argument(
+        "--exact",
+        action="store_true",
+        help="treat every name as an exact target; never expand families "
+        "(e.g. 'repro difftest tcp --exact' is a 1x1 self-conformance run)",
+    )
+
+    properties = sub.add_parser(
+        "properties",
+        parents=[members],
+        help="run a registered property suite (and ad-hoc LTLf formulas) "
+        "against learned models; suites resolve by target name, then "
+        "family stem",
+    )
     properties.add_argument("--depth", type=int, default=5)
-    properties.add_argument("--seed", type=int, default=0)
     properties.add_argument(
         "--formula",
         action="append",
@@ -598,11 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     properties.add_argument(
         "--out", help="write properties.json artifacts under this directory"
-    )
-    properties.add_argument(
-        "--exact",
-        action="store_true",
-        help="treat every name as an exact target; never expand families",
     )
     properties.set_defaults(func=_cmd_properties)
 
@@ -624,6 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent sqlite query/model store: warm-start membership "
         "queries from it and append fresh observations (specs with "
         "their own store section keep it)",
+    )
+
+    sul_workers_kwargs = dict(
+        type=int,
+        default=1,
+        help="SUL pool size within each run (a spec file keeps its own)",
     )
 
     run = sub.add_parser("run", help="execute a JSON experiment spec")
@@ -708,28 +640,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--executor", **executor_kwargs)
     sweep.add_argument("--store", **store_kwargs)
-    sweep.add_argument(
-        "--sul-workers",
-        type=int,
-        default=1,
-        help="SUL pool size within each run",
-    )
+    sweep.add_argument("--sul-workers", **sul_workers_kwargs)
     sweep.set_defaults(func=_cmd_sweep)
 
     difftest = sub.add_parser(
         "difftest",
+        parents=[members],
         help="differential conformance campaign: learn a family of "
         "implementations, cross-replay every model-derived suite, print "
         "the verdict matrix",
     )
-    difftest.add_argument(
-        "targets",
-        nargs="+",
-        metavar="family|target|spec.json",
-        help="a registered family (e.g. 'quic'), registered targets, "
-        "or ExperimentSpec JSON files (mixable)",
-    )
-    difftest.add_argument("--learner", choices=learners, default="ttt")
     difftest.add_argument(
         "--kind",
         action="append",
@@ -737,16 +657,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite kind derived from each model (repeatable; "
         "default: wmethod)",
     )
-    difftest.add_argument("--seed", type=int, default=0)
     difftest.add_argument(
         "--workers", type=int, default=1, help="concurrent runs/replays"
     )
-    difftest.add_argument(
-        "--sul-workers",
-        type=int,
-        default=1,
-        help="SUL pool size within each run (target/family form only)",
-    )
+    difftest.add_argument("--sul-workers", **sul_workers_kwargs)
     difftest.add_argument(
         "--max-divergences",
         type=int,
@@ -754,12 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop collecting divergences per pair after this many",
     )
     difftest.add_argument("--out", help="write artifacts under this directory")
-    difftest.add_argument(
-        "--exact",
-        action="store_true",
-        help="treat every name as an exact target; never expand families "
-        "(e.g. 'repro difftest tcp --exact' is a 1x1 self-conformance run)",
-    )
     difftest.add_argument(
         "--fail-on-diverge",
         action="store_true",
@@ -771,17 +679,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack = sub.add_parser(
         "attack",
+        parents=[members],
         help="model-guided attack synthesis: search the learned-model x "
         "attacker-automaton product for goal strategies, replay them "
         "against the live SUL (CONFIRMED/REFUTED/DIVERGED), optionally "
         "fuzz the model's frontier states",
-    )
-    attack.add_argument(
-        "targets",
-        nargs="+",
-        metavar="target|family|spec.json",
-        help="a registered target, a family (e.g. 'tcp'), or an "
-        "ExperimentSpec JSON file (mixable)",
     )
     attack.add_argument(
         "--attacker",
@@ -818,19 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the attacker automata applicable to each target and exit",
     )
-    attack.add_argument("--learner", choices=learners, default="ttt")
-    attack.add_argument("--seed", type=int, default=0)
     attack.add_argument(
-        "--exact",
-        action="store_true",
-        help="treat every name as an exact target; never expand families",
+        "--workers", type=int, default=1, help="concurrent runs"
     )
-    attack.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="SUL pool size within each run",
-    )
+    attack.add_argument("--sul-workers", **sul_workers_kwargs)
     attack.add_argument("--executor", **executor_kwargs)
     attack.add_argument("--store", **store_kwargs)
     attack.add_argument(
@@ -842,16 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ci = sub.add_parser(
         "ci",
+        parents=[members],
         help="incremental model CI: revalidate each target's stored model "
         "against the live SUL through the persistent store; exit 1 (with "
         "a minimized diff witness) on behavioural drift",
-    )
-    ci.add_argument(
-        "targets",
-        nargs="+",
-        metavar="target|family|spec.json",
-        help="a registered target, a family (e.g. 'quic'), or an "
-        "ExperimentSpec JSON file (mixable)",
     )
     ci.add_argument(
         "--store",
@@ -864,13 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TARGET",
         help="diff against this target's stored model lineage instead of "
         "each spec's own (cross-variant drift checks)",
-    )
-    ci.add_argument("--learner", choices=learners, default="ttt")
-    ci.add_argument("--seed", type=int, default=0)
-    ci.add_argument(
-        "--exact",
-        action="store_true",
-        help="treat every name as an exact target; never expand families",
     )
     ci.add_argument(
         "--no-save",
@@ -906,5 +786,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from .spec import SpecError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpecError as error:  # e.g. a member that names nothing runnable
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2

@@ -155,10 +155,6 @@ class MealyMachine:
                 target, output = self._delta[(state, symbol)]
                 yield Transition(state, symbol, output, target)
 
-    def output_alphabet(self) -> tuple[AbstractSymbol, ...]:
-        """All output symbols that occur on some transition, sorted."""
-        return tuple(sorted({t.output for t in self.transitions()}))
-
     # ------------------------------------------------------------------
     # Canonical forms
     # ------------------------------------------------------------------

@@ -352,40 +352,3 @@ class Prognosis:
             register_names=register_names,
             **problem_kwargs,
         )
-
-    # ------------------------------------------------------------------
-    def check_properties(
-        self,
-        model: MealyMachine,
-        depth: int = 5,
-        suite: str | None = None,
-        formulas: Sequence[str] = (),
-        include_probes: bool = True,
-        minimize: bool = True,
-    ):
-        """Run the target's registered property suite against a model.
-
-        The suite is resolved from :data:`repro.registry
-        .PROPERTY_REGISTRY` by the spec's target name (or ``suite``
-        explicitly); ``formulas`` adds ad-hoc LTLf formula strings.
-        Oracle-kind properties read this framework's Oracle Table, so
-        below-abstraction checks (stream-id monotonicity) run too.
-        Returns a :class:`~repro.analysis.property_api.PropertyReport`
-        whose VIOLATED verdicts carry ddmin-minimized witnesses.
-        """
-        from .analysis.property_api import check_properties, resolve_properties
-
-        properties = resolve_properties(
-            self.spec.target,
-            suite=suite,
-            formulas=formulas,
-            include_probes=include_probes,
-        )
-        return check_properties(
-            model,
-            properties,
-            depth=depth,
-            oracle_table=self.sul.oracle_table,
-            minimize=minimize,
-            target=self.name,
-        )

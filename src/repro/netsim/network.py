@@ -183,9 +183,6 @@ class SimulatedNetwork:
     def _unbind(self, endpoint: Endpoint) -> None:
         self._endpoints.pop(endpoint.address, None)
 
-    def endpoint_at(self, address: Address) -> Endpoint | None:
-        return self._endpoints.get(address)
-
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------

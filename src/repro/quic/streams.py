@@ -99,10 +99,6 @@ class SendStream:
         if fin:
             self.fin_queued = True
 
-    def sendable(self) -> int:
-        """How many pending bytes current credit allows."""
-        return min(len(self._pending), self.flow.available())
-
     def drain(self, max_bytes: int | None = None) -> tuple[int, bytes, bool]:
         """Take a chunk to put in a STREAM frame.
 

@@ -211,12 +211,12 @@ def resolve_targets(
 ) -> tuple[str, ...]:
     """Expand target/family names into concrete SUL target keys.
 
-    The public form of the resolution rule the CLI commands share
-    (``properties``, ``difftest``, ``ci``):
+    The resolution rule every multi-target verb and campaign shares
+    through :func:`repro.campaign.member_specs`:
 
     * an exact registered key (``http2-buggy``) resolves to itself;
-    * a family stem with multiple members (``quic``) expands to all of
-      them -- unless the stem is *also* a registered target (``http2``,
+    * a family stem with any member besides itself (``quic``) expands to
+      all of them -- unless the stem is *also* a registered target (``http2``,
       ``tcp``) and appears alongside other names, in which case the
       bare target wins (as the sole argument it still expands, which is
       what ``repro difftest http2`` relies on);
@@ -226,14 +226,14 @@ def resolve_targets(
 
     Unknown names raise :class:`RegistryError` listing every registered
     target and family, or pass through verbatim with
-    ``allow_unknown=True`` (the CLI uses that to fall back to spec-file
-    paths).
+    ``allow_unknown=True`` (:func:`repro.campaign.member_specs` uses
+    that to fall back to spec-file paths).
     """
     load_builtins()
     families = SUL_REGISTRY.families()
     expanded: list[str] = []
     for name in names:
-        is_family = len(families.get(name, ())) > 1
+        is_family = families.get(name, (name,)) != (name,)
         expand = (
             not exact
             and is_family
@@ -247,14 +247,17 @@ def resolve_targets(
     if not allow_unknown:
         for name in resolved:
             if name not in SUL_REGISTRY:
-                known = ", ".join(
-                    sorted(set(families) | set(SUL_REGISTRY.names()))
-                )
                 raise RegistryError(
                     f"unknown SUL target {name!r} (not a registered "
-                    f"target or family); known: {known}"
+                    f"target or family); known: {known_targets()}"
                 )
     return resolved
+
+
+def known_targets() -> str:
+    """Every registered SUL target and family, sorted, for error messages."""
+    load_builtins()
+    return ", ".join(sorted(set(SUL_REGISTRY.families()) | set(SUL_REGISTRY.names())))
 
 
 def supported_kwargs(

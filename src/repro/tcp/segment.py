@@ -10,7 +10,7 @@ paper example 3.2.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 FIN = 0x01
@@ -110,10 +110,6 @@ class TCPSegment:
         order = ("ACK", "SYN", "FIN", "RST", "PSH", "URG")
         present = [f for f in order if f in self.flags]
         return "+".join(present) if present else "NIL"
-
-    def with_checksum_fields(self, **changes: object) -> "TCPSegment":
-        """Functional update helper."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Wire format

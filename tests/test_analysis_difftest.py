@@ -23,7 +23,7 @@ from repro.analysis.difftest import (
 )
 from repro.analysis.equivalence import find_difference
 from repro.analysis.testgen import generate_test_suite
-from repro.campaign import DiffCampaign, run_difftest
+from repro.campaign import DiffCampaign, member_specs, run_difftest
 from repro.core.alphabet import Alphabet
 from repro.core.mealy import MealyMachine
 from repro.learn.cache import CachedMembershipOracle
@@ -279,10 +279,10 @@ class TestDiffCampaign:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(SpecError):
-            DiffCampaign.family("no-such-family")
+            member_specs("no-such-family")
 
     def test_family_expansion_uses_registry(self, toy_mutant_target):
-        campaign = DiffCampaign.family("toy")
+        campaign = DiffCampaign(member_specs("toy"))
         names = [spec.display_name() for spec in campaign.specs]
         assert names == ["toy", "toy-mutant"]
 
@@ -304,14 +304,14 @@ class TestDiffCampaign:
         cell = merged.matrix.cell("toy", "toy-mutant")
         base = wmethod_only.matrix.cell("toy", "toy-mutant")
         assert cell.suite_size >= base.suite_size
-        suite_words = DiffCampaign.family(
-            "toy", kinds=("transition-cover", "transition-cover")
+        suite_words = DiffCampaign(
+            member_specs("toy"), kinds=("transition-cover", "transition-cover")
         )._suite(toy_machine())
         assert len(suite_words) == len(set(suite_words))
 
     def test_random_suites_follow_the_spec_seed(self, toy_mutant_target):
         machine = toy_machine()
-        campaign = DiffCampaign.family("toy", kinds=("random",))
+        campaign = DiffCampaign(member_specs("toy"), kinds=("random",))
         assert campaign._suite(machine, seed=1) != campaign._suite(machine, seed=2)
         assert campaign._suite(machine, seed=1) == campaign._suite(machine, seed=1)
 

@@ -10,11 +10,13 @@ from repro.analysis.h3_properties import (
     request_stream_id_violations,
 )
 from repro.analysis.property_api import Verdict
+from repro.campaign import evaluate_spec_properties
 from repro.core.alphabet import parse_h3_output, parse_h3_symbol
 from repro.core.oracle_table import OracleTable
 from repro.core.trace import IOTrace
 from repro.experiments import learn_http3
 from repro.registry import resolve_property_suite
+from repro.spec import PropertiesSpec
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +34,12 @@ def buggy():
 
 
 def run_suite(experiment, depth=4):
-    return experiment.prognosis.check_properties(experiment.model, depth=depth)
+    spec = experiment.prognosis.spec.clone(
+        properties=PropertiesSpec(depth=depth, include_probes=True)
+    )
+    return evaluate_spec_properties(
+        spec, experiment.model, oracle_table=experiment.prognosis.sul.oracle_table
+    )
 
 
 def trace(*steps):

@@ -8,10 +8,12 @@ from repro.analysis.http2_properties import (
     stream_id_violations,
 )
 from repro.analysis.property_api import Verdict
+from repro.campaign import evaluate_spec_properties
 from repro.core.oracle_table import OracleTable
 from repro.core.alphabet import parse_http2_symbol
 from repro.experiments import learn_http2
 from repro.registry import resolve_property_suite
+from repro.spec import PropertiesSpec
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +33,12 @@ def buggy():
 def run_suite(experiment, depth=5):
     """The suite exactly as campaigns run it: model checks plus the
     oracle-table check over the learning run's observations."""
-    return experiment.prognosis.check_properties(experiment.model, depth=depth)
+    spec = experiment.prognosis.spec.clone(
+        properties=PropertiesSpec(depth=depth, include_probes=True)
+    )
+    return evaluate_spec_properties(
+        spec, experiment.model, oracle_table=experiment.prognosis.sul.oracle_table
+    )
 
 
 class TestSuiteDefinition:

@@ -30,19 +30,34 @@ class TestPaperConstants:
 
 
 class TestPropertyDrivers:
-    def test_check_target_properties_toy(self):
-        from repro.experiments import check_target_properties
+    """Property runs go through the one member resolver and the campaign
+    runner; ``evaluate_spec_properties`` is the one-model path."""
 
-        report = check_target_properties("toy", depth=4)
+    def test_check_target_properties_toy(self):
+        from repro.campaign import evaluate_spec_properties
+        from repro.experiments import Experiment
+        from repro.spec import ExperimentSpec, PropertiesSpec
+
+        spec = ExperimentSpec(
+            target="toy", name="toy",
+            properties=PropertiesSpec(depth=4, include_probes=True),
+        )
+        with Experiment.run(spec) as experiment:
+            report = evaluate_spec_properties(
+                spec, experiment.model,
+                oracle_table=experiment.prognosis.sul.oracle_table,
+            )
         assert report.ok
         assert report.verdict("ack-is-ignored").holds
 
     def test_property_sweep_attaches_reports(self, tmp_path):
-        from repro.experiments import property_sweep
+        from repro.campaign import Campaign, member_specs
+        from repro.spec import ExperimentSpec, PropertiesSpec
 
-        results = property_sweep(
-            ["toy"], depth=3, workers=2, output_dir=tmp_path
-        )
+        base = ExperimentSpec(target="toy", properties=PropertiesSpec(depth=3))
+        results = Campaign(
+            member_specs(["toy"], base=base), workers=2, output_dir=tmp_path
+        ).run()
         assert len(results) == 1
         assert results[0].properties is not None
         assert results[0].properties.ok

@@ -118,6 +118,15 @@ class TestResolveTargets:
             "quic-quiche",
         )
 
+    def test_one_member_family_expands(self):
+        # A plug-in family of one variant is still named by its stem.
+        SUL_REGISTRY.register("solo-variant", lambda: None)
+        try:
+            assert resolve_targets(["solo"]) == ("solo-variant",)
+            assert resolve_targets(["toy"]) == ("toy",)
+        finally:
+            SUL_REGISTRY.unregister("solo-variant")
+
     def test_sole_registered_stem_still_expands(self):
         # `repro difftest http3` relies on the bare stem expanding when
         # it is the only argument, even though `http3` is itself a key.
