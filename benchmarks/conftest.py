@@ -1,19 +1,14 @@
-"""Shared benchmark plumbing.
+"""Shared plumbing for the paper-number tests.
 
-Each benchmark runs its experiment exactly once through pytest-benchmark's
-pedantic mode (learning runs are seconds, not microseconds) and prints a
-``paper vs measured`` row that ends up in bench_output.txt, feeding
-EXPERIMENTS.md.
+Each test runs its experiment once, asserts the paper's (or the
+extension's) numbers, and prints a ``paper vs measured`` row block that
+``pytest -s`` shows.  These are correctness tests; speed is measured by
+``perfbench/`` (``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
 import pytest
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark ``fn`` with a single round (results are cached runs)."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def report(experiment_id: str, rows: list[tuple[str, object, object]]) -> None:

@@ -7,33 +7,29 @@ learning must abort.  Refining the abstraction restores determinism --
 the user-facing workflow the paper describes for nondeterminism reason (1).
 """
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import learn_quic
 from repro.learn.nondeterminism import NondeterminismError, NondeterminismPolicy
 from repro.quic.impls.tracker import TrackerConfig
 
 
-def test_ablation_abstraction_granularity(benchmark):
-    def run_both():
-        policy = NondeterminismPolicy(min_repeats=3, max_repeats=8, certainty=0.95)
-        try:
-            learn_quic(
-                "quiche",
-                tracker_config=TrackerConfig(ambiguous_stream_abstraction=True),
-                nondeterminism_policy=policy,
-            )
-            coarse_failed = False
-        except NondeterminismError:
-            coarse_failed = True
-        refined = learn_quic(
+def test_ablation_abstraction_granularity():
+    policy = NondeterminismPolicy(min_repeats=3, max_repeats=8, certainty=0.95)
+    try:
+        learn_quic(
             "quiche",
-            tracker_config=TrackerConfig(ambiguous_stream_abstraction=False),
+            tracker_config=TrackerConfig(ambiguous_stream_abstraction=True),
             nondeterminism_policy=policy,
         )
-        return coarse_failed, refined
-
-    coarse_failed, refined = run_once(benchmark, run_both)
+        coarse_failed = False
+    except NondeterminismError:
+        coarse_failed = True
+    refined = learn_quic(
+        "quiche",
+        tracker_config=TrackerConfig(ambiguous_stream_abstraction=False),
+        nondeterminism_policy=policy,
+    )
     report(
         "A4 abstraction granularity",
         [

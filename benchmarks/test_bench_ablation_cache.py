@@ -1,26 +1,20 @@
 """A2 -- Ablation: the query cache of section 3.2's optimizations."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.framework import Prognosis
 from repro.spec import ExperimentSpec
 
 
-def test_ablation_cache_on_off(benchmark):
-    def run_both():
-        cached = Prognosis(
-            ExperimentSpec(target="tcp", name="cached"), sul=TCPAdapterSUL(seed=3)
-        )
-        cached_report = cached.learn()
-        uncached = Prognosis(
-            ExperimentSpec(target="tcp", middleware=[], name="uncached"),
-            sul=TCPAdapterSUL(seed=3),
-        )
-        uncached_report = uncached.learn()
-        return cached_report, uncached_report
-
-    cached_report, uncached_report = run_once(benchmark, run_both)
+def test_ablation_cache_on_off():
+    cached_report = Prognosis(
+        ExperimentSpec(target="tcp", name="cached"), sul=TCPAdapterSUL(seed=3)
+    ).learn()
+    uncached_report = Prognosis(
+        ExperimentSpec(target="tcp", middleware=[], name="uncached"),
+        sul=TCPAdapterSUL(seed=3),
+    ).learn()
     report(
         "A2 query cache",
         [

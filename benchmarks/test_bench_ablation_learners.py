@@ -1,17 +1,13 @@
 """A1 -- Ablation: TTT vs L* query cost (the design choice of section 4.2)."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import learn_tcp_full
 
 
-def test_ablation_ttt_vs_lstar(benchmark):
-    def run_both():
-        ttt = learn_tcp_full(learner="ttt")
-        lstar = learn_tcp_full(learner="lstar")
-        return ttt, lstar
-
-    ttt, lstar = run_once(benchmark, run_both)
+def test_ablation_ttt_vs_lstar():
+    ttt = learn_tcp_full(learner="ttt")
+    lstar = learn_tcp_full(learner="lstar")
     report(
         "A1 TTT vs L*",
         [

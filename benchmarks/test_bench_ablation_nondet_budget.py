@@ -5,7 +5,7 @@ one repeat the mvfst bug can slip through a single query; with three or
 more the flaky closed state is caught almost surely.
 """
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.core.alphabet import parse_quic_symbol
 from repro.experiments import make_quic_sul
@@ -42,17 +42,14 @@ def detection_rate(min_repeats: int, trials: int = 30) -> float:
     return detected / trials
 
 
-def test_ablation_nondet_budget(benchmark):
+def test_ablation_nondet_budget():
     """Per-query detection follows 1 - (p^k + (1-p)^k) for k repeats.
 
     With p = 0.82 that is 0 / ~0.30 / ~0.44 for k = 1 / 2 / 3.  A learning
     run issues thousands of queries through the flaky state, so overall
     detection is ~certain for any k >= 2 (bench E4 demonstrates the abort).
     """
-    rates = run_once(
-        benchmark,
-        lambda: {repeats: detection_rate(repeats) for repeats in (1, 2, 3)},
-    )
+    rates = {repeats: detection_rate(repeats) for repeats in (1, 2, 3)}
     theory = {
         k: 1 - (0.82**k + 0.18**k) for k in (1, 2, 3)
     }

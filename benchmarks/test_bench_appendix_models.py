@@ -1,15 +1,15 @@
 """E10 -- Appendix A: full learned machines (structure + DOT export)."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.analysis.diff import behavioural_summary
 from repro.analysis.visualize import to_dot
 from repro.core.alphabet import parse_quic_symbol
 
 
-def test_appendix_a1_tcp_structure(benchmark, tcp_full):
+def test_appendix_a1_tcp_structure(tcp_full):
     model = tcp_full.model
-    dot = run_once(benchmark, to_dot, model)
+    dot = to_dot(model)
     report(
         "E10 Appendix A.1 TCP",
         [
@@ -20,9 +20,9 @@ def test_appendix_a1_tcp_structure(benchmark, tcp_full):
     assert dot.count("->") - 1 == model.num_transitions
 
 
-def test_appendix_a2_google_structure(benchmark, quic_google):
+def test_appendix_a2_google_structure(quic_google):
     model = quic_google.model
-    dot = run_once(benchmark, to_dot, model)
+    dot = to_dot(model)
     assert model.num_states == 12
     assert "digraph" in dot
     # Key appendix behaviours: HANDSHAKE_DONE from the client draws a close.
@@ -38,9 +38,9 @@ def test_appendix_a2_google_structure(benchmark, quic_google):
     )
 
 
-def test_appendix_a3_quiche_structure(benchmark, quic_quiche):
+def test_appendix_a3_quiche_structure(quic_quiche):
     model = quic_quiche.model
-    dot = run_once(benchmark, to_dot, model)
+    dot = to_dot(model)
     assert model.num_states == 8
     assert "digraph" in dot
     # Quiche closes with a single handshake-space packet during handshake.

@@ -9,18 +9,12 @@ The attack subsystem's operational claims, measured:
   when replaying candidate sets against the live SUL, serial vs a
   thread-pooled executor, with the usual identity bar: pooling may only
   change wall-clock, never a verdict or a strategy byte.
-
-Everything lands in the machine-readable ``bench_attack_search.json``
-artifact CI uploads.  ``BENCH_ATTACK_SMALL=1`` shrinks the matrix (CI
-smoke); ``BENCH_ATTACK_OUT`` overrides the artifact path.
 """
 
 import json
-import os
 import time
-from pathlib import Path
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.attack.automata import resolve_attacker
 from repro.attack.replay import VERDICT_CONFIRMED, replay_strategies
@@ -29,27 +23,9 @@ from repro.framework import Prognosis
 from repro.registry import attacks_for
 from repro.spec import ExperimentSpec
 
-SMALL = bool(os.environ.get("BENCH_ATTACK_SMALL"))
-TARGETS = (
-    ("tcp", "http2-buggy")
-    if SMALL
-    else ("tcp", "tcp-no-challenge-ack", "http2-buggy", "http3-buggy")
-)
-SYNTH_ROUNDS = 20 if SMALL else 100
-REPLAY_ROUNDS = 5 if SMALL else 20
-ARTIFACT_PATH = Path(
-    os.environ.get("BENCH_ATTACK_OUT", "bench_attack_search.json")
-)
-
-
-def _merge_artifact(section: str, data: dict) -> None:
-    """Merge one section into the artifact (tests run in any order)."""
-    existing = (
-        json.loads(ARTIFACT_PATH.read_text()) if ARTIFACT_PATH.exists() else {}
-    )
-    existing[section] = data
-    existing["meta"] = {"small": SMALL, "targets": list(TARGETS)}
-    ARTIFACT_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True))
+TARGETS = ("tcp", "tcp-no-challenge-ack", "http2-buggy", "http3-buggy")
+SYNTH_ROUNDS = 100
+REPLAY_ROUNDS = 20
 
 
 def _learn(target: str, **overrides):
@@ -59,35 +35,30 @@ def _learn(target: str, **overrides):
     return Prognosis.from_spec(spec)
 
 
-def test_synthesis_throughput(benchmark):
+def test_synthesis_throughput():
     """Strategies found and product states expanded per second, offline."""
 
-    def run_all():
-        out = {}
-        for target in TARGETS:
-            with _learn(target) as prognosis:
-                model = prognosis.learn().model
-            attackers = [resolve_attacker(n) for n in attacks_for(target)]
-            start = time.perf_counter()
-            strategies = 0
-            expanded = 0
-            for _ in range(SYNTH_ROUNDS):
-                for attacker in attackers:
-                    strategy = synthesize_attack(model, attacker)
-                    if strategy is not None:
-                        strategies += 1
-                        expanded += strategy.states_expanded
-            elapsed = time.perf_counter() - start
-            out[target] = {
-                "attackers": len(attackers),
-                "strategies_found": strategies,
-                "states_expanded": expanded,
-                "strategies_per_s": round(strategies / elapsed, 1),
-                "states_expanded_per_s": round(expanded / elapsed, 1),
-            }
-        return out
-
-    out = run_once(benchmark, run_all)
+    out = {}
+    for target in TARGETS:
+        with _learn(target) as prognosis:
+            model = prognosis.learn().model
+        attackers = [resolve_attacker(n) for n in attacks_for(target)]
+        start = time.perf_counter()
+        strategies = 0
+        expanded = 0
+        for _ in range(SYNTH_ROUNDS):
+            for attacker in attackers:
+                strategy = synthesize_attack(model, attacker)
+                if strategy is not None:
+                    strategies += 1
+                    expanded += strategy.states_expanded
+        elapsed = time.perf_counter() - start
+        out[target] = {
+            "attackers": len(attackers),
+            "strategies_found": strategies,
+            "strategies_per_s": round(strategies / elapsed, 1),
+            "states_expanded_per_s": round(expanded / elapsed, 1),
+        }
     report(
         "A1 synthesis throughput",
         [
@@ -100,59 +71,49 @@ def test_synthesis_throughput(benchmark):
             for target, row in out.items()
         ],
     )
-    _merge_artifact("synthesis", out)
     for target, row in out.items():
         assert row["strategies_found"] > 0, f"{target}: nothing synthesized"
         assert row["states_expanded_per_s"] > 0
 
 
-def test_replay_confirmation_serial_vs_pooled(benchmark):
+def test_replay_confirmation_serial_vs_pooled():
     """Confirmed replays per second, serial vs thread pool; identical bytes."""
     cells = (("serial", 1), ("thread", 4))
 
-    def run_all():
-        out = {}
-        for target in TARGETS:
-            with _learn(target) as prognosis:
-                model = prognosis.learn().model
-            pairs = []
-            for name in attacks_for(target):
-                attacker = resolve_attacker(name)
-                strategy = synthesize_attack(model, attacker)
-                if strategy is not None:
-                    pairs.append((attacker, strategy))
-            if not pairs:
-                continue
-            per_executor = {}
-            for kind, workers in cells:
-                with _learn(
-                    target,
-                    workers=workers,
-                    executor={"kind": kind, "workers": workers},
-                ) as prognosis:
-                    prognosis.learn()
-                    start = time.perf_counter()
-                    for _ in range(REPLAY_ROUNDS):
-                        results = replay_strategies(pairs, prognosis.oracle)
-                    elapsed = time.perf_counter() - start
-                confirmed = sum(
-                    1 for r in results if r.verdict == VERDICT_CONFIRMED
-                )
-                per_executor[kind] = {
-                    "confirmed": confirmed,
-                    "confirmations_per_s": round(
-                        REPLAY_ROUNDS * confirmed / elapsed, 1
-                    ),
-                    "verdicts": [r.verdict for r in results],
-                    "strategy_json": json.dumps(
-                        [r.strategy.to_dict() for r in results],
-                        sort_keys=True,
-                    ),
-                }
-            out[target] = per_executor
-        return out
-
-    out = run_once(benchmark, run_all)
+    out = {}
+    for target in TARGETS:
+        with _learn(target) as prognosis:
+            model = prognosis.learn().model
+        pairs = []
+        for name in attacks_for(target):
+            attacker = resolve_attacker(name)
+            strategy = synthesize_attack(model, attacker)
+            if strategy is not None:
+                pairs.append((attacker, strategy))
+        if not pairs:
+            continue
+        per_executor = {}
+        for kind, workers in cells:
+            with _learn(
+                target,
+                workers=workers,
+                executor={"kind": kind, "workers": workers},
+            ) as prognosis:
+                prognosis.learn()
+                start = time.perf_counter()
+                for _ in range(REPLAY_ROUNDS):
+                    results = replay_strategies(pairs, prognosis.oracle)
+                elapsed = time.perf_counter() - start
+            confirmed = sum(1 for r in results if r.verdict == VERDICT_CONFIRMED)
+            per_executor[kind] = {
+                "confirmed": confirmed,
+                "confirmations_per_s": round(REPLAY_ROUNDS * confirmed / elapsed, 1),
+                "verdicts": [r.verdict for r in results],
+                "strategy_json": json.dumps(
+                    [r.strategy.to_dict() for r in results], sort_keys=True
+                ),
+            }
+        out[target] = per_executor
     report(
         "A1 replay confirmation",
         [
@@ -163,20 +124,6 @@ def test_replay_confirmation_serial_vs_pooled(benchmark):
             )
             for target, row in out.items()
         ],
-    )
-    _merge_artifact(
-        "replay",
-        {
-            target: {
-                kind: {
-                    key: value
-                    for key, value in cell.items()
-                    if key != "strategy_json"
-                }
-                for kind, cell in row.items()
-            }
-            for target, row in out.items()
-        },
     )
     for target, row in out.items():
         assert row["serial"]["confirmed"] > 0, f"{target}: nothing confirmed"

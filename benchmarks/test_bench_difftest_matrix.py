@@ -12,7 +12,7 @@ witnesses must be identical; only wall-clock may change.
 import statistics
 import time
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.adapter.mealy_sul import MealySUL, toy_machine
 from repro.campaign import DiffCampaign
@@ -64,7 +64,7 @@ def _run_matrix(workers: int):
     return result, time.perf_counter() - start
 
 
-def test_difftest_matrix_pooled_beats_serial(benchmark):
+def test_difftest_matrix_pooled_beats_serial():
     SUL_REGISTRY.register(
         "bench-latent-toy",
         lambda: _LatentMealySUL(toy_machine(), name="bench-latent-toy"),
@@ -74,15 +74,12 @@ def test_difftest_matrix_pooled_beats_serial(benchmark):
         lambda: _LatentMealySUL(_mutant_machine(), name="bench-latent-mutant"),
     )
     try:
-        def run_pairs():
-            # Alternate serial and pooled runs so drift on a shared box
-            # lands on both sides; compare medians, not single samples.
-            return [
-                (_run_matrix(workers=1), _run_matrix(workers=POOL_WORKERS))
-                for _ in range(PAIRS)
-            ]
-
-        pairs = run_once(benchmark, run_pairs)
+        # Alternate serial and pooled runs so drift on a shared box
+        # lands on both sides; compare medians, not single samples.
+        pairs = [
+            (_run_matrix(workers=1), _run_matrix(workers=POOL_WORKERS))
+            for _ in range(PAIRS)
+        ]
     finally:
         SUL_REGISTRY.unregister("bench-latent-toy")
         SUL_REGISTRY.unregister("bench-latent-mutant")

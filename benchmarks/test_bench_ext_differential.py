@@ -6,23 +6,19 @@ Quiche-like SUL (conformance: zero divergences) and the Google-like SUL
 divergences with concrete witnesses).
 """
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.analysis.testgen import generate_test_suite
 from repro.experiments import make_quic_sul
 from repro.learn.teacher import replay
 
 
-def test_differential_testing_quic(benchmark, quic_quiche):
+def test_differential_testing_quic(quic_quiche):
     model = quic_quiche.model
     suite = generate_test_suite(model, "transition-cover")
 
-    def run_both():
-        conformance = replay(model, make_quic_sul("quiche", seed=321), [suite])
-        cross = replay(model, make_quic_sul("google", seed=321), [suite])
-        return conformance, cross
-
-    conformance, cross = run_once(benchmark, run_both)
+    conformance = replay(model, make_quic_sul("quiche", seed=321), [suite])
+    cross = replay(model, make_quic_sul("google", seed=321), [suite])
     report(
         "EXT differential testing",
         [

@@ -8,7 +8,7 @@ what RPNI alone recovers from the same logs.
 
 import random
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.adapter.tcp_adapter import TCPAdapterSUL
 from repro.core.trace import IOTrace
@@ -27,31 +27,25 @@ def _log_sessions(model_sul, num=400, max_len=10, seed=11):
     return traces
 
 
-def test_passive_bootstrap(benchmark):
-    def run_all():
-        # Logs come from an independent SUL instance ("production logs").
-        log_source = TCPAdapterSUL(seed=55)
-        logs = _log_sessions(log_source)
+def test_passive_bootstrap():
+    # Logs come from an independent SUL instance ("production logs").
+    log_source = TCPAdapterSUL(seed=55)
+    logs = _log_sessions(log_source)
 
-        plain = Prognosis(
-            ExperimentSpec(target="tcp", name="active-only"), sul=TCPAdapterSUL(seed=3)
-        )
-        plain_report = plain.learn()
-
-        boosted = Prognosis(
-            ExperimentSpec(target="tcp", name="log-boosted"), sul=TCPAdapterSUL(seed=3)
-        )
-        seed_cache_from_traces(boosted.cache_oracle.cache, logs)
-        boosted_report = boosted.learn()
-
-        passive_only = rpni_mealy(logs, log_source.input_alphabet)
-        test_words = [t.inputs for t in _log_sessions(log_source, num=100, seed=77)]
-        accuracy = passive_only.accuracy(plain_report.model, test_words)
-        return plain_report, boosted_report, passive_only, accuracy
-
-    plain_report, boosted_report, passive_only, accuracy = run_once(
-        benchmark, run_all
+    plain = Prognosis(
+        ExperimentSpec(target="tcp", name="active-only"), sul=TCPAdapterSUL(seed=3)
     )
+    plain_report = plain.learn()
+
+    boosted = Prognosis(
+        ExperimentSpec(target="tcp", name="log-boosted"), sul=TCPAdapterSUL(seed=3)
+    )
+    seed_cache_from_traces(boosted.cache_oracle.cache, logs)
+    boosted_report = boosted.learn()
+
+    passive_only = rpni_mealy(logs, log_source.input_alphabet)
+    test_words = [t.inputs for t in _log_sessions(log_source, num=100, seed=77)]
+    accuracy = passive_only.accuracy(plain_report.model, test_words)
     saved = plain_report.sul_queries - boosted_report.sul_queries
     report(
         "EXT passive+active learning",

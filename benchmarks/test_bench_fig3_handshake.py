@@ -1,12 +1,12 @@
 """E1 -- Figure 3(b): the learned TCP 3-way-handshake model."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import learn_tcp_handshake, run_handshake
 
 
-def test_fig3b_handshake_model(benchmark):
-    experiment = run_once(benchmark, learn_tcp_handshake)
+def test_fig3b_handshake_model():
+    experiment = learn_tcp_handshake()
     model = experiment.model
     exchange = run_handshake(model)
     report(

@@ -1,14 +1,14 @@
 """E2 -- Figure 3(c) / Figure 4: synthesized register machines."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import learn_tcp_handshake, synthesize_handshake_registers
 from repro.synth.terms import PlusOne, InputTerm, RegisterTerm
 
 
-def test_fig3c_handshake_registers(benchmark):
+def test_fig3c_handshake_registers():
     experiment = learn_tcp_handshake()
-    result = run_once(benchmark, synthesize_handshake_registers, experiment)
+    result = synthesize_handshake_registers(experiment)
     assert result is not None
 
     # The SYN transition from the initial state must acknowledge sn + 1:
@@ -35,7 +35,7 @@ def test_fig3c_handshake_registers(benchmark):
     assert any(result.machine.consistent_with(t) for t in entry_traces)
 
 
-def test_fig4_worked_example(benchmark):
+def test_fig4_worked_example():
     """The paper's section 4.3 toy traces synthesize consistently."""
     from repro.core.alphabet import Alphabet, parse_tcp_symbol
     from repro.core.extended import ConcreteStep
@@ -65,13 +65,7 @@ def test_fig4_worked_example(benchmark):
     t1 = [step(ACK, NIL, 0, 3), step(SYN, SYNACK, 2, 5, o1=4, o2=5)]
     t2 = [step(SYN, SYNACK, 1, 3, o1=3, o2=4)]
 
-    result = run_once(
-        benchmark,
-        synthesize,
-        skeleton,
-        [t1, t2],
-        register_names=("r", "pr"),
-    )
+    result = synthesize(skeleton, [t1, t2], register_names=("r", "pr"))
     assert result is not None
     assert result.machine.consistent_with(t1)
     assert result.machine.consistent_with(t2)

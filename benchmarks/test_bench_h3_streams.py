@@ -5,16 +5,10 @@ layered-adapter API (`compose(QuicStreamTransport, build_h3_app)`).
 Beyond the learned-model shape, this benchmark measures what only the
 QUIC substrate can do -- no head-of-line blocking across request
 streams under deterministic loss (contrasted against HTTP/2 over the
-reliable pipe), connection-ID routed migration, and 0-RTT resumption --
-and writes the machine-readable ``bench_h3_streams.json`` artifact CI
-uploads.  ``BENCH_H3_OUT`` overrides the artifact path.
+reliable pipe), connection-ID routed migration, and 0-RTT resumption.
 """
 
-import json
-import os
-from pathlib import Path
-
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import (
     EXPECTED_H3_BUGGY_STATES,
@@ -27,23 +21,10 @@ from repro.experiments import (
     run_http3_request,
 )
 
-ARTIFACT_PATH = Path(os.environ.get("BENCH_H3_OUT", "bench_h3_streams.json"))
 
-
-def _merge_artifact(section: str, data: dict) -> None:
-    """Merge one section into the artifact (tests run in any order)."""
-    existing = (
-        json.loads(ARTIFACT_PATH.read_text()) if ARTIFACT_PATH.exists() else {}
-    )
-    existing[section] = data
-    ARTIFACT_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True))
-
-
-def test_http3_learned_models(benchmark):
-    def learn_both():
-        return learn_http3(), learn_http3(goaway_teardown_bug=True)
-
-    conformant, buggy = run_once(benchmark, learn_both)
+def test_http3_learned_models():
+    conformant = learn_http3()
+    buggy = learn_http3(goaway_teardown_bug=True)
     exchange = run_http3_request(conformant.model)
     report(
         "HTTP/3 learned models",
@@ -66,16 +47,6 @@ def test_http3_learned_models(benchmark):
             ("membership queries", "(small)", conformant.report.sul_queries),
         ],
     )
-    _merge_artifact(
-        "models",
-        {
-            "states": conformant.model.num_states,
-            "transitions": conformant.model.num_transitions,
-            "buggy_states": buggy.model.num_states,
-            "sul_queries": conformant.report.sul_queries,
-            "buggy_sul_queries": buggy.report.sul_queries,
-        },
-    )
     conformant.close()
     buggy.close()
     assert conformant.model.num_states == EXPECTED_H3_STATES
@@ -85,13 +56,11 @@ def test_http3_learned_models(benchmark):
     assert exchange[1] == ("HEADERS[FIN]", "{HEADERS+DATA[FIN]}")
 
 
-def test_h3_stream_scenarios(benchmark):
+def test_h3_stream_scenarios():
     """The QUIC-substrate scenarios: HOL blocking, migration, 0-RTT."""
-
-    def run_probes():
-        return hol_blocking_probe(), migration_probe(), resumption_probe()
-
-    hol, migration, resumption = run_once(benchmark, run_probes)
+    hol = hol_blocking_probe()
+    migration = migration_probe()
+    resumption = resumption_probe()
     report(
         "HTTP/3 stream scenarios",
         [
@@ -112,10 +81,6 @@ def test_h3_stream_scenarios(benchmark):
                 f"{resumption['second_connection_rounds']}",
             ),
         ],
-    )
-    _merge_artifact(
-        "scenarios",
-        {"hol_blocking": hol, "migration": migration, "resumption": resumption},
     )
     # No head-of-line blocking: H3 answers the surviving stream in the
     # lossy exchange; HTTP/2's ordered pipe answers neither.

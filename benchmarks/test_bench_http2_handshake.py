@@ -6,7 +6,7 @@ benchmark drives the learned model through the SETTINGS handshake and a
 complete request, the exchange every HTTP/2 connection starts with.
 """
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import (
     EXPECTED_HTTP2_STATES,
@@ -16,8 +16,8 @@ from repro.experiments import (
 )
 
 
-def test_http2_handshake_model(benchmark):
-    experiment = run_once(benchmark, learn_http2)
+def test_http2_handshake_model():
+    experiment = learn_http2()
     model = experiment.model
     exchange = run_http2_handshake(model)
     report(

@@ -1,6 +1,6 @@
 """E11 -- Section 3.2: instrumentation cost in lines of code."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import loc_report
 from repro.experiments.loc_report import (
@@ -11,8 +11,8 @@ from repro.experiments.loc_report import (
 )
 
 
-def test_instrumentation_loc(benchmark):
-    measured = run_once(benchmark, loc_report)
+def test_instrumentation_loc():
+    measured = loc_report()
     report(
         "E11 instrumentation LoC",
         [

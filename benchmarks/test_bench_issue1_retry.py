@@ -1,12 +1,12 @@
 """E6 -- Issue 1: RFC imprecision on post-RETRY packet-number resets."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import issue1_retry_divergence
 
 
-def test_issue1_model_size_divergence(benchmark):
-    result = run_once(benchmark, issue1_retry_divergence)
+def test_issue1_model_size_divergence():
+    result = issue1_retry_divergence()
     strict_states, lenient_states = result.sizes
     report(
         "E6 Issue1 RETRY divergence",

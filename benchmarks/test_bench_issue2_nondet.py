@@ -1,12 +1,12 @@
 """E7 -- Issue 2: mvfst's nondeterministic stateless resets (~82%)."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import issue2_nondeterminism
 
 
-def test_issue2_nondeterministic_resets(benchmark):
-    result = run_once(benchmark, issue2_nondeterminism, samples=200)
+def test_issue2_nondeterministic_resets():
+    result = issue2_nondeterminism(samples=200)
     report(
         "E7 Issue2 mvfst nondeterminism",
         [

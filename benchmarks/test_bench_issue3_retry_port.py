@@ -1,12 +1,12 @@
 """E8 -- Issue 3: the reference client's RETRY-from-wrong-port bug."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import issue3_retry_port
 
 
-def test_issue3_retry_port_bug(benchmark):
-    result = run_once(benchmark, issue3_retry_port)
+def test_issue3_retry_port_bug():
+    result = issue3_retry_port()
     report(
         "E8 Issue3 retry port bug",
         [

@@ -1,12 +1,12 @@
 """E9 -- Issue 4 / Appendix B.1: the constant-zero STREAM_DATA_BLOCKED."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import issue4_stream_data_blocked
 
 
-def test_issue4_constant_zero_field(benchmark):
-    result = run_once(benchmark, issue4_stream_data_blocked)
+def test_issue4_constant_zero_field():
+    result = issue4_stream_data_blocked()
     report(
         "E9 Issue4 STREAM_DATA_BLOCKED",
         [

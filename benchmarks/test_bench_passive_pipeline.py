@@ -12,17 +12,11 @@ The bulk passive->active pipeline's paper-level claims, measured:
   pure-active model on every target and every executor backend
   (serial == thread == process): corpus seeding and scheduling change
   where answers come from, never what is learned.
-
-Everything lands in the machine-readable ``bench_passive_pipeline.json``
-artifact CI uploads.  ``BENCH_PASSIVE_SMALL=1`` shrinks the matrix (CI
-smoke); ``BENCH_PASSIVE_OUT`` overrides the artifact path.
 """
 
 import json
-import os
-from pathlib import Path
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.framework import Prognosis
 from repro.learn.bulk import (
@@ -32,23 +26,9 @@ from repro.learn.bulk import (
 )
 from repro.spec import ExperimentSpec
 
-SMALL = bool(os.environ.get("BENCH_PASSIVE_SMALL"))
-TARGETS = ("tcp", "http2") if SMALL else ("tcp", "http2", "http3")
-CORPUS_SESSIONS = (50, 200) if SMALL else (50, 200, 800)
+TARGETS = ("tcp", "http2", "http3")
+CORPUS_SESSIONS = (50, 200, 800)
 EXECUTOR_CELLS = (("serial", 1), ("thread", 2), ("process", 2))
-ARTIFACT_PATH = Path(
-    os.environ.get("BENCH_PASSIVE_OUT", "bench_passive_pipeline.json")
-)
-
-
-def _merge_artifact(section: str, data: dict) -> None:
-    """Merge one section into the artifact (tests run in any order)."""
-    existing = (
-        json.loads(ARTIFACT_PATH.read_text()) if ARTIFACT_PATH.exists() else {}
-    )
-    existing[section] = data
-    existing["meta"] = {"small": SMALL, "targets": list(TARGETS)}
-    ARTIFACT_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True))
 
 
 def _active_baseline(target: str):
@@ -60,46 +40,35 @@ def _active_baseline(target: str):
         return prognosis.learn()
 
 
-def test_states_recovered_per_trace_token(benchmark, tmp_path_factory):
+def test_states_recovered_per_trace_token(tmp_path_factory):
     """RPNI recovery rate on growing netsim corpora vs the active bill."""
     tmp = tmp_path_factory.mktemp("passive-recovery")
 
-    def run_all():
-        out = {}
-        for target in TARGETS:
-            active = _active_baseline(target)
-            curve = []
-            for sessions in CORPUS_SESSIONS:
-                corpus = tmp / f"{target}-{sessions}.jsonl"
-                spec = ExperimentSpec(
-                    target=target,
-                    seed=7,
-                    name=target,
-                    middleware=["cache"],
-                    corpus=str(corpus),
-                )
-                generate_corpus(spec, corpus, num_sessions=sessions)
-                result = bulk_passive_learn(spec, refine=False)
-                stats = result.corpus_stats
-                curve.append(
-                    {
-                        "sessions": sessions,
-                        "tokens": stats.tokens,
-                        "passive_states": result.passive_model.num_states,
-                        "completeness": round(result.passive_model.completeness, 3),
-                        "states_per_kilo_token": round(
-                            1000 * result.passive_model.num_states / stats.tokens, 3
-                        ),
-                    }
-                )
-            out[target] = {
-                "active_states": active.num_states,
-                "active_sul_queries": active.sul_queries,
-                "curve": curve,
-            }
-        return out
-
-    out = run_once(benchmark, run_all)
+    out = {}
+    for target in TARGETS:
+        active = _active_baseline(target)
+        curve = []
+        for sessions in CORPUS_SESSIONS:
+            corpus = tmp / f"{target}-{sessions}.jsonl"
+            spec = ExperimentSpec(
+                target=target,
+                seed=7,
+                name=target,
+                middleware=["cache"],
+                corpus=str(corpus),
+            )
+            generate_corpus(spec, corpus, num_sessions=sessions)
+            result = bulk_passive_learn(spec, refine=False)
+            tokens = result.corpus_stats.tokens
+            states = result.passive_model.num_states
+            curve.append(
+                {
+                    "tokens": tokens,
+                    "passive_states": states,
+                    "states_per_kilo_token": round(1000 * states / tokens, 3),
+                }
+            )
+        out[target] = {"active_states": active.num_states, "curve": curve}
     report(
         "P1 passive recovery rate",
         [
@@ -112,7 +81,6 @@ def test_states_recovered_per_trace_token(benchmark, tmp_path_factory):
             for target, row in out.items()
         ],
     )
-    _merge_artifact("recovery", out)
     for target, row in out.items():
         curve = row["curve"]
         # More sessions never lose states, and the largest corpus should
@@ -122,36 +90,31 @@ def test_states_recovered_per_trace_token(benchmark, tmp_path_factory):
         assert states[-1] >= row["active_states"] - 1
 
 
-def test_full_corpus_needs_zero_resets(benchmark, tmp_path_factory):
+def test_full_corpus_needs_zero_resets(tmp_path_factory):
     """A covering corpus pre-answers everything: 0 SUL resets, same model."""
     tmp = tmp_path_factory.mktemp("passive-full")
 
-    def run_all():
-        out = {}
-        for target in TARGETS:
-            corpus = tmp / f"{target}-full.jsonl"
-            spec = ExperimentSpec(
-                target=target,
-                seed=7,
-                name=target,
-                middleware=["cache"],
-                corpus=str(corpus),
-            )
-            traces = record_full_corpus(spec, corpus)
-            result = bulk_passive_learn(spec)
-            active = _active_baseline(target)
-            out[target] = {
-                "corpus_traces": traces,
-                "sul_resets": result.refined.sul_resets,
-                "sul_queries": result.refined.sul_queries,
-                "corpus_hit_rate": round(result.refined.corpus_hit_rate, 4),
-                "identical": json.dumps(result.model.to_dict(), sort_keys=True)
-                == json.dumps(active.model.to_dict(), sort_keys=True),
-                "states": result.model.num_states,
-            }
-        return out
-
-    out = run_once(benchmark, run_all)
+    out = {}
+    for target in TARGETS:
+        corpus = tmp / f"{target}-full.jsonl"
+        spec = ExperimentSpec(
+            target=target,
+            seed=7,
+            name=target,
+            middleware=["cache"],
+            corpus=str(corpus),
+        )
+        record_full_corpus(spec, corpus)
+        result = bulk_passive_learn(spec)
+        active = _active_baseline(target)
+        out[target] = {
+            "sul_resets": result.refined.sul_resets,
+            "sul_queries": result.refined.sul_queries,
+            "corpus_hit_rate": round(result.refined.corpus_hit_rate, 4),
+            "identical": json.dumps(result.model.to_dict(), sort_keys=True)
+            == json.dumps(active.model.to_dict(), sort_keys=True),
+            "states": result.model.num_states,
+        }
     report(
         "P1 full-corpus warm path",
         [
@@ -165,7 +128,6 @@ def test_full_corpus_needs_zero_resets(benchmark, tmp_path_factory):
             for target, row in out.items()
         ],
     )
-    _merge_artifact("full_corpus", out)
     for target, row in out.items():
         assert row["sul_resets"] == 0, f"{target}: warm path touched the SUL"
         assert row["sul_queries"] == 0
@@ -173,42 +135,34 @@ def test_full_corpus_needs_zero_resets(benchmark, tmp_path_factory):
         assert row["corpus_hit_rate"] > 0.99
 
 
-def test_refined_identity_across_executors(benchmark, tmp_path_factory):
+def test_refined_identity_across_executors(tmp_path_factory):
     """serial == thread == process == pure-active refined model bytes."""
     tmp = tmp_path_factory.mktemp("passive-executors")
-    targets = ("http2",) if SMALL else TARGETS
-
-    def run_all():
-        out = {}
-        for target in targets:
-            corpus = tmp / f"{target}.jsonl"
-            base = ExperimentSpec(
-                target=target,
-                seed=7,
-                name=target,
-                middleware=["cache"],
-                corpus=str(corpus),
+    out = {}
+    for target in TARGETS:
+        corpus = tmp / f"{target}.jsonl"
+        base = ExperimentSpec(
+            target=target,
+            seed=7,
+            name=target,
+            middleware=["cache"],
+            corpus=str(corpus),
+        )
+        generate_corpus(base, corpus, num_sessions=120)
+        active = json.dumps(
+            _active_baseline(target).model.to_dict(), sort_keys=True
+        )
+        models = {}
+        for kind, workers in EXECUTOR_CELLS:
+            spec = base.clone(
+                workers=workers, executor={"kind": kind, "workers": workers}
             )
-            generate_corpus(base, corpus, num_sessions=120)
-            active = json.dumps(
-                _active_baseline(target).model.to_dict(), sort_keys=True
-            )
-            models = {}
-            for kind, workers in EXECUTOR_CELLS:
-                spec = base.clone(
-                    workers=workers, executor={"kind": kind, "workers": workers}
-                )
-                result = bulk_passive_learn(spec)
-                models[kind] = json.dumps(
-                    result.model.to_dict(), sort_keys=True
-                )
-            out[target] = {
-                "identical_across_executors": len(set(models.values())) == 1,
-                "matches_active": all(m == active for m in models.values()),
-            }
-        return out
-
-    out = run_once(benchmark, run_all)
+            result = bulk_passive_learn(spec)
+            models[kind] = json.dumps(result.model.to_dict(), sort_keys=True)
+        out[target] = {
+            "identical_across_executors": len(set(models.values())) == 1,
+            "matches_active": all(m == active for m in models.values()),
+        }
     report(
         "P1 refined-model identity",
         [
@@ -222,7 +176,6 @@ def test_refined_identity_across_executors(benchmark, tmp_path_factory):
             for target, row in out.items()
         ],
     )
-    _merge_artifact("executor_identity", out)
     for target, row in out.items():
         assert row["identical_across_executors"], f"{target}: executors diverged"
         assert row["matches_active"], f"{target}: refined != active"

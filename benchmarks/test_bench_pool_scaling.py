@@ -11,27 +11,22 @@ The batch-first pipeline's levers, measured separately:
   CPU-bound simulator SUL (where the GIL caps threads and only processes
   scale) and on the real-boundary socket SUL (where threads scale fine,
   because queries wait on the wire).  Every cell's model must equal
-  serial's; the wall-clocks and speedups land in the machine-readable
-  ``bench_executor_scaling.json`` artifact CI uploads.
+  serial's.
 * **Prefix collapse** -- one W-method suite submitted through the cache
   planner with collapse on vs off: within-batch prefix-closure answers a
   measurable share of the suite without touching the SUL.
 
-``BENCH_EXECUTOR_SMALL=1`` shrinks the matrix work (CI smoke): the
-model-identity assertions still run but the timing assertions are
-skipped, because a loaded runner proves nothing about speedups.  Timing
-assertions also need >= 4 usable cores -- a 1-core box cannot exhibit
-process parallelism regardless of backend correctness.
-``BENCH_EXECUTOR_OUT`` overrides the artifact path.
+The matrix speedup assertions need >= 4 usable cores -- a 1-core box
+cannot exhibit process parallelism regardless of backend correctness.
+The model-identity assertions always run.
 """
 
 import json
 import os
 import statistics
 import time
-from pathlib import Path
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.adapter.mealy_sul import MealySUL
 from repro.adapter.pool import SULPool
@@ -48,21 +43,18 @@ POOL_WORKERS = 4
 #: Alternating serial/pooled learns in the pool-scaling test; the medians
 #: are compared.
 PAIRS = 5
-SMALL = bool(os.environ.get("BENCH_EXECUTOR_SMALL"))
 #: CPU-bound speedup needs actual CPUs: a 1-core box cannot run worker
 #: processes in parallel no matter how correct the backend is, so the
 #: timing assertions (never the identity ones) are gated on core count.
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1
 )
-ASSERT_TIMINGS = not SMALL and CORES >= POOL_WORKERS
+ASSERT_TIMINGS = CORES >= POOL_WORKERS
 #: Iterations of pure-Python arithmetic per step: ~0.3-0.5 ms of work the
-#: GIL refuses to parallelize.  The small (CI smoke) variant keeps the
-#: same code path at a fraction of the cost.
-BUSY_LOOP = 300 if SMALL else 4000
-#: W-method extra states for the matrix learns (0 shrinks the suite ~7x).
-MATRIX_EXTRA_STATES = 0 if SMALL else 1
-ARTIFACT_PATH = Path(os.environ.get("BENCH_EXECUTOR_OUT", "bench_executor_scaling.json"))
+#: GIL refuses to parallelize.
+BUSY_LOOP = 4000
+#: W-method extra states for the matrix learns.
+MATRIX_EXTRA_STATES = 1
 
 MATRIX_CELLS = (("serial", 1), ("thread", POOL_WORKERS), ("process", POOL_WORKERS))
 
@@ -123,16 +115,6 @@ def _learn_on(kind, workers, sul_factory, name):
     return learning_report, time.perf_counter() - start, per_worker
 
 
-def _merge_artifact(section: str, data: dict) -> None:
-    """Merge one section into the scaling artifact (tests run in any order)."""
-    existing = (
-        json.loads(ARTIFACT_PATH.read_text()) if ARTIFACT_PATH.exists() else {}
-    )
-    existing[section] = data
-    existing["meta"] = {"workers": POOL_WORKERS, "cores": CORES, "small": SMALL}
-    ARTIFACT_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True))
-
-
 def _assert_balanced(per_worker):
     """Sharding skews by at most one word per batch, so tiny
     totals get absolute slack; real runs must stay within a tight ratio."""
@@ -157,7 +139,6 @@ def _run_matrix(sul_factory, label):
             "wall_s": round(wall, 4),
             "speedup_vs_serial": round(serial_wall / wall, 3),
             "sul_queries": learning_report.sul_queries,
-            "states": learning_report.num_states,
             "model_matches_serial": (
                 learning_report.model.to_dict() == serial_model.to_dict()
             ),
@@ -166,19 +147,16 @@ def _run_matrix(sul_factory, label):
     return rows
 
 
-def test_pool_scaling_vs_serial(benchmark):
-    def run_pairs():
-        # Alternate serial and pooled learns so drift on a shared box
-        # lands on both sides; compare medians, not single samples.
-        return [
-            (
-                _learn_on("serial", 1, _latent_sul, "tcp"),
-                _learn_on("thread", POOL_WORKERS, _latent_sul, "tcp"),
-            )
-            for _ in range(PAIRS)
-        ]
-
-    pairs = run_once(benchmark, run_pairs)
+def test_pool_scaling_vs_serial():
+    # Alternate serial and pooled learns so drift on a shared box lands
+    # on both sides; compare medians, not single samples.
+    pairs = [
+        (
+            _learn_on("serial", 1, _latent_sul, "tcp"),
+            _learn_on("thread", POOL_WORKERS, _latent_sul, "tcp"),
+        )
+        for _ in range(PAIRS)
+    ]
     serial_wall = statistics.median(serial[1] for serial, _ in pairs)
     pooled_wall = statistics.median(pooled[1] for _, pooled in pairs)
     (serial_report, _, _), (pooled_report, _, per_worker) = pairs[0]
@@ -210,14 +188,14 @@ def test_pool_scaling_vs_serial(benchmark):
     assert pooled_wall < serial_wall
 
 
-def test_executor_matrix_cpu_bound(benchmark):
+def test_executor_matrix_cpu_bound():
     """Serial vs thread vs process on a SUL that burns CPU per step.
 
     The paper-level claim behind the process backend: pure-Python SUL
     work is GIL-bound, so threads cannot scale it -- worker processes
     can, while learning the exact same model.
     """
-    rows = run_once(benchmark, _run_matrix, _busy_sul, "tcp")
+    rows = _run_matrix(_busy_sul, "tcp")
     report(
         "S1 executor matrix (CPU-bound SUL)",
         [
@@ -229,7 +207,6 @@ def test_executor_matrix_cpu_bound(benchmark):
             for kind, row in rows.items()
         ],
     )
-    _merge_artifact("cpu_bound", rows)
     for kind, row in rows.items():
         assert row["model_matches_serial"], f"{kind} learned a different model"
         assert row["sul_queries"] == rows["serial"]["sul_queries"]
@@ -239,13 +216,13 @@ def test_executor_matrix_cpu_bound(benchmark):
         assert rows["thread"]["speedup_vs_serial"] < 1.3
 
 
-def test_executor_matrix_socket_sul(benchmark):
+def test_executor_matrix_socket_sul():
     """The same matrix across the real process/socket boundary.
 
     Socket queries wait on the wire, so here the *thread* backend scales
     too -- and the boundary must not change the learned model either.
     """
-    rows = run_once(benchmark, _run_matrix, _socket_sul_factory(), "tcp")
+    rows = _run_matrix(_socket_sul_factory(), "tcp")
     report(
         "S1 executor matrix (socket SUL)",
         [
@@ -257,7 +234,6 @@ def test_executor_matrix_socket_sul(benchmark):
             for kind, row in rows.items()
         ],
     )
-    _merge_artifact("socket", rows)
     for kind, row in rows.items():
         assert row["model_matches_serial"], f"{kind} learned a different model"
         assert row["sul_queries"] == rows["serial"]["sul_queries"]
@@ -265,10 +241,10 @@ def test_executor_matrix_socket_sul(benchmark):
         assert rows["thread"]["speedup_vs_serial"] > 1.5
 
 
-IDENTITY_TARGETS = ("tcp", "http2") if SMALL else ("tcp", "quic-google", "http2")
+IDENTITY_TARGETS = ("tcp", "quic-google", "http2")
 
 
-def test_executor_model_identity_across_targets(benchmark):
+def test_executor_model_identity_across_targets():
     """serial == thread == process model bytes on every paper target.
 
     This is the acceptance gate: the executor is a scheduling decision,
@@ -276,33 +252,26 @@ def test_executor_model_identity_across_targets(benchmark):
     """
     from repro.campaign import run_spec
 
-    def run_matrix():
-        out = {}
-        for target in IDENTITY_TARGETS:
-            models = {}
-            queries = {}
-            for kind, workers in MATRIX_CELLS:
-                spec = ExperimentSpec(
-                    target=target,
-                    seed=7,
-                    name=target,
-                    workers=workers,
-                    executor={"kind": kind, "workers": workers},
-                )
-                result = run_spec(spec)
-                assert result.ok, f"{target}/{kind}: {result.error}"
-                models[kind] = json.dumps(
-                    result.model.minimize().to_dict(), sort_keys=True
-                )
-                queries[kind] = result.report.sul_queries
-            out[target] = {
-                "identical": len(set(models.values())) == 1,
-                "states": result.model.minimize().num_states,
-                "sul_queries": queries,
-            }
-        return out
-
-    out = run_once(benchmark, run_matrix)
+    out = {}
+    for target in IDENTITY_TARGETS:
+        models = {}
+        for kind, workers in MATRIX_CELLS:
+            spec = ExperimentSpec(
+                target=target,
+                seed=7,
+                name=target,
+                workers=workers,
+                executor={"kind": kind, "workers": workers},
+            )
+            result = run_spec(spec)
+            assert result.ok, f"{target}/{kind}: {result.error}"
+            models[kind] = json.dumps(
+                result.model.minimize().to_dict(), sort_keys=True
+            )
+        out[target] = {
+            "identical": len(set(models.values())) == 1,
+            "states": result.model.minimize().num_states,
+        }
     report(
         "S1 executor model identity",
         [
@@ -315,11 +284,10 @@ def test_executor_model_identity_across_targets(benchmark):
             for target, row in out.items()
         ],
     )
-    _merge_artifact("model_identity", out)
     assert all(row["identical"] for row in out.values())
 
 
-def test_prefix_collapse_reduces_sul_queries(benchmark, tcp_full):
+def test_prefix_collapse_reduces_sul_queries(tcp_full):
     model = tcp_full.model
 
     def run_suite(collapse: bool):
@@ -331,12 +299,8 @@ def test_prefix_collapse_reduces_sul_queries(benchmark, tcp_full):
         assert eq.find_counterexample(model) is None
         return eq.last_suite_size, sul.stats.queries, oracle.prefix_collapsed
 
-    def run_both():
-        return run_suite(collapse=True), run_suite(collapse=False)
-
-    (suite, with_collapse, collapsed), (_, without_collapse, _) = run_once(
-        benchmark, run_both
-    )
+    suite, with_collapse, collapsed = run_suite(collapse=True)
+    _, without_collapse, _ = run_suite(collapse=False)
     report(
         "S1 prefix collapse (W-method suite)",
         [

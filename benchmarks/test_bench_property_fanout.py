@@ -15,7 +15,7 @@ is exactly what the row documents).
 
 import time
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.adapter.mealy_sul import toy_machine
 from repro.analysis.property_api import check_properties_batch, resolve_properties
@@ -65,9 +65,9 @@ def _evaluate(workers: int):
     return reports, elapsed
 
 
-def test_bench_property_fanout(benchmark):
+def test_bench_property_fanout():
     serial_reports, serial_time = _evaluate(workers=1)
-    pooled_reports, pooled_time = run_once(benchmark, _evaluate, POOL_WORKERS)
+    pooled_reports, pooled_time = _evaluate(POOL_WORKERS)
 
     # Fan-out must never change a verdict.
     assert [r.to_dict() for r in serial_reports] == [

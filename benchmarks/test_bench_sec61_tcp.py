@@ -1,6 +1,6 @@
 """E3 -- Section 6.1: the full TCP model (6 states, 42 transitions)."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import (
     PAPER_TCP_QUERIES,
@@ -10,8 +10,8 @@ from repro.experiments import (
 )
 
 
-def test_sec61_tcp_model(benchmark):
-    experiment = run_once(benchmark, learn_tcp_full)
+def test_sec61_tcp_model():
+    experiment = learn_tcp_full()
     model = experiment.model
     rep = experiment.report
     report(

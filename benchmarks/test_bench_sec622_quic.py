@@ -1,7 +1,7 @@
 """E4 -- Section 6.2.2: learned QUIC models and the mvfst failure."""
 
 import pytest
-from conftest import report, run_once
+from conftest import report
 
 from repro.experiments import (
     PAPER_GOOGLE_QUERIES,
@@ -15,10 +15,9 @@ from repro.experiments import (
 from repro.learn.nondeterminism import NondeterminismError
 
 
-def test_sec622_google_model(benchmark, quic_google):
+def test_sec622_google_model(quic_google):
     model = quic_google.model
     rep = quic_google.report
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     report(
         "E4 Sec6.2.2 Google QUIC",
         [
@@ -32,10 +31,9 @@ def test_sec622_google_model(benchmark, quic_google):
     assert model.num_transitions == PAPER_GOOGLE_TRANSITIONS
 
 
-def test_sec622_quiche_model(benchmark, quic_quiche):
+def test_sec622_quiche_model(quic_quiche):
     model = quic_quiche.model
     rep = quic_quiche.report
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     report(
         "E4 Sec6.2.2 Quiche QUIC",
         [
@@ -49,20 +47,16 @@ def test_sec622_quiche_model(benchmark, quic_quiche):
     assert model.num_transitions == PAPER_QUICHE_TRANSITIONS
 
 
-def test_sec622_ranking_holds(benchmark, quic_google, quic_quiche):
+def test_sec622_ranking_holds(quic_google, quic_quiche):
     """Google's model is bigger and costs more queries, as in the paper."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert quic_google.model.num_states > quic_quiche.model.num_states
     assert quic_google.report.sul_queries > quic_quiche.report.sul_queries
 
 
-def test_sec622_mvfst_fails_deterministic_learning(benchmark):
-    def attempt():
-        with pytest.raises(NondeterminismError) as excinfo:
-            learn_quic("mvfst")
-        return excinfo.value
-
-    error = run_once(benchmark, attempt)
+def test_sec622_mvfst_fails_deterministic_learning():
+    with pytest.raises(NondeterminismError) as excinfo:
+        learn_quic("mvfst")
+    error = excinfo.value
     report(
         "E4 Sec6.2.2 mvfst",
         [

@@ -5,30 +5,23 @@ A learning run through an empty :class:`~repro.store.query_store
 through the populated store must answer (nearly) every membership query
 from sqlite and touch the SUL **zero** times, while producing a
 byte-identical model.  Measured per target (tcp, quic-google, http2):
-cold vs warm wall-clock, SUL query/reset counts, and the warm store hit
-rate -- written to the machine-readable ``bench_store_warmstart.json``
-artifact CI uploads.
+cold vs warm wall-clock and SUL query counts.
 
-``BENCH_STORE_OUT`` overrides the artifact path.  Identity assertions
-always run; wall-clock numbers are reported but never asserted (a loaded
-runner proves nothing about sqlite being faster than a simulator).
+Identity assertions always run; wall-clock numbers are reported but
+never asserted (a loaded runner proves nothing about sqlite being faster
+than a simulator).
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.campaign import run_spec
 from repro.spec import ExperimentSpec
-from repro.store import QueryStore
 
 TARGETS = ("tcp", "quic-google", "http2")
-ARTIFACT_PATH = Path(
-    os.environ.get("BENCH_STORE_OUT", "bench_store_warmstart.json")
-)
 
 
 def _timed_run(spec: ExperimentSpec, store: Path):
@@ -39,8 +32,8 @@ def _timed_run(spec: ExperimentSpec, store: Path):
     return result, elapsed
 
 
-def _measure(tmp_path: Path) -> dict:
-    sections = {}
+def test_store_warmstart_cold_vs_warm(tmp_path):
+    rows = []
     for target in TARGETS:
         store = tmp_path / f"{target}.sqlite"
         spec = ExperimentSpec(target=target, name=target)
@@ -54,39 +47,19 @@ def _measure(tmp_path: Path) -> dict:
         assert warm.report.sul_resets == 0, target
         assert warm.report.store_hit_rate >= 0.9, target
 
-        with QueryStore(store) as qs:
-            stored_words = qs.word_count(spec.sul_fingerprint())
-        sections[target] = {
-            "cold_wall_s": round(cold_s, 4),
-            "warm_wall_s": round(warm_s, 4),
-            "cold_sul_queries": cold.report.sul_queries,
-            "warm_sul_queries": warm.report.sul_queries,
-            "cold_sul_resets": cold.report.sul_resets,
-            "warm_sul_resets": warm.report.sul_resets,
-            "warm_store_hit_rate": round(warm.report.store_hit_rate, 4),
-            "stored_words": stored_words,
-            "states": warm.report.num_states,
-        }
-    return sections
-
-
-def test_store_warmstart_cold_vs_warm(benchmark, tmp_path):
-    sections = run_once(benchmark, _measure, tmp_path)
-    ARTIFACT_PATH.write_text(json.dumps(sections, indent=2, sort_keys=True))
-    rows = []
-    for target, data in sections.items():
+        cold_queries = cold.report.sul_queries
         rows.append(
             (
                 f"{target} SUL queries cold->warm",
-                f"{data['cold_sul_queries']} -> 0",
-                f"{data['cold_sul_queries']} -> {data['warm_sul_queries']}",
+                f"{cold_queries} -> 0",
+                f"{cold_queries} -> {warm.report.sul_queries}",
             )
         )
         rows.append(
             (
                 f"{target} wall-clock cold->warm",
                 "warm ~free",
-                f"{data['cold_wall_s']:.2f}s -> {data['warm_wall_s']:.2f}s",
+                f"{cold_s:.2f}s -> {warm_s:.2f}s",
             )
         )
     report("store-warmstart", rows)

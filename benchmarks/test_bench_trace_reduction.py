@@ -1,6 +1,6 @@
 """E5 -- Section 6.2.2: trace-space reduction statistics."""
 
-from conftest import report, run_once
+from conftest import report
 
 from repro.core.trace import count_words
 from repro.experiments import (
@@ -11,8 +11,8 @@ from repro.experiments import (
 )
 
 
-def test_raw_trace_count_is_exact(benchmark):
-    total = run_once(benchmark, count_words, 7, 10)
+def test_raw_trace_count_is_exact():
+    total = count_words(7, 10)
     report(
         "E5 raw trace count",
         [("traces of length <=10 (7 symbols)", PAPER_TOTAL_TRACES, total)],
@@ -20,8 +20,8 @@ def test_raw_trace_count_is_exact(benchmark):
     assert total == PAPER_TOTAL_TRACES
 
 
-def test_model_trace_reduction_google(benchmark, quic_google):
-    reduction = run_once(benchmark, quic_trace_reduction, quic_google)
+def test_model_trace_reduction_google(quic_google):
+    reduction = quic_trace_reduction(quic_google)
     report(
         "E5 Google reduction",
         [
@@ -35,8 +35,8 @@ def test_model_trace_reduction_google(benchmark, quic_google):
     assert 100 <= reduction.model_traces <= 12_100
 
 
-def test_model_trace_reduction_quiche(benchmark, quic_quiche):
-    reduction = run_once(benchmark, quic_trace_reduction, quic_quiche)
+def test_model_trace_reduction_quiche(quic_quiche):
+    reduction = quic_trace_reduction(quic_quiche)
     report(
         "E5 Quiche reduction",
         [
@@ -47,8 +47,8 @@ def test_model_trace_reduction_quiche(benchmark, quic_quiche):
     assert 70 <= reduction.model_traces <= 7_150
 
 
-def test_reduction_ranking(benchmark, quic_google, quic_quiche):
+def test_reduction_ranking(quic_google, quic_quiche):
     """The bigger model needs more traces, exactly like 1210 vs 715."""
-    google = run_once(benchmark, quic_trace_reduction, quic_google)
+    google = quic_trace_reduction(quic_google)
     quiche = quic_trace_reduction(quic_quiche)
     assert google.model_traces > quiche.model_traces

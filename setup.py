@@ -1,11 +1,25 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro`` (the sources live under ``src/``).
 
-The offline environment lacks the ``wheel`` package, so pip's PEP 660
-editable-install path cannot build an editable wheel.  Providing setup.py
-lets ``pip install -e .`` fall back to ``setup.py develop``, which works
-without wheel.  All metadata lives in pyproject.toml.
+This file is the only packaging metadata; there is no pyproject.toml.
+``pip install -e .`` needs the ``wheel`` package; without it,
+``python setup.py develop`` installs the same editable package.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+)

@@ -48,6 +48,17 @@ def _known_learners() -> tuple[str, ...]:
     return tuple(sorted(LEARNER_REGISTRY.names()))
 
 
+def _count(text: str) -> int:
+    """argparse ``type`` of a count option: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _member_specs(args: argparse.Namespace, **fields) -> list:
     """The specs a verb's ``targets`` name (:func:`repro.campaign.member_specs`):
     each registered target clones one base spec of the verb's ``--learner``,
@@ -509,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         "against learned models; suites resolve by target name, then "
         "family stem",
     )
-    properties.add_argument("--depth", type=int, default=5)
+    properties.add_argument("--depth", type=_count, default=5)
     properties.add_argument(
         "--formula",
         action="append",
@@ -525,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the resolved properties without learning anything",
     )
     properties.add_argument(
-        "--workers", type=int, default=1, help="concurrent runs"
+        "--workers", type=_count, default=1, help="concurrent runs"
     )
     properties.add_argument(
         "--out", help="write properties.json artifacts under this directory"
@@ -553,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sul_workers_kwargs = dict(
-        type=int,
+        type=_count,
         default=1,
         help="SUL pool size within each run (a spec file keeps its own)",
     )
@@ -581,14 +592,14 @@ def build_parser() -> argparse.ArgumentParser:
     passive.add_argument("--seed", type=int, default=0)
     passive.add_argument(
         "--generate",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="first random-walk N sessions of the target into the corpus file",
     )
     passive.add_argument(
         "--gen-max-len",
-        type=int,
+        type=_count,
         default=8,
         help="maximum session length for --generate (default 8)",
     )
@@ -630,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", default="0", help="comma-separated EQ-oracle seeds"
     )
     sweep.add_argument(
-        "--workers", type=int, default=1, help="concurrent runs"
+        "--workers", type=_count, default=1, help="concurrent runs"
     )
     sweep.add_argument("--out", help="write artifacts under this directory")
     sweep.add_argument(
@@ -658,12 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
         "default: wmethod)",
     )
     difftest.add_argument(
-        "--workers", type=int, default=1, help="concurrent runs/replays"
+        "--workers", type=_count, default=1, help="concurrent runs/replays"
     )
     difftest.add_argument("--sul-workers", **sul_workers_kwargs)
     difftest.add_argument(
         "--max-divergences",
-        type=int,
+        type=_count,
         default=25,
         help="stop collecting divergences per pair after this many",
     )
@@ -721,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the attacker automata applicable to each target and exit",
     )
     attack.add_argument(
-        "--workers", type=int, default=1, help="concurrent runs"
+        "--workers", type=_count, default=1, help="concurrent runs"
     )
     attack.add_argument("--sul-workers", **sul_workers_kwargs)
     attack.add_argument("--executor", **executor_kwargs)
@@ -787,10 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     from .spec import SpecError
+    from .store import StoreError
 
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as error:  # e.g. a member that names nothing runnable
+    except (SpecError, StoreError) as error:  # e.g. an unknown target, a non-sqlite store
         print(f"{args.command}: {error}", file=sys.stderr)
         return 2

@@ -62,6 +62,60 @@ class TestParser:
             build_parser().parse_args(["run", "spec.json", "--executor", "gpu"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["store", "{bad}"], "store: cannot open store"),
+        (
+            ["passive", "toy", "--corpus", "{tmp}/c.jsonl", "--generate", "5",
+             "--store", "{bad}"],
+            "passive: cannot open store",
+        ),
+        (["sweep", "--target", "toy", "--workers", "0"], "must be at least 1"),
+        (["sweep", "--target", "toy", "--sul-workers", "0"], "must be at least 1"),
+        (["properties", "toy", "--workers", "0"], "must be at least 1"),
+        (["properties", "toy", "--depth", "-1"], "must be at least 1"),
+        (["difftest", "toy", "--workers", "0"], "must be at least 1"),
+        (["attack", "toy", "--workers", "0"], "must be at least 1"),
+        (["difftest", "toy", "--max-divergences", "0"], "must be at least 1"),
+        (["difftest", "toy", "--max-divergences", "-1"], "must be at least 1"),
+        (
+            ["passive", "toy", "--corpus", "{tmp}/c.jsonl", "--generate", "5",
+             "--gen-max-len", "0"],
+            "must be at least 1",
+        ),
+        (
+            ["passive", "toy", "--corpus", "{tmp}/c.jsonl", "--generate", "-1"],
+            "must be at least 1",
+        ),
+    ],
+    ids=[
+        "store-not-sqlite",
+        "passive-store-not-sqlite",
+        "sweep-workers-0",
+        "sweep-sul-workers-0",
+        "properties-workers-0",
+        "properties-depth-negative",
+        "difftest-workers-0",
+        "attack-workers-0",
+        "difftest-max-divergences-0",
+        "difftest-max-divergences-negative",
+        "passive-gen-max-len-0",
+        "passive-generate-negative",
+    ],
+)
+def test_bad_input_exits_2_with_a_message(argv, message, capsys, tmp_path):
+    bad = tmp_path / "not-a-store.sqlite"
+    bad.write_text("not sqlite\n")
+    argv = [arg.format(bad=bad, tmp=tmp_path) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse rejects the value
+        code = exit_.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestCommands:
     """Learning, checking and comparing one target or a pair of them."""
 
