@@ -1,4 +1,4 @@
-"""Adapter layer: SUL interface, pooling, packet queue, protocol adapters."""
+"""Adapter layer: SUL interface, pooling, protocol adapters."""
 
 from .executor import (
     ExecutorBackend,
@@ -11,7 +11,6 @@ from .executor import (
 from .h3_adapter import H3AppLayer, build_h3_app, build_http3_sul
 from .http2_adapter import (
     HTTP2AppLayer,
-    TransportHTTP2Client,
     abstract_frame,
     abstract_frames,
     build_http2_app,
@@ -29,7 +28,6 @@ from .layered import (
     compose,
 )
 from .pool import SULPool
-from .queue import PacketQueue, QueuedPacket
 from .quic_adapter import QUICAdapterSUL, abstract_packet, abstract_response
 from .remote import (
     RemoteDisconnectError,
@@ -49,10 +47,8 @@ __all__ = [
     "H3AppLayer",
     "HTTP2AppLayer",
     "LayeredSUL",
-    "PacketQueue",
     "ProcessExecutor",
     "QUICAdapterSUL",
-    "QueuedPacket",
     "QuicStreamTransport",
     "ReliableByteTransport",
     "RemoteDisconnectError",
@@ -70,7 +66,6 @@ __all__ = [
     "ThreadExecutor",
     "Transport",
     "TransportError",
-    "TransportHTTP2Client",
     "abstract_frame",
     "abstract_frames",
     "abstract_packet",

@@ -1,7 +1,7 @@
-"""The HTTP/3-over-QUIC-streams SUL: the first *composed* target.
+"""The HTTP/3-over-QUIC-streams SUL.
 
-Unlike the three monolithic adapters before it, the HTTP/3 target is
-declared with :func:`~repro.adapter.layered.compose`: a
+Like ``http2``, the HTTP/3 target is declared with
+:func:`~repro.adapter.layered.compose`: a
 :class:`~repro.adapter.layered.QuicStreamTransport` carries the streams,
 and :class:`H3AppLayer` holds the protocol logic -- concretizing abstract
 symbols through :class:`~repro.h3.H3Client`, serving them with
@@ -67,14 +67,13 @@ class H3AppLayer(AppLayer):
     def __init__(
         self,
         transport: Transport,
-        seed: int = 8,
         server_config: H3ServerConfig | None = None,
         client_config: H3ClientConfig | None = None,
     ) -> None:
         self.alphabet = h3_alphabet()
         self.transport = transport
-        self.server = H3Server(config=server_config, seed=seed + 1)
-        self.client = H3Client(config=client_config, seed=seed + 2)
+        self.server = H3Server(config=server_config)
+        self.client = H3Client(config=client_config)
         transport.set_server(self._serve)
 
     # -- server side -----------------------------------------------------
@@ -135,7 +134,6 @@ class H3AppLayer(AppLayer):
 
 def build_h3_app(
     transport: Transport,
-    seed: int = 8,
     goaway_teardown_bug: bool = False,
     server_config: H3ServerConfig | Mapping | None = None,
 ) -> H3AppLayer:
@@ -151,7 +149,7 @@ def build_h3_app(
         server_config = H3ServerConfig(goaway_teardown_bug=goaway_teardown_bug)
     elif goaway_teardown_bug:
         server_config = replace(server_config, goaway_teardown_bug=True)
-    return H3AppLayer(transport, seed=seed, server_config=server_config)
+    return H3AppLayer(transport, server_config=server_config)
 
 
 #: ``http3``: H3 app composed over QUIC-style independent streams.

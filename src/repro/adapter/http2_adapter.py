@@ -8,7 +8,8 @@ is delegated to the reference client
 (:class:`repro.http2.client.HTTP2Client`), which owns the connection
 preface, stream-id allocation and HPACK logic -- the third instance of the
 paper's ~300-line-adapter claim, sharing every learner/oracle layer with
-the TCP and QUIC targets.
+the TCP and QUIC targets.  Client and server ride only the composed
+:class:`~repro.adapter.layered.ReliableByteTransport`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..core.alphabet import (
     http2_alphabet,
 )
 from ..core.state import fields, nested
-from ..http2.client import HTTP2Client, HTTP2ClientConfig
+from ..http2.client import HTTP2Client
 from ..http2.frames import Frame, FrameType, parse_goaway, parse_rst_stream
 from ..http2.server import HTTP2Server, HTTP2ServerConfig
 from ..registry import SUL_REGISTRY
@@ -68,34 +69,6 @@ def frame_params(frame: Frame) -> dict[str, int]:
     return params
 
 
-class TransportHTTP2Client(HTTP2Client):
-    """The reference client with its bytes routed over a composed transport.
-
-    Identical protocol logic; only ``_transmit`` differs -- request bytes
-    ride stream 0 of the transport instead of a network endpoint, and the
-    response chunks come back as transport events.
-    """
-
-    __shared__ = "_transport"
-
-    def __init__(
-        self,
-        transport: Transport,
-        config: HTTP2ClientConfig | None = None,
-        seed: int = 11,
-    ) -> None:
-        self._transport = transport
-        super().__init__(config=config, seed=seed)
-
-    def _transmit(self, payload: bytes) -> list[bytes]:
-        self._transport.send(0, payload)
-        return [
-            event.data
-            for event in self._transport.exchange()
-            if event.kind == "data"
-        ]
-
-
 class HTTP2AppLayer(AppLayer):
     """HTTP/2 protocol logic riding a reliable byte transport.
 
@@ -107,19 +80,16 @@ class HTTP2AppLayer(AppLayer):
     """
 
     name = "http2"
-    __state__ = fields(server=nested(HTTP2Server), client=nested(TransportHTTP2Client))
+    __state__ = fields(server=nested(HTTP2Server), client=nested(HTTP2Client))
     __shared__ = "alphabet transport"
 
     def __init__(
-        self,
-        transport: Transport,
-        seed: int = 9,
-        server_config: HTTP2ServerConfig | None = None,
+        self, transport: Transport, server_config: HTTP2ServerConfig | None = None
     ) -> None:
         self.alphabet = http2_alphabet()
         self.transport = transport
-        self.server = HTTP2Server(config=server_config, seed=seed + 1)
-        self.client = TransportHTTP2Client(transport, seed=seed + 2)
+        self.server = HTTP2Server(config=server_config)
+        self.client = HTTP2Client(transport)
         transport.set_server(self._serve)
 
     def _serve(self, event: StreamEvent) -> list[StreamEvent]:
@@ -144,14 +114,9 @@ class HTTP2AppLayer(AppLayer):
             out_params.update(frame_params(frame))
         return abstract_frames(responses), in_params, out_params
 
-    def close(self) -> None:
-        self.client.close()
-        self.server.close()
-
 
 def build_http2_app(
     transport: Transport,
-    seed: int = 9,
     rst_on_closed_bug: bool = False,
     server_config: HTTP2ServerConfig | dict | None = None,
 ) -> HTTP2AppLayer:
@@ -168,7 +133,7 @@ def build_http2_app(
         server_config = HTTP2ServerConfig(rst_on_closed_bug=rst_on_closed_bug)
     elif rst_on_closed_bug:
         server_config.rst_on_closed_bug = True
-    return HTTP2AppLayer(transport, seed=seed, server_config=server_config)
+    return HTTP2AppLayer(transport, server_config=server_config)
 
 
 #: ``http2``: the HTTP/2 app composed over the reliable byte pipe.

@@ -1,10 +1,8 @@
 """The layered-adapter API: app-over-transport SUL composition.
 
-The first three workloads (TCP, QUIC, HTTP/2) each hand-rolled a
-monolithic adapter wiring a client/server pair straight onto the
-simulated network.  HTTP/3 -- an application protocol *defined* as
-riding another protocol's streams -- makes that shape untenable, so this
-module splits the adapter into two declaratively composed layers:
+The stream targets (HTTP/2, HTTP/3) are application protocols that ride
+another protocol's byte streams, so their adapters are two
+declaratively composed layers:
 
 * a :class:`Transport` carries ``(stream, bytes, fin, reset)`` traffic
   between a client edge and a server handler -- either a single ordered
@@ -325,16 +323,15 @@ class ReliableByteTransport(Transport):
 # QUIC-style stream transport (the HTTP/3 substrate)
 # ---------------------------------------------------------------------------
 
-def _recv_stream() -> ReceiveStream:
-    return ReceiveStream(flow=ReceiveFlowController(limit=1 << 40))
-
-
-def _send_stream() -> SendStream:
-    return SendStream(flow=SendFlowController(limit=1 << 40))
-
-
 class _QuicConnState:
-    """Per-connection packet and stream state for one side."""
+    """Per-connection packet and stream state for one side.
+
+    Both edges of :class:`QuicStreamTransport` keep one and run their
+    packets through it: :meth:`absorb` takes an inbound packet's frames,
+    :meth:`drain` turns what became readable into events, and
+    :meth:`retransmit`, :meth:`flight` and :meth:`packet` build what goes
+    out.
+    """
 
     __state__ = fields("cid next_pn handshaken", received_pns=SET, unacked=DICT,
                        recv=mapping(nested(ReceiveStream)), send=mapping(nested(SendStream)),
@@ -351,10 +348,14 @@ class _QuicConnState:
         self.handshaken = False
 
     def recv_stream(self, stream_id: int) -> ReceiveStream:
-        return self.recv.setdefault(stream_id, _recv_stream())
+        return self.recv.setdefault(
+            stream_id, ReceiveStream(flow=ReceiveFlowController(limit=1 << 40))
+        )
 
     def send_stream(self, stream_id: int) -> SendStream:
-        return self.send.setdefault(stream_id, _send_stream())
+        return self.send.setdefault(
+            stream_id, SendStream(flow=SendFlowController(limit=1 << 40))
+        )
 
     def ack_frame(self) -> AckFrame | None:
         if not self.received_pns:
@@ -368,29 +369,90 @@ class _QuicConnState:
         largest = ranges[-1].largest
         return AckFrame(largest_acknowledged=largest, ranges=tuple(ranges))
 
-    def on_ack(self, ack: AckFrame) -> None:
-        self.unacked = {
-            pn: frames
-            for pn, frames in self.unacked.items()
-            if not ack.acknowledges(pn)
-        }
+    def reset_frame(self, stream_id: int, error_code: int) -> ResetStreamFrame:
+        return ResetStreamFrame(
+            stream_id=stream_id,
+            error_code=error_code,
+            final_size=self.send_stream(stream_id).offset,
+        )
 
+    def absorb(
+        self, pn: int, frames: Sequence[Frame]
+    ) -> tuple[bool, list[ResetStreamFrame]]:
+        """Take in one packet's acks, stream data, resets and hellos.
 
-def _encode_packet(conn: _QuicConnState, frames: Sequence[Frame]) -> bytes:
-    """Build one plaintext packet, recording retransmittable frames."""
-    buf = Buffer()
-    buf.push_varint(conn.next_pn)
-    buf.push_varint_bytes(conn.cid)
-    buf.push_bytes(encode_frames(frames))
-    retransmittable = tuple(
-        f
-        for f in frames
-        if isinstance(f, (StreamFrame, ResetStreamFrame, CryptoFrame, NewTokenFrame))
-    )
-    if retransmittable:
-        conn.unacked[conn.next_pn] = retransmittable
-    conn.next_pn += 1
-    return buf.getvalue()
+        Returns whether the packet needs acknowledging and its
+        RESET_STREAM frames; what a reset means is the edge's to decide.
+        """
+        self.received_pns.add(pn)
+        needs_ack = False
+        resets: list[ResetStreamFrame] = []
+        for frame in frames:
+            if isinstance(frame, AckFrame):
+                self.unacked = {
+                    old: sent
+                    for old, sent in self.unacked.items()
+                    if not frame.acknowledges(old)
+                }
+            elif isinstance(frame, StreamFrame):
+                needs_ack = True
+                self.recv_stream(frame.stream_id).on_frame(
+                    frame.offset, frame.data, frame.fin
+                )
+            elif isinstance(frame, ResetStreamFrame):
+                needs_ack = True
+                self.recv_stream(frame.stream_id)
+                resets.append(frame)
+            elif isinstance(frame, CryptoFrame):
+                needs_ack = True
+        return needs_ack, resets
+
+    def drain(self) -> list[StreamEvent]:
+        """Every stream's newly readable bytes, and each FIN once."""
+        events: list[StreamEvent] = []
+        for stream_id in sorted(self.recv):
+            stream = self.recv[stream_id]
+            data = stream.consume(len(stream.readable()))
+            finished = stream.finished and stream_id not in self.fin_reported
+            if finished:
+                self.fin_reported.add(stream_id)
+            if data or finished:
+                events.append(
+                    StreamEvent(stream_id=stream_id, kind="data", data=data, fin=finished)
+                )
+        return events
+
+    def retransmit(self) -> list[list[Frame]]:
+        """The frames of every unacked packet, to go out again."""
+        return [list(self.unacked.pop(pn)) for pn in sorted(self.unacked)]
+
+    def flight(self) -> list[list[Frame]]:
+        """One STREAM frame per send stream with unsent bytes or FIN."""
+        flight: list[list[Frame]] = []
+        for stream_id in sorted(self.send):
+            stream = self.send[stream_id]
+            if stream.has_pending or (stream.fin_queued and not stream.fin_sent):
+                offset, data, fin = stream.drain()
+                flight.append(
+                    [StreamFrame(stream_id=stream_id, offset=offset, data=data, fin=fin)]
+                )
+        return flight
+
+    def packet(self, frames: Sequence[Frame]) -> bytes:
+        """Build one plaintext packet, recording retransmittable frames."""
+        buf = Buffer()
+        buf.push_varint(self.next_pn)
+        buf.push_varint_bytes(self.cid)
+        buf.push_bytes(encode_frames(frames))
+        retransmittable = tuple(
+            f
+            for f in frames
+            if isinstance(f, (StreamFrame, ResetStreamFrame, CryptoFrame, NewTokenFrame))
+        )
+        if retransmittable:
+            self.unacked[self.next_pn] = retransmittable
+        self.next_pn += 1
+        return buf.getvalue()
 
 
 def _decode_packet(payload: bytes) -> tuple[int, bytes, list[Frame]]:
@@ -473,30 +535,28 @@ class QuicStreamTransport(Transport):
         self._handshake()
 
     def _handshake(self) -> None:
-        packet = _encode_packet(self._conn, [CryptoFrame(data=b"client-hello")])
+        packet = self._conn.packet([CryptoFrame(data=b"client-hello")])
         self._endpoint.send(packet, self._server_endpoint.address)
         self.network.run()
         for datagram in self._endpoint.receive_all():
             self._absorb_packet(datagram.payload)
+        self._send_ack()
+        self.stats["handshake_rounds"] += 1
+        self.last_connection_rounds += 1
+
+    def _send_ack(self) -> None:
         ack = self._conn.ack_frame()
         if ack is not None:
             self._endpoint.send(
-                _encode_packet(self._conn, [ack]), self._server_endpoint.address
+                self._conn.packet([ack]), self._server_endpoint.address
             )
             self.network.run()
-        self.stats["handshake_rounds"] += 1
-        self.last_connection_rounds += 1
 
     def send(self, stream_id: int, data: bytes, fin: bool = False) -> None:
         self._conn.send_stream(stream_id).write(data, fin=fin)
 
     def reset_stream(self, stream_id: int, error_code: int = 0) -> None:
-        stream = self._conn.send_stream(stream_id)
-        self._reset_queue.append(
-            ResetStreamFrame(
-                stream_id=stream_id, error_code=error_code, final_size=stream.offset
-            )
-        )
+        self._reset_queue.append(self._conn.reset_frame(stream_id, error_code))
 
     def migrate(self) -> None:
         """Rebind the client edge to a new port, keeping the connection."""
@@ -509,31 +569,15 @@ class QuicStreamTransport(Transport):
 
     def exchange(self, max_rounds: int = 8) -> list[StreamEvent]:
         conn = self._conn
-        packets: list[bytes] = []
         # Retransmit first: unacked frames from earlier flights go out
         # again under fresh packet numbers, one packet per old packet.
-        for pn in sorted(conn.unacked):
-            packets.append(_encode_packet(conn, list(conn.unacked.pop(pn))))
-        for stream_id in sorted(conn.send):
-            stream = conn.send[stream_id]
-            if not stream.has_pending and not (
-                stream.fin_queued and not stream.fin_sent
-            ):
-                continue
-            offset, data, fin = stream.drain()
-            frames: list[Frame] = [
-                StreamFrame(stream_id=stream_id, offset=offset, data=data, fin=fin)
-            ]
-            packets.append(_encode_packet(conn, frames))
-        for reset in self._reset_queue:
-            packets.append(_encode_packet(conn, [reset]))
+        flight = conn.retransmit() + conn.flight()
+        flight += [[reset] for reset in self._reset_queue]
         self._reset_queue = []
+        packets = [conn.packet(frames) for frames in flight]
         if self._pending_token is not None and packets:
             # Prepend the session ticket to the first 0-RTT flight.
-            token_packet = _encode_packet(
-                conn, [NewTokenFrame(token=self._pending_token)]
-            )
-            packets.insert(0, token_packet)
+            packets.insert(0, conn.packet([NewTokenFrame(token=self._pending_token)]))
             self._pending_token = None
         for packet in packets:
             self._endpoint.send(packet, self._server_endpoint.address)
@@ -551,12 +595,7 @@ class QuicStreamTransport(Transport):
             events.extend(self._drain_events(conn))
             if not needs_ack:
                 break
-            ack = conn.ack_frame()
-            if ack is not None:
-                self._endpoint.send(
-                    _encode_packet(conn, [ack]), self._server_endpoint.address
-                )
-                self.network.run()
+            self._send_ack()
         return events
 
     def _absorb_packet(self, payload: bytes) -> bool:
@@ -565,53 +604,25 @@ class QuicStreamTransport(Transport):
         pn, cid, frames = _decode_packet(payload)
         if cid != conn.cid:
             return False  # a stale connection's leftovers
-        conn.received_pns.add(pn)
-        retransmittable = False
+        needs_ack, resets = conn.absorb(pn, frames)
         for frame in frames:
-            if isinstance(frame, AckFrame):
-                conn.on_ack(frame)
-            elif isinstance(frame, StreamFrame):
-                retransmittable = True
-                conn.recv_stream(frame.stream_id).on_frame(
-                    frame.offset, frame.data, frame.fin
-                )
-            elif isinstance(frame, ResetStreamFrame):
-                retransmittable = True
-                conn.recv.setdefault(frame.stream_id, _recv_stream())
-                conn.fin_reported.add(frame.stream_id)
-                self._pending_resets.append(frame)
-            elif isinstance(frame, CryptoFrame):
-                retransmittable = True
+            if isinstance(frame, CryptoFrame):
                 conn.handshaken = True
             elif isinstance(frame, NewTokenFrame):
-                retransmittable = True
+                needs_ack = True
                 self._ticket = frame.token
-        return retransmittable
+        # Every reset the server sends is reported, at the next drain.
+        conn.fin_reported.update(reset.stream_id for reset in resets)
+        self._pending_resets.extend(resets)
+        return needs_ack
 
     def _drain_events(self, conn: _QuicConnState) -> list[StreamEvent]:
-        events: list[StreamEvent] = []
-        for reset in self._pending_resets:
-            events.append(
-                StreamEvent(
-                    stream_id=reset.stream_id,
-                    kind="reset",
-                    error_code=reset.error_code,
-                )
-            )
+        events = [
+            StreamEvent(stream_id=reset.stream_id, kind="reset", error_code=reset.error_code)
+            for reset in self._pending_resets
+        ]
         self._pending_resets = []
-        for stream_id in sorted(conn.recv):
-            stream = conn.recv[stream_id]
-            data = stream.consume(len(stream.readable()))
-            finished = stream.finished and stream_id not in conn.fin_reported
-            if finished:
-                conn.fin_reported.add(stream_id)
-            if data or finished:
-                events.append(
-                    StreamEvent(
-                        stream_id=stream_id, kind="data", data=data, fin=finished
-                    )
-                )
-        return events
+        return events + conn.drain()
 
     def close(self) -> None:
         self._endpoint.close()
@@ -625,113 +636,45 @@ class QuicStreamTransport(Transport):
             conn = self._accept(cid, pn, frames, datagram.source)
             if conn is None or any(isinstance(f, CryptoFrame) for f in frames):
                 return
-        conn.received_pns.add(pn)
-        progressed = False
-        retransmittable = False
-        response_events: list[StreamEvent] = []
-        for frame in frames:
-            if isinstance(frame, AckFrame):
-                conn.on_ack(frame)
-            elif isinstance(frame, StreamFrame):
-                retransmittable = True
-                conn.recv_stream(frame.stream_id).on_frame(
-                    frame.offset, frame.data, frame.fin
-                )
-            elif isinstance(frame, ResetStreamFrame):
-                retransmittable = True
-                conn.recv.setdefault(frame.stream_id, _recv_stream())
-                if frame.stream_id not in conn.fin_reported:
-                    conn.fin_reported.add(frame.stream_id)
-                    progressed = True
-                    response_events.extend(
-                        self._serve(
-                            StreamEvent(
-                                stream_id=frame.stream_id,
-                                kind="reset",
-                                error_code=frame.error_code,
-                            )
-                        )
-                    )
-            elif isinstance(frame, CryptoFrame):
-                # A retransmitted client hello: our handshake response
-                # was lost; the generic retransmit path below re-sends it.
-                retransmittable = True
-        for stream_id in sorted(conn.recv):
-            stream = conn.recv[stream_id]
-            data = stream.consume(len(stream.readable()))
-            finished = stream.finished and stream_id not in conn.fin_reported
-            if finished:
-                conn.fin_reported.add(stream_id)
-            if data or finished:
-                progressed = True
-                response_events.extend(
-                    self._serve(
-                        StreamEvent(
-                            stream_id=stream_id, kind="data", data=data, fin=finished
-                        )
+        # A retransmitted client hello means our handshake response was
+        # lost: it is acked, and the retransmit below re-sends the response.
+        needs_ack, resets = conn.absorb(pn, frames)
+        # Serve on arrival: each stream's first reset, then new bytes.
+        arrived: list[StreamEvent] = []
+        for reset in resets:
+            if reset.stream_id not in conn.fin_reported:
+                conn.fin_reported.add(reset.stream_id)
+                arrived.append(
+                    StreamEvent(
+                        stream_id=reset.stream_id, kind="reset", error_code=reset.error_code
                     )
                 )
-        packets: list[bytes] = []
+        arrived += conn.drain()
         # The peer re-sending data we already have (or a bare ack while
         # our frames are outstanding) signals our last flight was lost.
-        if conn.unacked and (not progressed or not retransmittable):
-            for old_pn in sorted(conn.unacked):
-                packets.append(_encode_packet(conn, list(conn.unacked.pop(old_pn))))
-        for event in response_events:
-            if event.kind == "reset":
-                packets.append(
-                    _encode_packet(
-                        conn,
-                        [
-                            ResetStreamFrame(
-                                stream_id=event.stream_id,
-                                error_code=event.error_code,
-                                final_size=conn.send_stream(event.stream_id).offset,
-                            )
-                        ],
+        flight = []
+        if conn.unacked and (not arrived or not needs_ack):
+            flight = conn.retransmit()
+        for event in arrived:
+            for response in self._serve(event):
+                if response.kind == "reset":
+                    flight.append(
+                        [conn.reset_frame(response.stream_id, response.error_code)]
                     )
-                )
+                else:
+                    conn.send_stream(response.stream_id).write(
+                        response.data, fin=response.fin
+                    )
+        flight += conn.flight()
+        if needs_ack:
+            # Piggyback the ack on the first response packet.
+            ack = conn.ack_frame()
+            if flight:
+                flight[0].insert(0, ack)
             else:
-                conn.send_stream(event.stream_id).write(event.data, fin=event.fin)
-        for stream_id in sorted(conn.send):
-            stream = conn.send[stream_id]
-            if not stream.has_pending and not (
-                stream.fin_queued and not stream.fin_sent
-            ):
-                continue
-            offset, data, fin = stream.drain()
-            packets.append(
-                _encode_packet(
-                    conn,
-                    [
-                        StreamFrame(
-                            stream_id=stream_id, offset=offset, data=data, fin=fin
-                        )
-                    ],
-                )
-            )
-        ack = conn.ack_frame() if retransmittable else None
-        if packets:
-            if ack is not None:
-                # Piggyback the ack on the first response packet.
-                packets[0] = self._repack_with_ack(conn, packets[0], ack)
-        elif ack is not None:
-            packets.append(_encode_packet(conn, [ack]))
-        for packet in packets:
-            self._server_endpoint.send(packet, datagram.source)
-
-    def _repack_with_ack(
-        self, conn: _QuicConnState, packet: bytes, ack: AckFrame
-    ) -> bytes:
-        buf = Buffer(packet)
-        pn = buf.pull_varint()
-        cid = buf.pull_varint_bytes()
-        out = Buffer()
-        out.push_varint(pn)
-        out.push_varint_bytes(cid)
-        out.push_bytes(encode_frames([ack]))
-        out.push_bytes(buf.pull_bytes(buf.remaining))
-        return out.getvalue()
+                flight.append([ack])
+        for frames in flight:
+            self._server_endpoint.send(conn.packet(frames), datagram.source)
 
     def _accept(
         self, cid: bytes, pn: int, frames: list[Frame], source
@@ -757,7 +700,7 @@ class QuicStreamTransport(Transport):
             ack = conn.ack_frame()
             if ack is not None:
                 response.insert(0, ack)
-            self._server_endpoint.send(_encode_packet(conn, response), source)
+            self._server_endpoint.send(conn.packet(response), source)
         return conn
 
 
@@ -795,8 +738,8 @@ class LayeredSUL(SUL):
     """A transport + app pair behind the standard SUL interface.
 
     Unknown attributes are forwarded to the app layer, so composed
-    targets keep exposing their protocol objects (``sul.server``,
-    ``sul.client``) exactly like the monolithic adapters did.
+    targets expose their protocol objects (``sul.server``,
+    ``sul.client``) like the TCP and QUIC adapters do.
     """
 
     __state__ = fields(transport=nested(), app=nested())

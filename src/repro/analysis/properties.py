@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from ..core.extended import ConcreteStep, ExtendedMealyMachine
 from ..core.mealy import MealyMachine
-from ..core.trace import IOTrace
+from ..core.trace import IOTrace, random_word
 from .ltl import Formula
 from .product import FormulaMonitor, as_monitor, find_violation
 
@@ -114,9 +114,6 @@ def random_traces(
     symbols = list(machine.input_alphabet)
     if not symbols:
         return []
-    traces = []
-    for _ in range(num_traces):
-        length = rng.randint(1, max_length)
-        word = tuple(rng.choice(symbols) for _ in range(length))
-        traces.append(machine.trace(word))
-    return traces
+    return [
+        machine.trace(random_word(rng, symbols, 1, max_length)) for _ in range(num_traces)
+    ]

@@ -17,7 +17,7 @@ import random
 from typing import Literal
 
 from ..core.mealy import MealyMachine
-from ..core.trace import Word
+from ..core.trace import Word, random_word
 
 SuiteKind = Literal["transition-cover", "wmethod", "random"]
 
@@ -44,8 +44,4 @@ def generate_test_suite(
     symbols = list(model.input_alphabet)
     if not symbols:
         return []  # an empty alphabet admits no non-empty words
-    suite = []
-    for _ in range(num_random):
-        length = rng.randint(1, max_length)
-        suite.append(tuple(rng.choice(symbols) for _ in range(length)))
-    return suite
+    return [random_word(rng, symbols, 1, max_length) for _ in range(num_random)]

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..core.mealy import MealyMachine
-from ..core.trace import Word, render_word
+from ..core.trace import Word, random_word, render_word
 from ..learn.passive import PartialMealyMachine
 from ..learn.teacher import Divergence, replay
 
@@ -123,11 +123,7 @@ def fuzz_frontier(
     while len(words) < budget and attempts < budget * 10:
         attempts += 1
         prefix = prefixes[attempts % len(prefixes)]
-        suffix = tuple(
-            rng.choice(alphabet)
-            for _ in range(rng.randint(1, max_suffix))
-        )
-        word = tuple(prefix) + suffix
+        word = tuple(prefix) + random_word(rng, alphabet, 1, max_suffix)
         if word in seen:
             continue
         seen.add(word)

@@ -174,16 +174,15 @@ def _cmd_issues(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .campaign import run_spec
-    from .spec import ExecutorSpec, ExperimentSpec, SpecError
+    from .campaign import member_specs, run_spec
+    from .spec import ExperimentSpec, SpecError
 
-    try:
-        spec = ExperimentSpec.from_file(args.spec)
-    except (OSError, ValueError) as error:
-        print(f"cannot load spec {args.spec}: {error}", file=sys.stderr)
-        return 2
-    if args.executor is not None:  # the CLI flag overrides the file
-        spec.executor = ExecutorSpec(args.executor)
+    # The CLI --executor overrides the file's own.
+    base = ExperimentSpec(target="toy", executor=args.executor)
+    specs = member_specs([args.spec], base=base)
+    if len(specs) != 1:
+        raise SpecError(f"{args.spec} names {len(specs)} runs; run takes one")
+    spec = specs[0]
     try:
         spec.validate()
     except (SpecError, KeyError) as error:

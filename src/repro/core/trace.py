@@ -7,6 +7,7 @@ immutable and hashable so they can populate caches and oracle tables.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -103,6 +104,17 @@ def all_words(alphabet: Sequence[AbstractSymbol], max_length: int) -> Iterator[W
                 yield extended
                 next_frontier.append(extended)
         frontier = next_frontier
+
+
+def random_word(
+    rng: random.Random,
+    symbols: Sequence[AbstractSymbol],
+    min_length: int,
+    max_length: int,
+) -> Word:
+    """A random word: ``rng.randint`` draws its length, then ``rng.choice``
+    each symbol, so one seed always yields the same words."""
+    return tuple(rng.choice(symbols) for _ in range(rng.randint(min_length, max_length)))
 
 
 def count_words(alphabet_size: int, max_length: int) -> int:

@@ -58,11 +58,10 @@ class H3Client:
     __state__ = fields("next_request_stream open_stream _control_open",
                        _decoders=mapping(nested(H3FrameDecoder)), _uni_type_buffers=mapping(BYTES),
                        _uni_type_seen=SET)
-    __shared__ = "config seed _encoder decoder stats"
+    __shared__ = "config _encoder decoder stats"
 
-    def __init__(self, config: H3ClientConfig | None = None, seed: int = 10) -> None:
+    def __init__(self, config: H3ClientConfig | None = None) -> None:
         self.config = config or H3ClientConfig()
-        self.seed = seed
         self._encoder = QPACKEncoder()
         self.decoder = QPACKDecoder()
         self.stats = {"requests_sent": 0, "frames_received": 0}

@@ -88,11 +88,10 @@ class H3Server:
                        _control_type_buffer=BYTES, _decoders=mapping(nested(H3FrameDecoder)),
                        _requests=mapping(nested(_RequestState)))
     # The QPACK codecs keep no state (static table only).
-    __shared__ = "config seed _encoder _qpack_decoder stats"
+    __shared__ = "config _encoder _qpack_decoder stats"
 
-    def __init__(self, config: H3ServerConfig | None = None, seed: int = 8) -> None:
+    def __init__(self, config: H3ServerConfig | None = None) -> None:
         self.config = config or H3ServerConfig()
-        self.seed = seed
         self._encoder = QPACKEncoder()
         self._qpack_decoder = QPACKDecoder()
         self.stats = {"frames_received": 0, "requests_answered": 0, "resets": 0}

@@ -10,16 +10,17 @@ open stream if one exists, else the most recent stream, else the next
 idle one).  It keeps that state up to date by parsing every response
 byte the server sends.
 
-The HTTP/2 adapter instruments this client; the client itself knows
-nothing about learning.
+The HTTP/2 app layer instruments this client; the client itself knows
+nothing about learning.  Its bytes ride stream 0 of a composed
+:class:`~repro.adapter.layered.Transport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.state import LIST, fields, nested
-from ..netsim import Address, SimulatedNetwork
 from .frames import (
     CONNECTION_PREFACE,
     ErrorCode,
@@ -37,11 +38,12 @@ from .frames import (
 )
 from .hpack import HPACKDecoder, HPACKEncoder
 
+if TYPE_CHECKING:
+    from ..adapter.layered import Transport
+
 
 @dataclass
 class HTTP2ClientConfig:
-    host: str = "h2client"
-    port: int = 40080
     request_headers: tuple = (
         (":method", "GET"),
         (":path", "/"),
@@ -58,26 +60,13 @@ class HTTP2Client:
 
     __state__ = fields("preface_sent next_stream_id open_stream last_stream_id",
                        _frames=nested(FrameDecoder), last_response_headers=LIST)
-    __shared__ = "config _network _seed server_address endpoint _encoder _decoder"
+    __shared__ = "config _transport _encoder _decoder"
 
     def __init__(
-        self,
-        network: SimulatedNetwork | None = None,
-        server_address: Address | None = None,
-        config: HTTP2ClientConfig | None = None,
-        seed: int = 11,
+        self, transport: Transport, config: HTTP2ClientConfig | None = None
     ) -> None:
         self.config = config or HTTP2ClientConfig()
-        self._network = network
-        self._seed = seed  # interface symmetry with the TCP/QUIC clients
-        self.server_address = server_address
-        # Standalone mode (network=None): a subclass overrides _transmit
-        # to route bytes through a composed transport instead.
-        self.endpoint = (
-            network.bind(self.config.host, self.config.port)
-            if network is not None
-            else None
-        )
+        self._transport = transport
         self._encoder = HPACKEncoder()
         self._decoder = HPACKDecoder()
         self.preface_sent = False
@@ -99,12 +88,6 @@ class HTTP2Client:
         self.last_stream_id = 0
         self._frames = FrameDecoder()
         self.last_response_headers = []
-        if self.endpoint is not None:
-            self.endpoint.receive_all()  # drop any stale datagrams
-
-    def close(self) -> None:
-        if self.endpoint is not None:
-            self.endpoint.close()
 
     # ------------------------------------------------------------------
     # Concretization: abstract frame kind + flags -> valid concrete frame
@@ -185,9 +168,10 @@ class HTTP2Client:
         """Send one concrete frame and collect the server's responses.
 
         The connection preface is prepended to the first frame of each
-        logical connection.  Runs the simulated network to quiescence, so
-        every response caused by this input (and nothing else -- adapter
-        property 1) is returned, already reassembled from the byte stream.
+        logical connection.  The bytes ride stream 0 of the transport, whose
+        exchange returns every response caused by this input (and nothing
+        else -- adapter property 1), already reassembled from the byte
+        stream.
         """
         frame = self.build_frame(kind, flags)
         payload = frame.encode()
@@ -195,25 +179,11 @@ class HTTP2Client:
             payload = CONNECTION_PREFACE + payload
             self.preface_sent = True
         self._note_sent(frame)
+        self._transport.send(0, payload)
         responses: list[Frame] = []
-        for chunk in self._transmit(payload):
-            responses.extend(self._frames.feed(chunk))
+        for event in self._transport.exchange():
+            if event.kind == "data":
+                responses.extend(self._frames.feed(event.data))
         for response in responses:
             self._note_received(response)
         return frame, responses
-
-    def _transmit(self, payload: bytes) -> list[bytes]:
-        """Put request bytes on the wire; returns the response byte chunks.
-
-        The default routes through the client's own network endpoint and
-        runs the simulated network to quiescence; transport-composed
-        clients override this to ride a
-        :class:`~repro.adapter.layered.Transport` instead.
-        """
-        if self.endpoint is None or self.server_address is None:
-            raise RuntimeError(
-                "standalone HTTP2Client has no endpoint; override _transmit"
-            )
-        self.endpoint.send(payload, self.server_address)
-        self._network.run()
-        return [datagram.payload for datagram in self.endpoint.receive_all()]

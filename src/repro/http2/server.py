@@ -1,7 +1,7 @@
 """An in-process HTTP/2 server (the HTTP/2 System Under Learning).
 
-The server is a real byte-stream processor bound to the simulated
-network: it checks the 24-octet connection preface, reassembles frames
+The server is a real byte-stream processor fed by a composed transport
+(:meth:`HTTP2Server.process_bytes`): it checks the 24-octet connection preface, reassembles frames
 from arbitrary chunks, enforces the connection-level handshake (the first
 frame after the preface must be SETTINGS), runs every stream through the
 RFC 9113 section 5.1 state machine, and answers completed requests with
@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass, field
 
 from ..core.state import BYTES, LIST, fields, mapping, nested
-from ..netsim import Datagram, Endpoint, SimulatedNetwork
 from .frames import (
     CONNECTION_PREFACE,
     FLAG_ACK,
@@ -53,8 +52,6 @@ class ConnectionState(enum.Enum):
 class HTTP2ServerConfig:
     """Tunable behaviour knobs for the in-process server."""
 
-    host: str = "h2server"
-    port: int = 8443
     max_concurrent_streams: int = 16
     initial_window_size: int = 65_535
     response_headers: tuple = ((":status", "200"), ("content-type", "text/plain"))
@@ -78,29 +75,16 @@ class ServerStats:
 
 
 class HTTP2Server:
-    """Single-connection HTTP/2 responder bound to a simulated network."""
+    """Single-connection HTTP/2 responder over a byte stream."""
 
     __state__ = fields("state max_client_stream", _preface_buffer=BYTES,
                        _frames=nested(FrameDecoder), streams=mapping(nested(H2Stream)),
                        last_request_headers=LIST)
     # The HPACK codecs keep no state (static table only).
-    __shared__ = "config _network _seed endpoint _encoder _decoder stats"
+    __shared__ = "config _encoder _decoder stats"
 
-    def __init__(
-        self,
-        network: SimulatedNetwork | None = None,
-        config: HTTP2ServerConfig | None = None,
-        seed: int = 7,
-    ) -> None:
+    def __init__(self, config: HTTP2ServerConfig | None = None) -> None:
         self.config = config or HTTP2ServerConfig()
-        self._network = network
-        self._seed = seed  # interface symmetry with the TCP/QUIC servers
-        # Standalone mode (network=None): a composed transport feeds bytes
-        # through :meth:`process_bytes` instead of a bound endpoint.
-        self.endpoint: Endpoint | None = None
-        if network is not None:
-            self.endpoint = network.bind(self.config.host, self.config.port)
-            self.endpoint.handler = self._handle
         self._encoder = HPACKEncoder()
         self._decoder = HPACKDecoder()
         self.state = ConnectionState.AWAIT_PREFACE
@@ -124,25 +108,11 @@ class HTTP2Server:
         self.max_client_stream = 0
         self.last_request_headers = []
 
-    def close(self) -> None:
-        if self.endpoint is not None:
-            self.endpoint.close()
-
     # ------------------------------------------------------------------
     # Byte-stream processing
     # ------------------------------------------------------------------
-    def _handle(self, datagram: Datagram) -> None:
-        payload = self.process_bytes(datagram.payload)
-        if payload:
-            self.endpoint.send(payload, datagram.source)
-
     def process_bytes(self, data: bytes) -> bytes:
-        """The transport-neutral entry point: request bytes -> response bytes.
-
-        Exactly the processing :meth:`_handle` performs on a datagram,
-        exposed so a composed transport can carry this server without a
-        network endpoint.
-        """
+        """The transport-neutral entry point: request bytes -> response bytes."""
         responses = self._process_bytes(data)
         if not responses:
             return b""

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from ..core.alphabet import SymbolError, deserialize_symbol, serialize_symbol
-from ..core.trace import IOTrace, Word, render_word
+from ..core.trace import IOTrace, Word, random_word, render_word
 from ..registry import SUL_REGISTRY, load_builtins
 from .cache import CacheInconsistencyError, QueryCache
 from .passive import (
@@ -262,9 +262,7 @@ def log_sessions(
     symbols = list(sul.input_alphabet)
     traces = []
     for _ in range(num_sessions):
-        word = tuple(
-            rng.choice(symbols) for _ in range(rng.randint(1, max_len))
-        )
+        word = random_word(rng, symbols, 1, max_len)
         traces.append(IOTrace(word, tuple(sul.query(word))))
     return traces
 

@@ -32,7 +32,7 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 from ..core.mealy import MealyMachine
-from ..core.trace import Word
+from ..core.trace import Word, random_word
 from ..registry import EQ_ORACLE_REGISTRY
 from .teacher import MembershipOracle, chunks, replay
 
@@ -107,11 +107,10 @@ class RandomWordEquivalenceOracle(AttributionMixin):
         while remaining > 0:
             count = min(self.batch_size, remaining)
             remaining -= count
-            batch: list[Word] = []
-            for _ in range(count):
-                length = self.rng.randint(self.min_length, self.max_length)
-                batch.append(tuple(self.rng.choice(symbols) for _ in range(length)))
-            yield batch
+            yield [
+                random_word(self.rng, symbols, self.min_length, self.max_length)
+                for _ in range(count)
+            ]
 
 
 @EQ_ORACLE_REGISTRY.register("wmethod")

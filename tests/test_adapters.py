@@ -1,11 +1,10 @@
-"""Tests for the adapter layer: SUL interface, queue, TCP/QUIC adapters."""
+"""Tests for the adapter layer: SUL interface, TCP/QUIC adapters."""
 
 import random
 
 import pytest
 
 from repro.adapter.mealy_sul import MealySUL
-from repro.adapter.queue import PacketQueue
 from repro.adapter.quic_adapter import QUICAdapterSUL
 from repro.adapter.tcp_adapter import TCPAdapterSUL, abstract_segment
 from repro.core.alphabet import (
@@ -18,31 +17,6 @@ from repro.tcp.segment import SEQ_MODULUS, TCPSegment
 
 SYN = parse_tcp_symbol("SYN(?,?,0)")
 ACK = parse_tcp_symbol("ACK(?,?,0)")
-
-
-class TestPacketQueue:
-    def test_fifo_within_key(self):
-        queue = PacketQueue()
-        queue.push("k", 1)
-        queue.push("k", 2)
-        assert queue.find("k") == 1
-        assert queue.find("k") == 2
-        assert queue.find("k") is None
-
-    def test_miss_counting(self):
-        queue = PacketQueue()
-        queue.push("a", 1)
-        queue.find("b")
-        queue.find("a")
-        assert queue.hits == 1
-        assert queue.misses == 1
-        assert queue.hit_rate == 0.5
-
-    def test_clear(self):
-        queue = PacketQueue()
-        queue.push("a", 1)
-        queue.clear()
-        assert len(queue) == 0
 
 
 class _LastISS(random.Random):

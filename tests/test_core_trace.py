@@ -64,3 +64,57 @@ class TestWordUtilities:
         assert len(words) == count_words(2, 3)
         assert len(set(words)) == len(words)
         assert max(len(w) for w in words) == 3
+
+
+class _Recorder:
+    """A membership oracle over a SUL that records every word it is sent."""
+
+    def __init__(self, sul):
+        self.sul = sul
+        self.input_alphabet = sul.input_alphabet
+        self.words = []
+
+    def query_batch(self, words):
+        self.words += [tuple(word) for word in words]
+        return self.sul.query_batch(words)
+
+
+def _drawn_words():
+    """The words each random-word call site draws at seed 3 (``SYN ACK``)."""
+    from repro.adapter.mealy_sul import MealySUL, toy_machine
+    from repro.analysis.properties import random_traces
+    from repro.analysis.testgen import generate_test_suite
+    from repro.attack.fuzzer import fuzz_frontier
+    from repro.learn.bulk import log_sessions
+    from repro.learn.equivalence import RandomWordEquivalenceOracle
+
+    model = toy_machine()
+    eq = _Recorder(MealySUL(model))
+    RandomWordEquivalenceOracle(eq, num_words=4, min_length=2, max_length=5, seed=3) \
+        .find_counterexample(model)
+    fuzz = _Recorder(MealySUL(model))
+    fuzz_frontier(model, fuzz, budget=4, seed=3, max_suffix=3)
+    drawn = {
+        "equivalence": eq.words,
+        "testgen": generate_test_suite(model, "random", num_random=4, max_length=4, seed=3),
+        "properties": [t.inputs for t in random_traces(model, 4, 4, seed=3)],
+        "bulk": [t.inputs for t in log_sessions(MealySUL(model), 4, max_len=4, seed=3)],
+        "fuzzer": fuzz.words,
+    }
+    return {
+        site: [render_word(w).replace("(?,?,0)", "") for w in words]
+        for site, words in drawn.items()
+    }
+
+
+def test_random_words_are_drawn_as_before():
+    """The pins hold each call site's RNG call order (``randint`` for the
+    length, then ``choice`` per symbol), so a seed keeps naming the same
+    words."""
+    assert _drawn_words() == {
+        "equivalence": ["SYN ACK ACK", "SYN ACK", "SYN SYN ACK ACK", "SYN SYN SYN ACK SYN"],
+        "testgen": ["SYN ACK", "SYN SYN ACK ACK", "SYN ACK", "ACK SYN SYN SYN"],
+        "properties": ["SYN ACK", "SYN SYN ACK ACK", "SYN ACK", "ACK SYN SYN SYN"],
+        "bulk": ["SYN ACK", "SYN SYN ACK ACK", "SYN ACK", "ACK SYN SYN SYN"],
+        "fuzzer": ["SYN ACK", "SYN ACK ACK SYN SYN", "SYN ACK ACK SYN", "SYN SYN ACK"],
+    }

@@ -1,27 +1,22 @@
-"""Tests for the in-process HTTP/2 server driven by the reference client."""
+"""Tests for the in-process HTTP/2 server driven by the reference client.
+
+Both ride the composed ``http2`` stack: the client's frames travel over
+the reliable byte transport into the server.
+"""
 
 import pytest
 
-from repro.http2 import (
-    ConnectionState,
-    ErrorCode,
-    FrameType,
-    HTTP2Client,
-    HTTP2Server,
-    HTTP2ServerConfig,
-)
+from repro.adapter.http2_adapter import build_http2_sul
+from repro.http2 import ConnectionState, ErrorCode, FrameType
 from repro.http2.frames import parse_goaway, parse_rst_stream, parse_settings
-from repro.netsim import SimulatedNetwork
 
 
 @pytest.fixture
 def pair():
-    network = SimulatedNetwork(seed=1)
-    server = HTTP2Server(network)
-    client = HTTP2Client(network, server.endpoint.address)
-    yield server, client
-    client.close()
-    server.close()
+    sul = build_http2_sul(seed=1)
+    sul.reset()
+    yield sul.server, sul.client
+    sul.close()
 
 
 def kinds(frames):
@@ -144,11 +139,9 @@ class TestClosedStreamRst:
         assert server.state is ConnectionState.READY
 
     def test_buggy_server_escalates(self):
-        network = SimulatedNetwork(seed=1)
-        server = HTTP2Server(
-            network, config=HTTP2ServerConfig(rst_on_closed_bug=True)
-        )
-        client = HTTP2Client(network, server.endpoint.address)
+        sul = build_http2_sul(seed=1, rst_on_closed_bug=True)
+        sul.reset()
+        server, client = sul.server, sul.client
         try:
             self.closed_stream(client)
             _, responses = client.exchange("RST_STREAM")
@@ -156,8 +149,7 @@ class TestClosedStreamRst:
             assert parse_goaway(responses[0])[1] == ErrorCode.STREAM_CLOSED
             assert server.state is ConnectionState.CLOSED
         finally:
-            client.close()
-            server.close()
+            sul.close()
 
 
 class TestUndecodableHeaders:
@@ -169,13 +161,10 @@ class TestUndecodableHeaders:
         server, client = pair
         client.exchange("SETTINGS")
         block = b"\x40\x01a\x01b"  # '01' pattern: incremental indexing
-        client.endpoint.send(
-            headers_frame(1, block, end_stream=True).encode(), client.server_address
-        )
-        client._network.run()
+        client._transport.send(0, headers_frame(1, block, end_stream=True).encode())
         responses = []
-        for datagram in client.endpoint.receive_all():
-            responses.extend(client._frames.feed(datagram.payload))
+        for event in client._transport.exchange():
+            responses.extend(client._frames.feed(event.data))
         assert kinds(responses) == ["GOAWAY"]
         assert parse_goaway(responses[0])[1] == ErrorCode.COMPRESSION_ERROR
         assert server.state is ConnectionState.CLOSED

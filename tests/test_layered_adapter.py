@@ -5,6 +5,8 @@ The transports are exercised against a tiny echo app so every behavior
 is pinned below the protocol layers that ride them.
 """
 
+import itertools
+
 import pytest
 
 from repro.adapter.layered import (
@@ -197,6 +199,254 @@ class TestQuicStreamTransport:
         assert QuicStreamTransport.supports_resumption
         assert not ReliableByteTransport.independent_streams
         assert not ReliableByteTransport.supports_migration
+
+
+# ---------------------------------------------------------------------------
+# QUIC-stream recovery under loss, pinned
+# ---------------------------------------------------------------------------
+
+def _drop_at(network, position: int) -> None:
+    """Drop the datagram sent ``position`` sends from now (0 = the next)."""
+    send = network.send
+    sent = itertools.count()
+
+    def dropping(*args):
+        if next(sent) == position:
+            network.drop_next(1)
+        send(*args)
+
+    network.send = dropping
+
+
+def _render(events) -> str:
+    """One exchange's events, e.g. ``"4 ok:beta fin, 0 reset 7"``."""
+    return ", ".join(
+        f"{e.stream_id} reset {e.error_code}" if e.kind == "reset"
+        else f"{e.stream_id} {e.data.decode()}" + (" fin" if e.fin else "")
+        for e in events
+    )
+
+
+def _outcome(transport: QuicStreamTransport, exchanges: list[str]):
+    """Events per exchange, network (sent, delivered, lost, duplicated)
+    and transport (connections, handshake_rounds, migrations)."""
+    net, own = transport.network.stats, transport.stats
+    return (
+        exchanges,
+        (net["sent"], net["delivered"], net["lost"], net["duplicated"]),
+        (own["connections"], own["handshake_rounds"], own["migrations"]),
+    )
+
+
+def _flight_under_loss(position: int):
+    """Two requests in one flight; the exchange's datagram ``position`` is lost."""
+    transport = QuicStreamTransport(seed=2)
+    _echo_server(transport)
+    transport.reset()
+    transport.send(0, b"alpha", fin=True)
+    transport.send(4, b"beta", fin=True)
+    _drop_at(transport.network, position)
+    exchanges = [_render(transport.exchange()) for _ in range(3)]
+    return _outcome(transport, exchanges)
+
+
+def _reset_under_loss(position: int):
+    """RESET_STREAM on an open stream beside a new request, one datagram lost."""
+    transport = QuicStreamTransport(seed=2)
+    _echo_server(transport)
+    transport.reset()
+    transport.send(0, b"open")
+    transport.exchange()
+    transport.reset_stream(0, error_code=7)
+    transport.send(4, b"next", fin=True)
+    _drop_at(transport.network, position)
+    exchanges = [_render(transport.exchange()) for _ in range(3)]
+    return _outcome(transport, exchanges)
+
+
+def _random_loss(seed: int):
+    """Three connections of two requests then a reset, on a 30 %-loss link."""
+    transport = QuicStreamTransport(seed=seed, link=LinkConfig(loss_rate=0.3))
+    _echo_server(transport)
+    exchanges = []
+    for query in range(3):
+        transport.reset()
+        transport.send(0, b"q%d" % query, fin=True)
+        transport.send(4, b"r%d" % query, fin=True)
+        exchanges += [_render(transport.exchange()) for _ in range(2)]
+        transport.reset_stream(8, error_code=3)
+        exchanges += [_render(transport.exchange()) for _ in range(2)]
+    return _outcome(transport, exchanges)
+
+
+#: Pinned recovery: which exchange delivers each event, and what it cost
+#: on the wire, for every single-datagram loss and three random-loss seeds.
+FLIGHT_UNDER_LOSS = {
+    0: (
+        [
+            '4 ok:beta fin',
+            '0 ok:alpha fin',
+            '',
+        ],
+        (10, 9, 1, 0),
+        (1, 1, 0),
+    ),
+    1: (
+        [
+            '0 ok:alpha fin',
+            '4 ok:beta fin',
+            '',
+        ],
+        (10, 9, 1, 0),
+        (1, 1, 0),
+    ),
+    2: (
+        [
+            '4 ok:beta fin, 0 ok:alpha fin',
+            '',
+            '',
+        ],
+        (10, 9, 1, 0),
+        (1, 1, 0),
+    ),
+    3: (
+        [
+            '0 ok:alpha fin, 4 ok:beta fin',
+            '',
+            '',
+        ],
+        (12, 11, 1, 0),
+        (1, 1, 0),
+    ),
+    4: (
+        [
+            '0 ok:alpha fin, 4 ok:beta fin',
+            '',
+            '',
+        ],
+        (8, 7, 1, 0),
+        (1, 1, 0),
+    ),
+}
+RESET_UNDER_LOSS = {
+    0: (
+        [
+            '0 reset 7',
+            '4 ok:next fin',
+            '',
+        ],
+        (13, 12, 1, 0),
+        (1, 1, 0),
+    ),
+    1: (
+        [
+            '4 ok:next fin',
+            '0 reset 7',
+            '',
+        ],
+        (13, 12, 1, 0),
+        (1, 1, 0),
+    ),
+    2: (
+        [
+            '0 reset 7, 4 ok:next fin',
+            '',
+            '',
+        ],
+        (13, 12, 1, 0),
+        (1, 1, 0),
+    ),
+    3: (
+        [
+            '4 ok:next fin, 0 reset 7',
+            '',
+            '',
+        ],
+        (15, 14, 1, 0),
+        (1, 1, 0),
+    ),
+    4: (
+        [
+            '0 reset 7, 4 ok:next fin',
+            '',
+            '',
+        ],
+        (11, 10, 1, 0),
+        (1, 1, 0),
+    ),
+}
+RANDOM_LOSS = {
+    1: (
+        [
+            '4 ok:r0 fin',
+            '',
+            '',
+            '0 ok:q0 fin',
+            '0 ok:q1 fin, 4 ok:r1 fin',
+            '',
+            '8 reset 3',
+            '',
+            '0 ok:q2 fin, 4 ok:r2 fin',
+            '',
+            '',
+            '8 reset 3',
+        ],
+        (38, 30, 8, 0),
+        (3, 3, 0),
+    ),
+    2: (
+        [
+            '0 ok:q0 fin',
+            '',
+            '8 reset 3, 4 ok:r0 fin',
+            '',
+            '0 ok:q1 fin, 4 ok:r1 fin',
+            '',
+            '8 reset 3',
+            '',
+            '4 ok:r2 fin',
+            '',
+            '0 ok:q2 fin, 8 reset 3',
+            '',
+        ],
+        (48, 31, 17, 0),
+        (3, 3, 0),
+    ),
+    3: (
+        [
+            '0 ok:q0 fin, 4 ok:r0 fin',
+            '',
+            '',
+            '8 reset 3',
+            '0 ok:q1 fin, 4 ok:r1 fin',
+            '',
+            '',
+            '8 reset 3',
+            '0 ok:q2 fin',
+            '',
+            '8 reset 3, 4 ok:r2 fin',
+            '',
+        ],
+        (42, 33, 9, 0),
+        (3, 3, 0),
+    ),
+}
+
+
+class TestQuicStreamTransportUnderLoss:
+    """Event sequences and counters of the stream transport under loss."""
+
+    @pytest.mark.parametrize("position", sorted(FLIGHT_UNDER_LOSS))
+    def test_two_request_flight(self, position):
+        assert _flight_under_loss(position) == FLIGHT_UNDER_LOSS[position]
+
+    @pytest.mark.parametrize("position", sorted(RESET_UNDER_LOSS))
+    def test_reset_stream_round_trip(self, position):
+        assert _reset_under_loss(position) == RESET_UNDER_LOSS[position]
+
+    @pytest.mark.parametrize("seed", sorted(RANDOM_LOSS))
+    def test_random_loss(self, seed):
+        assert _random_loss(seed) == RANDOM_LOSS[seed]
 
 
 # ---------------------------------------------------------------------------

@@ -918,15 +918,14 @@ STREAM_FIELDS = [
         "http2",
         {"state", "_preface_buffer", "_frames", "streams", "max_client_stream",
          "last_request_headers"},
-        {"config", "_network", "_seed", "endpoint", "_encoder", "_decoder", "stats"},
+        {"config", "_encoder", "_decoder", "stats"},
     ),
     (
         lambda sul: sul.client,
         "http2",
         {"preface_sent", "next_stream_id", "open_stream", "last_stream_id", "_frames",
          "last_response_headers"},
-        {"_transport", "config", "_network", "_seed", "server_address", "endpoint",
-         "_encoder", "_decoder"},
+        {"_transport", "config", "_encoder", "_decoder"},
     ),
     (
         lambda sul: sul.transport,
@@ -946,14 +945,14 @@ STREAM_FIELDS = [
         {"state", "settings_received", "peer_settings", "control_sent", "last_error",
          "max_request_stream", "drain_boundary", "_control_type_buffer",
          "_control_type_seen", "_decoders", "_requests"},
-        {"config", "seed", "_encoder", "_qpack_decoder", "stats"},
+        {"config", "_encoder", "_qpack_decoder", "stats"},
     ),
     (
         lambda sul: sul.client,
         "http3",
         {"next_request_stream", "open_stream", "_control_open", "_decoders",
          "_uni_type_buffers", "_uni_type_seen"},
-        {"config", "seed", "_encoder", "decoder", "stats"},
+        {"config", "_encoder", "decoder", "stats"},
     ),
     (
         lambda sul: sul.transport,
