@@ -142,6 +142,6 @@ SUL_REGISTRY.register("http2", build_http2_sul)
 
 
 @SUL_REGISTRY.register("http2-buggy")
-def build_http2_buggy_sul(seed: int = 9) -> LayeredSUL:
+def build_http2_buggy_sul(**params) -> LayeredSUL:
     """The HTTP/2 target with the seeded RST_STREAM-on-closed-stream bug."""
-    return build_http2_sul(seed=seed, rst_on_closed_bug=True)
+    return build_http2_sul(rst_on_closed_bug=True, **params)

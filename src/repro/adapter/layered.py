@@ -38,11 +38,8 @@ from ..quic.frames import (
     NewTokenFrame,
     ResetStreamFrame,
     StreamFrame,
-    decode_frames,
-    encode_frames,
 )
 from ..quic.streams import ReceiveStream, SendStream
-from ..quic.varint import Buffer
 from ..registry import supported_kwargs
 from .sul import SUL
 
@@ -188,33 +185,17 @@ class _ArqEnd:
         return bytes(out)
 
 
-def _encode_segment(ack: int, segments: Sequence[tuple[int, bytes]]) -> bytes:
-    buf = Buffer()
-    buf.push_varint(ack)
-    buf.push_varint(len(segments))
-    for offset, data in segments:
-        buf.push_varint(offset)
-        buf.push_varint_bytes(data)
-    return buf.getvalue()
-
-
-def _decode_segment(payload: bytes) -> tuple[int, list[tuple[int, bytes]]]:
-    buf = Buffer(payload)
-    ack = buf.pull_varint()
-    count = buf.pull_varint()
-    segments = [(buf.pull_varint(), buf.pull_varint_bytes()) for _ in range(count)]
-    return ack, segments
-
-
 class ReliableByteTransport(Transport):
     """A single ordered byte pipe over the lossy datagram network.
 
     TCP-in-miniature: one segment per datagram, cumulative acks,
     retransmission of unacked segments, and -- the property the HTTP/3
     comparison hinges on -- strictly in-order delivery: a lost segment
-    blocks everything queued behind it (head-of-line blocking).  All
-    traffic rides stream 0; FIN and per-stream resets are meaningless on
-    a plain pipe and raise :class:`TransportError`.
+    blocks everything queued behind it (head-of-line blocking).  A
+    datagram's payload is the value ``(ack, ((offset, data),))``, or
+    ``(ack, ())`` for a pure ack.  All traffic rides stream 0; FIN and
+    per-stream resets are meaningless on a plain pipe and raise
+    :class:`TransportError`.
     """
 
     independent_streams = False
@@ -253,10 +234,9 @@ class ReliableByteTransport(Transport):
         self._client_arq.queue(data)
 
     def exchange(self, max_rounds: int = 8) -> list[StreamEvent]:
-        for offset, data in self._client_arq.outgoing(retransmit=True):
+        for segment in self._client_arq.outgoing(retransmit=True):
             self._endpoint.send(
-                _encode_segment(self._client_arq.delivered, [(offset, data)]),
-                self._server_endpoint.address,
+                (self._client_arq.delivered, (segment,)), self._server_endpoint.address
             )
         self.network.run()
         collected = bytearray()
@@ -266,7 +246,7 @@ class ReliableByteTransport(Transport):
                 break
             had_data = False
             for datagram in inbound:
-                ack, segments = _decode_segment(datagram.payload)
+                ack, segments = datagram.payload
                 self._client_arq.on_ack(ack)
                 for offset, data in segments:
                     had_data = True
@@ -277,8 +257,7 @@ class ReliableByteTransport(Transport):
             # Ack what arrived so the server can drop retransmit state
             # (and retransmit anything we still miss).
             self._endpoint.send(
-                _encode_segment(self._client_arq.delivered, []),
-                self._server_endpoint.address,
+                (self._client_arq.delivered, ()), self._server_endpoint.address
             )
             self.network.run()
         if not collected:
@@ -291,7 +270,7 @@ class ReliableByteTransport(Transport):
 
     # -- server edge -----------------------------------------------------
     def _on_server_datagram(self, datagram) -> None:
-        ack, segments = _decode_segment(datagram.payload)
+        ack, segments = datagram.payload
         arq = self._server_arq
         arq.on_ack(ack)
         duplicate = False
@@ -307,16 +286,10 @@ class ReliableByteTransport(Transport):
         # re-sent old data, or its pure ack left segments outstanding.
         retransmit = bool(arq.unacked) and (duplicate or not segments)
         outgoing = arq.outgoing(retransmit=retransmit)
-        if outgoing:
-            for offset, data in outgoing:
-                self._server_endpoint.send(
-                    _encode_segment(arq.delivered, [(offset, data)]),
-                    datagram.source,
-                )
-        elif segments:
-            self._server_endpoint.send(
-                _encode_segment(arq.delivered, []), datagram.source
-            )
+        for segment in outgoing:
+            self._server_endpoint.send((arq.delivered, (segment,)), datagram.source)
+        if segments and not outgoing:
+            self._server_endpoint.send((arq.delivered, ()), datagram.source)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +306,7 @@ class _QuicConnState:
     out.
     """
 
-    __state__ = fields("cid next_pn handshaken", received_pns=SET, unacked=DICT,
+    __state__ = fields("cid next_pn", received_pns=SET, unacked=DICT,
                        recv=mapping(nested(ReceiveStream)), send=mapping(nested(SendStream)),
                        fin_reported=SET)
 
@@ -345,7 +318,6 @@ class _QuicConnState:
         self.recv: dict[int, ReceiveStream] = {}
         self.send: dict[int, SendStream] = {}
         self.fin_reported: set[int] = set()
-        self.handshaken = False
 
     def recv_stream(self, stream_id: int) -> ReceiveStream:
         return self.recv.setdefault(
@@ -438,29 +410,19 @@ class _QuicConnState:
                 )
         return flight
 
-    def packet(self, frames: Sequence[Frame]) -> bytes:
-        """Build one plaintext packet, recording retransmittable frames."""
-        buf = Buffer()
-        buf.push_varint(self.next_pn)
-        buf.push_varint_bytes(self.cid)
-        buf.push_bytes(encode_frames(frames))
+    def packet(self, frames: Sequence[Frame]) -> tuple[int, bytes, tuple[Frame, ...]]:
+        """The packet value ``(pn, cid, frames)`` under the next packet
+        number, recording its retransmittable frames."""
+        pn, frames = self.next_pn, tuple(frames)
         retransmittable = tuple(
             f
             for f in frames
             if isinstance(f, (StreamFrame, ResetStreamFrame, CryptoFrame, NewTokenFrame))
         )
         if retransmittable:
-            self.unacked[self.next_pn] = retransmittable
+            self.unacked[pn] = retransmittable
         self.next_pn += 1
-        return buf.getvalue()
-
-
-def _decode_packet(payload: bytes) -> tuple[int, bytes, list[Frame]]:
-    buf = Buffer(payload)
-    pn = buf.pull_varint()
-    cid = buf.pull_varint_bytes()
-    frames = decode_frames(buf.pull_bytes(buf.remaining))
-    return pn, cid, frames
+        return pn, self.cid, frames
 
 
 class QuicStreamTransport(Transport):
@@ -469,12 +431,13 @@ class QuicStreamTransport(Transport):
     Each stream's data travels in its *own* packet (one datagram per
     stream per flight), so losing one stream's packet never delays
     another's -- the no-head-of-line-blocking property HTTP/3 inherits.
-    Packets are plaintext ``packet number + connection id + RFC 9000
-    frames`` and the server routes on the connection id rather than the
-    source address, which is what makes mid-session :meth:`migrate`
-    work.  A one-round handshake (CRYPTO ping-pong) opens every fresh
-    connection; the server's NEW_TOKEN ticket lets a resuming client
-    skip it and send app data in its first flight (0-RTT).
+    A packet is the value ``(packet number, connection id, frames)``,
+    its frames the RFC 9000 dataclasses of :mod:`repro.quic.frames`; the
+    server routes on the connection id rather than the source address,
+    which is what makes mid-session :meth:`migrate` work.  A one-round
+    handshake (CRYPTO ping-pong) opens every fresh connection; the
+    server's NEW_TOKEN ticket lets a resuming client skip it and send app
+    data in its first flight (0-RTT).
     """
 
     independent_streams = True
@@ -530,7 +493,6 @@ class QuicStreamTransport(Transport):
             # 0-RTT: skip the handshake round; the ticket rides the
             # first flight alongside early application data.
             self._pending_token = self._ticket
-            self._conn.handshaken = True
             return
         self._handshake()
 
@@ -539,7 +501,7 @@ class QuicStreamTransport(Transport):
         self._endpoint.send(packet, self._server_endpoint.address)
         self.network.run()
         for datagram in self._endpoint.receive_all():
-            self._absorb_packet(datagram.payload)
+            self._absorb_packet(*datagram.payload)
         self._send_ack()
         self.stats["handshake_rounds"] += 1
         self.last_connection_rounds += 1
@@ -591,24 +553,21 @@ class QuicStreamTransport(Transport):
                 break
             needs_ack = False
             for datagram in inbound:
-                needs_ack |= self._absorb_packet(datagram.payload)
+                needs_ack |= self._absorb_packet(*datagram.payload)
             events.extend(self._drain_events(conn))
             if not needs_ack:
                 break
             self._send_ack()
         return events
 
-    def _absorb_packet(self, payload: bytes) -> bool:
+    def _absorb_packet(self, pn: int, cid: bytes, frames: tuple[Frame, ...]) -> bool:
         """Process one inbound packet; True when it needs acknowledging."""
         conn = self._conn
-        pn, cid, frames = _decode_packet(payload)
         if cid != conn.cid:
             return False  # a stale connection's leftovers
         needs_ack, resets = conn.absorb(pn, frames)
         for frame in frames:
-            if isinstance(frame, CryptoFrame):
-                conn.handshaken = True
-            elif isinstance(frame, NewTokenFrame):
+            if isinstance(frame, NewTokenFrame):
                 needs_ack = True
                 self._ticket = frame.token
         # Every reset the server sends is reported, at the next drain.
@@ -630,7 +589,7 @@ class QuicStreamTransport(Transport):
 
     # -- server edge -----------------------------------------------------
     def _on_server_datagram(self, datagram) -> None:
-        pn, cid, frames = _decode_packet(datagram.payload)
+        pn, cid, frames = datagram.payload
         conn = self._server_conns.get(cid)
         if conn is None:
             conn = self._accept(cid, pn, frames, datagram.source)
@@ -677,7 +636,7 @@ class QuicStreamTransport(Transport):
             self._server_endpoint.send(conn.packet(frames), datagram.source)
 
     def _accept(
-        self, cid: bytes, pn: int, frames: list[Frame], source
+        self, cid: bytes, pn: int, frames: tuple[Frame, ...], source
     ) -> _QuicConnState | None:
         """Admit a new connection: full handshake or a valid 0-RTT ticket."""
         has_hello = any(isinstance(f, CryptoFrame) for f in frames)
@@ -689,7 +648,6 @@ class QuicStreamTransport(Transport):
             return None  # unauthenticated stray packet: dropped
         self._server_conns.clear()  # one live connection per transport
         conn = _QuicConnState(cid)
-        conn.handshaken = True
         self._server_conns[cid] = conn
         if has_hello:
             conn.received_pns.add(pn)

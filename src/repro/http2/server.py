@@ -18,7 +18,7 @@ surfaces as a merged state and a property checker flags as a violation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.state import BYTES, LIST, fields, mapping, nested
 from .frames import (
@@ -64,14 +64,9 @@ class HTTP2ServerConfig:
 
 @dataclass
 class ServerStats:
-    """Counters the adapter and tests inspect."""
+    """Counters the tests inspect."""
 
-    frames_received: int = 0
-    frames_sent: int = 0
     requests_served: int = 0
-    protocol_errors: int = 0
-    streams_opened: int = 0
-    closed_stream_ids: list = field(default_factory=list)
 
 
 class HTTP2Server:
@@ -113,11 +108,7 @@ class HTTP2Server:
     # ------------------------------------------------------------------
     def process_bytes(self, data: bytes) -> bytes:
         """The transport-neutral entry point: request bytes -> response bytes."""
-        responses = self._process_bytes(data)
-        if not responses:
-            return b""
-        self.stats.frames_sent += len(responses)
-        return b"".join(frame.encode() for frame in responses)
+        return b"".join(frame.encode() for frame in self._process_bytes(data))
 
     def _process_bytes(self, data: bytes) -> list[Frame]:
         if self.state is ConnectionState.CLOSED:
@@ -134,7 +125,6 @@ class HTTP2Server:
             return self._connection_error(ErrorCode.PROTOCOL_ERROR)
         responses: list[Frame] = []
         for frame in frames:
-            self.stats.frames_received += 1
             responses.extend(self._react(frame))
             if self.state is ConnectionState.CLOSED:
                 break
@@ -215,7 +205,6 @@ class HTTP2Server:
             self.max_client_stream = sid
             stream = H2Stream(sid)
             self.streams[sid] = stream
-            self.stats.streams_opened += 1
 
         try:
             return self._drive_stream(stream, frame)
@@ -276,10 +265,8 @@ class HTTP2Server:
         return response
 
     def _forget(self, stream: H2Stream) -> None:
-        self.stats.closed_stream_ids.append(stream.stream_id)
         self.streams.pop(stream.stream_id, None)
 
     def _connection_error(self, code: ErrorCode) -> list[Frame]:
-        self.stats.protocol_errors += 1
         self.state = ConnectionState.CLOSED
         return [goaway_frame(self.max_client_stream, code)]

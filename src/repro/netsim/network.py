@@ -1,10 +1,12 @@
 """A simulated datagram network.
 
-Implementations and reference clients exchange raw ``bytes`` payloads through
+Implementations and reference clients exchange payloads through
 :class:`SimulatedNetwork`, which models an unreliable UDP-like link: loss,
 duplication, latency with jitter, and reordering, all driven by a seeded RNG
 and a :class:`~repro.netsim.clock.VirtualClock` so every run is
-deterministic.
+deterministic.  The network never looks inside a payload: the QUIC and TCP
+targets send sealed or checksummed ``bytes``, and the composed stream
+transports of :mod:`repro.adapter.layered` send immutable packet values.
 
 The network is event-driven but synchronous: callers enqueue datagrams and
 then :meth:`SimulatedNetwork.run` delivers them in timestamp order, invoking
@@ -17,13 +19,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, Hashable, Mapping, Tuple
 
 from ..core.state import LIST, RNG, VALUE, fixed, fields, nested
 from .clock import VirtualClock
 from .rng import SnapshotRandom
 
 Address = Tuple[str, int]
+#: What a datagram carries: ``bytes`` on the QUIC and TCP targets, an
+#: immutable value (a tuple of frames, say) on the composed transports.
+Payload = Hashable
 
 
 class NetworkError(RuntimeError):
@@ -32,9 +37,13 @@ class NetworkError(RuntimeError):
 
 @dataclass(frozen=True)
 class Datagram:
-    """One UDP-like datagram in flight or delivered."""
+    """One UDP-like datagram in flight or delivered.
 
-    payload: bytes
+    The network neither inspects nor copies ``payload`` (a duplicated
+    datagram carries the same object), so a payload must be immutable.
+    """
+
+    payload: Payload
     source: Address
     destination: Address
     sent_at: float
@@ -94,7 +103,7 @@ class Endpoint:
         self.handler: Callable[[Datagram], None] | None = None
         self.closed = False
 
-    def send(self, payload: bytes, destination: Address) -> None:
+    def send(self, payload: Payload, destination: Address) -> None:
         """Enqueue a datagram to ``destination``."""
         if self.closed:
             raise NetworkError(f"send on closed endpoint {self.address}")
@@ -132,10 +141,11 @@ class SimulatedNetwork:
         self,
         clock: VirtualClock | None = None,
         seed: int = 0,
-        config: LinkConfig = PERFECT_LINK,
+        config: LinkConfig | Mapping[str, float] = PERFECT_LINK,
     ) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self.config = config
+        # A JSON spec carries the link as a mapping of LinkConfig fields.
+        self.config = config if isinstance(config, LinkConfig) else LinkConfig(**config)
         self._rng = SnapshotRandom(seed)
         self._endpoints: dict[Address, Endpoint] = {}
         self._queue: list[_ScheduledDelivery] = []
@@ -201,7 +211,7 @@ class SimulatedNetwork:
             raise ValueError(f"drop count must be non-negative: {count}")
         self._drop_next += count
 
-    def send(self, source: Address, destination: Address, payload: bytes) -> None:
+    def send(self, source: Address, destination: Address, payload: Payload) -> None:
         """Apply link impairments and schedule delivery."""
         self.stats["sent"] += 1
         if self._drop_next:

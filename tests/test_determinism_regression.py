@@ -12,9 +12,11 @@ import json
 
 import pytest
 
+from digests import oracle_digest
 from repro.analysis.testgen import generate_test_suite
 from repro.campaign import run_spec
-from repro.spec import ExperimentSpec
+from repro.framework import Prognosis
+from repro.spec import ExecutorSpec, ExperimentSpec
 
 
 def learn_model_json(spec: ExperimentSpec) -> tuple[str, object]:
@@ -83,3 +85,41 @@ def test_random_suite_seed_changes_bytes():
     assert generate_test_suite(model, "random", seed=3) != generate_test_suite(
         model, "random", seed=4
     )
+
+
+def _absolute_tcp_spec(seed: int, kind: str = "serial") -> ExperimentSpec:
+    """tcp with absolute sequence numbers: the one configuration whose
+    answers depend on the target seed, since each reset draws a fresh ISS
+    from it.  Relative numbering hides the ISS, and the QUIC and stream
+    seeds feed only connection ids and randoms that never reach a param,
+    so the other targets learn byte-identical tables at any seed."""
+    return ExperimentSpec(
+        target="tcp",
+        target_params={"relative_numbers": False, "seed": seed},
+        seed=11,
+        name="tcp",
+        executor=ExecutorSpec(kind=kind, workers=1 if kind == "serial" else 2),
+    )
+
+
+@pytest.mark.parametrize("seed", [11, 17])
+def test_seed_observable_tcp_matches_across_executors(seed):
+    """Absolute-number tcp learns one model on every executor.
+
+    Only the models are compared: the concrete params differ, because
+    each pool worker draws its own ISS per physical reset.
+    """
+    serial_json, _ = learn_model_json(_absolute_tcp_spec(seed))
+    for kind in ("thread", "process"):
+        assert learn_model_json(_absolute_tcp_spec(seed, kind))[0] == serial_json
+
+
+def test_seed_observable_tcp_seeds_give_different_tables():
+    """The two seeds above really differ on the wire, so the gate cannot
+    go vacuous: their serial Oracle-Table digests are not equal."""
+    digests = []
+    for seed in (11, 17):
+        with Prognosis(_absolute_tcp_spec(seed)) as prognosis:
+            prognosis.learn()
+            digests.append(oracle_digest(prognosis.sul.oracle_table))
+    assert digests[0] != digests[1]

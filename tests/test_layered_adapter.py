@@ -188,7 +188,6 @@ class TestQuicStreamTransport:
         transport.reset()
         # Forge a fresh connection id without handshaking it.
         transport._conn.cid = b"\x00" * 8
-        transport._conn.handshaken = True
         transport.send(0, b"stray", fin=True)
         assert transport.exchange() == []
         transport.close()
@@ -227,13 +226,19 @@ def _render(events) -> str:
     )
 
 
+def _wire(network):
+    """Network counters: (sent, delivered, lost, duplicated)."""
+    net = network.stats
+    return (net["sent"], net["delivered"], net["lost"], net["duplicated"])
+
+
 def _outcome(transport: QuicStreamTransport, exchanges: list[str]):
-    """Events per exchange, network (sent, delivered, lost, duplicated)
-    and transport (connections, handshake_rounds, migrations)."""
-    net, own = transport.network.stats, transport.stats
+    """Events per exchange, network counters and transport
+    (connections, handshake_rounds, migrations)."""
+    own = transport.stats
     return (
         exchanges,
-        (net["sent"], net["delivered"], net["lost"], net["duplicated"]),
+        _wire(transport.network),
         (own["connections"], own["handshake_rounds"], own["migrations"]),
     )
 
@@ -447,6 +452,132 @@ class TestQuicStreamTransportUnderLoss:
     @pytest.mark.parametrize("seed", sorted(RANDOM_LOSS))
     def test_random_loss(self, seed):
         assert _random_loss(seed) == RANDOM_LOSS[seed]
+
+
+# ---------------------------------------------------------------------------
+# Reliable-pipe recovery under loss, pinned
+# ---------------------------------------------------------------------------
+
+def _pipe_flight_under_loss(position: int):
+    """Two segments in one flight; the exchange's datagram ``position`` is lost."""
+    transport = ReliableByteTransport(seed=1)
+    _echo_server(transport)
+    transport.reset()
+    transport.send(0, b"first")
+    transport.send(0, b"second")
+    _drop_at(transport.network, position)
+    exchanges = [_render(transport.exchange()) for _ in range(3)]
+    return exchanges, _wire(transport.network)
+
+
+def _pipe_random_loss(seed: int):
+    """Three connections of a two-segment flight then one more segment,
+    on a 30 %-loss link."""
+    transport = ReliableByteTransport(seed=seed, link=LinkConfig(loss_rate=0.3))
+    _echo_server(transport)
+    exchanges = []
+    for query in range(3):
+        transport.reset()
+        transport.send(0, b"q%d" % query)
+        transport.send(0, b"r%d" % query)
+        exchanges += [_render(transport.exchange()) for _ in range(2)]
+        transport.send(0, b"s%d" % query)
+        exchanges += [_render(transport.exchange()) for _ in range(2)]
+    return exchanges, _wire(transport.network)
+
+
+#: Pinned recovery of the pipe: every single-datagram loss of a
+#: two-segment flight, and two random-loss seeds.
+PIPE_FLIGHT_UNDER_LOSS = {
+    0: (
+        [
+            '',
+            '0 ok:firstsecond',
+            '',
+        ],
+        (8, 7, 1, 0),
+    ),
+    1: (
+        [
+            '0 ok:first',
+            '0 ok:second',
+            '',
+        ],
+        (7, 6, 1, 0),
+    ),
+    2: (
+        [
+            '0 ok:firstok:second',
+            '',
+            '',
+        ],
+        (8, 7, 1, 0),
+    ),
+    3: (
+        [
+            '0 ok:firstok:second',
+            '',
+            '',
+        ],
+        (7, 6, 1, 0),
+    ),
+    4: (
+        [
+            '0 ok:firstok:second',
+            '',
+            '',
+        ],
+        (5, 4, 1, 0),
+    ),
+}
+PIPE_RANDOM_LOSS = {
+    1: (
+        [
+            '',
+            '0 ok:q0r0',
+            '',
+            '',
+            '',
+            '0 ok:q1ok:r1',
+            '0 ok:s1',
+            '',
+            '0 ok:q2ok:r2',
+            '',
+            '0 ok:s2',
+            '',
+        ],
+        (33, 26, 7, 0),
+    ),
+    2: (
+        [
+            '0 ok:q0',
+            '0 ok:r0',
+            '',
+            '',
+            '',
+            '',
+            '0 ok:q1r1ok:s1',
+            '',
+            '0 ok:q2ok:r2',
+            '',
+            '0 ok:s2',
+            '',
+        ],
+        (31, 23, 8, 0),
+    ),
+}
+
+
+class TestReliableByteTransportUnderLoss:
+    """Event sequences and counters of the reliable pipe under loss."""
+
+    @pytest.mark.parametrize("position", sorted(PIPE_FLIGHT_UNDER_LOSS))
+    def test_two_segment_flight(self, position):
+        assert _pipe_flight_under_loss(position) == PIPE_FLIGHT_UNDER_LOSS[position]
+
+    @pytest.mark.parametrize("seed", sorted(PIPE_RANDOM_LOSS))
+    def test_random_loss(self, seed):
+        assert _pipe_random_loss(seed) == PIPE_RANDOM_LOSS[seed]
 
 
 # ---------------------------------------------------------------------------

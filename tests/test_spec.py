@@ -13,6 +13,7 @@ from repro.learn.equivalence import (
     WMethodEquivalenceOracle,
 )
 from repro.learn.nondeterminism import MajorityVoteOracle
+from repro.netsim import LinkConfig
 from repro.registry import (
     EQ_ORACLE_REGISTRY,
     LEARNER_REGISTRY,
@@ -415,6 +416,35 @@ class TestPrognosisFacade:
         data = json.loads(json.dumps(report.to_dict()))
         assert data["num_states"] == 3
         assert data["eq_attribution"]["wmethod"]["words_submitted"] > 0
+
+
+class TestLinkInSpec:
+    """A JSON spec names a target's link as a mapping of LinkConfig fields."""
+
+    @staticmethod
+    def _spec(target, params):
+        return ExperimentSpec.from_json(
+            json.dumps({"target": target, "target_params": params})
+        )
+
+    @pytest.mark.parametrize("target", ["http2", "http2-buggy"])
+    def test_link_mapping_learns_like_the_perfect_link(self, target):
+        reports, links = [], []
+        for params in ({"seed": 11, "link": {"jitter": 0.002}}, {"seed": 11}):
+            with Prognosis(self._spec(target, params)) as prognosis:
+                reports.append(prognosis.learn())
+                links.append(prognosis.sul.transport.network.config)
+        jittery, perfect = reports
+        assert links == [LinkConfig(jitter=0.002), LinkConfig()]
+        assert jittery.model.to_dict() == perfect.model.to_dict()
+        # A jittery link refuses snapshots, so every query replays.
+        assert jittery.snapshots == 0 < perfect.snapshots
+
+    def test_bad_link_fields_are_named(self):
+        with pytest.raises(TypeError, match="jiter"):
+            build_sul(self._spec("http2", {"link": {"jiter": 0.002}}))
+        with pytest.raises(ValueError, match="loss_rate"):
+            build_sul(self._spec("http3", {"link": {"loss_rate": 1.5}}))
 
 
 class TestAttackSpec:

@@ -22,6 +22,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from digests import oracle_digest
 from reference_walk import PrefixStoreWalk
 
 from repro.adapter.h3_adapter import build_http3_sul
@@ -488,6 +489,24 @@ def _assert_learn_is_pinned(target):
 @pytest.mark.parametrize("target", sorted(set(PINNED_LEARNS) - {"quic-google"}))
 def test_learn_is_pinned(target):
     _assert_learn_is_pinned(target)
+
+
+#: Seed-11 Oracle-Table digests of the stream targets (``digests.py``):
+#: every entry's inputs, outputs and concrete params, in order.
+PINNED_DIGESTS = {
+    "http2": "70a957ef4d8d7196",
+    "http2-buggy": "0139738d4ae8bfad",
+    "http3": "35818044d54eb026",
+    "http3-buggy": "b883bff4c93c7ba5",
+}
+
+
+@pytest.mark.parametrize("target", sorted(PINNED_DIGESTS))
+def test_oracle_table_is_pinned(target):
+    spec = ExperimentSpec(target=target, target_params={"seed": 11}, seed=11)
+    with Prognosis(spec) as prognosis:
+        prognosis.learn()
+        assert oracle_digest(prognosis.sul.oracle_table) == PINNED_DIGESTS[target]
 
 
 EVERY_TARGET = [
@@ -966,8 +985,7 @@ STREAM_FIELDS = [
     (
         lambda sul: sul.transport._conn,
         "http3",
-        {"cid", "next_pn", "received_pns", "unacked", "recv", "send", "fin_reported",
-         "handshaken"},
+        {"cid", "next_pn", "received_pns", "unacked", "recv", "send", "fin_reported"},
         set(),
     ),
 ]
@@ -1032,13 +1050,24 @@ class TestSharedSteps:
         recorded = {id(step) for entry in sul.oracle_table for step in entry.steps}
         assert recorded <= {id(step) for step in made}
 
-    @pytest.mark.parametrize("target", ["tcp", "http2", "http3"])
-    def test_concrete_traces_equal_across_executors(self, target):
+    @pytest.mark.parametrize(
+        "target, params",
+        [
+            ("tcp", {"seed": 11}),
+            ("http2", {"seed": 11}),
+            ("http3", {"seed": 11}),
+            # A jittery link refuses snapshots: the replay path.
+            ("http2", {"seed": 11, "link": {"jitter": 0.002}}),
+            ("http3", {"seed": 11, "link": {"jitter": 0.002}}),
+        ],
+        ids=["tcp", "http2", "http3", "http2-jitter", "http3-jitter"],
+    )
+    def test_concrete_traces_equal_across_executors(self, target, params):
         traces = []
         for kind in ("serial", "thread", "process"):
             spec = ExperimentSpec(
                 target=target,
-                target_params={"seed": 11},
+                target_params=params,
                 seed=11,
                 executor=ExecutorSpec(kind=kind, workers=1 if kind == "serial" else 2),
             )
